@@ -20,7 +20,6 @@ import shutil
 import sys
 import tempfile
 from dataclasses import asdict, dataclass, fields
-from importlib import resources
 
 import numpy as np
 
@@ -48,8 +47,9 @@ EXIT_IO = 4
 _STAGE = {"ingest": 0, "estimate": 1, "allocate": 2, "gain": 3, "run": 4}
 _ENTRY_MODES = ("entry_exit", "local_entry_exit")
 _REFERENCE_REPLICATES = 1000
+_SYNTHETIC_PANEL = "synthetic_panel.csv"
 
-# the bundled fixture and the synth command defaults are the same economy
+# --synthetic default and the synth command defaults are the same economy
 _FIXTURE = SyntheticSpec(city_count=284, year_count=17, scale=1.0,
                          exponents=(0.35, 0.45), wedge_sigma=0.5,
                          noise_sigma=0.1, seed=7)
@@ -207,7 +207,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pipeline = argparse.ArgumentParser(add_help=False)
     pipeline.add_argument("--synthetic", metavar="PRESET",
-                          help="use a bundled synthetic panel ('default')")
+                          help="generate the input panel ('default' = synth defaults)")
     pipeline.add_argument("--base-year", type=int)
     pipeline.add_argument("--capital-rule", choices=sorted(CAPITAL_VARIANTS))
     pipeline.add_argument("--quantiles", type=_FIELD_PARSERS["quantiles"],
@@ -300,16 +300,16 @@ def _staged_outputs(out_dir):
 
 
 def _resolve_input(config):
+    """The --input path, or None when the panel is the synthetic preset."""
     if config.synthetic is not None:
         if config.synthetic != "default":
             raise ValueError(f"unknown synthetic preset {config.synthetic!r}")
         if config.input:
             raise ValueError("--input and --synthetic are mutually exclusive")
-        return resources.as_file(
-            resources.files("cityalloc").joinpath("data/default_panel.csv"))
+        return None
     if not config.input:
         raise ValueError("an --input panel is required (or --synthetic default)")
-    return contextlib.nullcontext(config.input)
+    return config.input
 
 
 def _write_deciles_csv(audits, path):
@@ -422,7 +422,14 @@ def _config_echo(config) -> dict:
 def cmd_pipeline(config: RunConfig, stage: int) -> int:
     out_dir = _require_out(config)
     jobs = config.effective_jobs
-    with _resolve_input(config) as input_path, _staged_outputs(out_dir) as staging:
+    input_path = _resolve_input(config)
+    with _staged_outputs(out_dir) as staging:
+        recorded = input_path
+        if input_path is None:
+            # staged like any artifact: the manifest names its home in --out
+            input_path = os.path.join(staging, _SYNTHETIC_PANEL)
+            recorded = os.path.join(out_dir, _SYNTHETIC_PANEL)
+            rows_to_csv(generate(_FIXTURE)[0], input_path)
         rule = CapitalRule(config.capital_rule)
         panel = load_panel(input_path, base_year=config.base_year,
                            capital_rule=rule,
@@ -474,7 +481,7 @@ def cmd_pipeline(config: RunConfig, stage: int) -> int:
                 "version": __version__,
                 "config": _config_echo(config),
                 "seed": config.seed,
-                "input": {"path": os.fspath(input_path),
+                "input": {"path": os.fspath(recorded),
                           "sha256": _sha256(input_path)},
                 "artifacts": artifacts,
             }
@@ -550,7 +557,6 @@ class _Validator:
             print(f"{name.ljust(width)}  {status}")
             for p in problems[:5]:
                 print(f"{' ' * width}  - {p}")
-                failed = failed or True
             failed = failed or bool(problems)
         return EXIT_VALIDATION if failed else EXIT_OK
 
@@ -626,8 +632,6 @@ def cmd_validate(config: RunConfig) -> int:
                             problems.append(
                                 f"{t.label} {year}: fixed factor {f} total moved")
                         continue
-                    charged = col.sum() * (1.0 + t.friction_for(f)) \
-                        if hasattr(t, "friction_for") else None
                     rate = {"K": t.iceberg, "L": t.depletion}.get(f, 0.0)
                     charged = col.sum() * (1.0 + rate)
                     if charged > cap:

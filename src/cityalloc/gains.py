@@ -64,7 +64,6 @@ class ScenarioTemplate:
     reallocated_factors: tuple | None = None
     iceberg: float = 0.0
     depletion: float = 0.0
-    big_m: float | None = None
     label: str | None = None
 
     def __post_init__(self):
@@ -81,11 +80,6 @@ class ScenarioTemplate:
             if not (np.isfinite(v) and v >= 0.0):
                 raise GainError(f"{name} must be finite and nonnegative")
             object.__setattr__(self, name, v)
-        if self.big_m is not None:
-            m = float(self.big_m)
-            if not (np.isfinite(m) and m > 0.0):
-                raise GainError("big_m must be positive and finite")
-            object.__setattr__(self, "big_m", m)
         if self.label is None:
             label = self.mode
             if realloc is not None:
@@ -260,8 +254,7 @@ def _run_unit(x, y, city_id, year, names, templates, quantile_grid, crs,
             scenario = PlannerScenario(
                 year, t.mode, techs, names, totals,
                 reallocated_factors=realloc, iceberg=t.iceberg,
-                depletion=t.depletion, fixed_input_values=fixed,
-                big_m=t.big_m)
+                depletion=t.depletion, fixed_input_values=fixed)
             solution = solve_scenario(scenario, tolerance)
             gains.append(compute_gain(solution, y, label=t.label))
         except PipelineError:

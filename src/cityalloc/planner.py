@@ -9,20 +9,22 @@ depletion on labor, single-factor reallocation with the remaining
 factors pinned in place, per-decile (local) resource caps, and an
 entry/exit variant where pseudo-cities may deactivate entirely.
 
-Every regime is one linear program over per-city outputs and inputs;
-entry/exit adds a binary activity indicator per pseudo-city with big-M
-coupling rows.  Three exact solution strategies split the work:
+Every regime without entry/exit is one linear program over per-city
+outputs and inputs.  Four exact solution strategies split the work:
 
-* full reallocation without binaries collapses each decile to a single
-  aggregate city (pseudo-cities within a decile are identical, so an
-  equal split is optimal by concavity) and solves a tiny LP;
+* full reallocation collapses each decile to a single aggregate city
+  (pseudo-cities within a decile are identical, so an equal split is
+  optimal by concavity) and solves a tiny LP;
 * a single reallocated factor makes the problem separable and concave
   in one dimension per city, solved by filling the steepest envelope
   segments first;
-* everything else runs the per-city LP or MILP with lazily generated
+* entry/exit solves a small MILP over per-decile aggregates with an
+  integral count of active pseudo-cities per decile, exact at any size
+  by concavity;
+* everything else runs the per-city LP with lazily generated
   technology rows, warm-starting each round from the previous basis.
 
-All three land on the same post-solve certificate: outputs on or under
+All four land on the same post-solve certificate: outputs on or under
 the envelope, resource rows honored, inactive cities at rest.
 """
 
@@ -35,15 +37,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from .cqr import QuantileFit, dedup_hyperplanes
-from .solver import (
-    BASIS_BASIC,
-    BasisStart,
-    LinearProgram,
-    MixedIntegerProgram,
-    solve_integer,
-    solve_lp,
-    solve_milp,
-)
+from .solver import BASIS_BASIC, BasisStart, LinearProgram, solve_integer, solve_lp
+# unused here; benchmark tracing still patches cityalloc.planner.solve_milp
+from .solver import solve_milp  # noqa: F401
 
 MODES = ("perfect", "imperfect", "entry_exit", "local", "local_entry_exit")
 
@@ -56,8 +52,6 @@ _GEN_TOL = 1e-7        # violation cutoff for lazy row generation
 _CAP_GUARD = 1e-4      # big-M saturation detector, relative to M
 _ZERO_SLOPE_TOL = 1e-9
 _MAX_GEN_ROUNDS = 500
-_FULL_MILP_ROWS = 2000   # below this, entry/exit builds every technology row upfront
-_PER_CITY_BINARIES = 10  # entry/exit switches to per-decile counts above this
 
 
 class PlannerError(ValueError):
@@ -133,7 +127,10 @@ class PlannerScenario:
     ``depletion`` the labor row to (1+depletion).l; both apply to the
     factors named "K" and "L" and other factors move freely.  Factors
     outside ``reallocated_factors`` are frozen at ``fixed_input_values``
-    (one value per pseudo-city, deciles in order).
+    (one value per pseudo-city, deciles in order).  ``big_m`` bounds a
+    single pseudo-city's allocation of a factor and is read only when an
+    entry/exit scenario leaves that factor uncapped; such a scenario
+    without ``big_m`` is rejected at solve time.
     """
 
     year: int
@@ -280,22 +277,6 @@ class AllocationSolution:
             arr.setflags(write=False)
 
 
-def default_big_m(scenario: PlannerScenario) -> float:
-    """Natural activity bound: the best decile's output were one
-    pseudo-city handed every aggregate resource, mixing the largest
-    intercept with the largest slope per factor."""
-    totals = []
-    for f in scenario.factor_names:
-        v = scenario.aggregate_resources.get(f, np.inf)
-        if not np.isfinite(v):
-            raise PlannerError("default big_m needs finite aggregate resources; pass big_m")
-        totals.append(v)
-    totals = np.asarray(totals)
-    bound = max(float(t.alpha.max() + t.beta.max(axis=0) @ totals)
-                for t in scenario.technologies)
-    return max(bound, 1.0)
-
-
 class _Geo(NamedTuple):
     """Per-solve geometry shared by builders and the certificate."""
 
@@ -340,7 +321,7 @@ def _check_boundedness(scn: PlannerScenario, geo: _Geo):
                     f"decile {t.decile} has no zero-slope hyperplane in it; unbounded")
 
 
-def _certify(scn, geo, y, x, b, big_m):
+def _certify(scn, geo, y, x, b):
     """Feasibility certificate on the final point; raises on violation."""
     active = b > 0.5
     for d, t in enumerate(scn.technologies):
@@ -354,17 +335,6 @@ def _certify(scn, geo, y, x, b, big_m):
         if (np.abs(y[idle]).max(initial=0.0) > _ENVELOPE_TOL
                 or np.abs(x[idle]).max(initial=0.0) > _ENVELOPE_TOL):
             raise PlannerError("inactive pseudo-city with nonzero allocation")
-    if scn.is_entry_exit and big_m is not None:
-        if np.any(y[active] > big_m * (1.0 - _CAP_GUARD)):
-            raise PlannerError(
-                f"big_m={big_m:g} saturated by an active pseudo-city's output; "
-                f"re-solve with big_m >= {4.0 * big_m:g}")
-        for r in range(geo.rcols.size):
-            if not np.isfinite(geo.totals[r]):
-                if np.any(x[active, r] > big_m * (1.0 - _CAP_GUARD)):
-                    raise PlannerError(
-                        f"big_m={big_m:g} saturated by an allocation; "
-                        f"re-solve with big_m >= {4.0 * big_m:g}")
     for r in range(geo.rcols.size):
         if not np.isfinite(geo.totals[r]):
             continue
@@ -397,32 +367,27 @@ def _build_solution(scn, geo, y, x, b, objective) -> AllocationSolution:
 
 
 class _Program:
-    """Mutable row store for one per-city LP/MILP solve.
+    """Mutable row store for one per-city LP solve.
 
     Columns are fixed up front (y block, then per-city reallocated
-    inputs, then binaries for entry/exit); structural rows are written
-    once and technology rows appended as generation discovers them.
+    inputs); resource rows are written once and technology rows
+    appended as generation discovers them.
     """
 
-    def __init__(self, scn: PlannerScenario, geo: _Geo, big_m):
+    def __init__(self, scn: PlannerScenario, geo: _Geo):
         self.scn = scn
         self.geo = geo
-        self.big_m = big_m
-        self.entry = scn.is_entry_exit
         self.n = int(geo.counts.sum())
         self.nr = geo.rcols.size
 
         n, nr = self.n, self.nr
         self.x_off = n
-        self.b_off = n + n * nr
-        self.ncols = self.b_off + (n if self.entry else 0)
+        self.ncols = n + n * nr
         self.objective = np.zeros(self.ncols)
         self.objective[:n] = 1.0
         self.lower = np.zeros(self.ncols)
         self.lower[:n] = -np.inf
         self.upper = np.full(self.ncols, np.inf)
-        if self.entry:
-            self.upper[self.b_off:] = 1.0
 
         self._rows_i: list[int] = []
         self._cols: list[int] = []
@@ -458,25 +423,13 @@ class _Program:
             else:
                 self._put([self._xcol(i, r) for i in range(self.n)],
                           [geo.weights[r]] * self.n, geo.totals[r])
-        if self.entry:
-            m = self.big_m
-            for i in range(self.n):
-                self._put([i, self.b_off + i], [1.0, -m], 0.0)
-                for r in range(self.nr):
-                    cap = geo.totals[r] if np.isfinite(geo.totals[r]) else m
-                    self._put([self._xcol(i, r), self.b_off + i], [1.0, -cap], 0.0)
 
     def add_plane(self, d, local_i, h):
         geo = self.geo
         i = geo.starts[d] + local_i
-        cols = [i] + [self._xcol(i, r) for r in range(self.nr)]
-        vals = [1.0] + list(-geo.beta_r[d][h])
-        rhs = geo.alpha_eff[d][local_i, h]
-        if self.entry:
-            cols.append(self.b_off + i)
-            vals.append(self.big_m)
-            rhs += self.big_m
-        self._put(cols, vals, rhs)
+        self._put([i] + [self._xcol(i, r) for r in range(self.nr)],
+                  [1.0] + list(-geo.beta_r[d][h]),
+                  geo.alpha_eff[d][local_i, h])
         self.added[d][local_i, h] = True
 
     def seed(self):
@@ -498,17 +451,6 @@ class _Program:
                     if not self.added[d][local_i, h]:
                         self.add_plane(d, local_i, h)
 
-    def add_all(self):
-        for d in range(len(self.geo.counts)):
-            for local_i in range(self.geo.counts[d]):
-                for h in range(self.geo.beta_r[d].shape[0]):
-                    if not self.added[d][local_i, h]:
-                        self.add_plane(d, local_i, h)
-
-    def total_tech_rows(self) -> int:
-        return int(sum(self.geo.counts[d] * t.n_planes
-                       for d, t in enumerate(self.scn.technologies)))
-
     def lp(self) -> LinearProgram:
         mat = sp.csr_matrix(
             (self._vals, (self._rows_i, self._cols)),
@@ -520,20 +462,16 @@ class _Program:
     def split(self, pv):
         y = pv[:self.n]
         x = pv[self.x_off:self.x_off + self.n * self.nr].reshape(self.n, self.nr)
-        b = pv[self.b_off:] if self.entry else np.ones(self.n)
-        return y, x, b
+        return y, x
 
-    def violations(self, y, x, b, tol):
+    def violations(self, y, x, tol):
         """New (decile, city, plane) rows violated at the current point,
         at most three per pseudo-city, worst first."""
         geo = self.geo
         out = []
         for d in range(len(geo.counts)):
             lo, hi = geo.starts[d], geo.starts[d + 1]
-            vals = geo.alpha_eff[d] + x[lo:hi] @ geo.beta_r[d].T
-            gap = y[lo:hi, None] - vals
-            if self.entry:
-                gap -= self.big_m * (1.0 - b[lo:hi, None])
+            gap = y[lo:hi, None] - (geo.alpha_eff[d] + x[lo:hi] @ geo.beta_r[d].T)
             gap[self.added[d]] = -np.inf
             for local_i in np.nonzero(gap.max(axis=1) > tol)[0]:
                 row = gap[local_i]
@@ -542,52 +480,50 @@ class _Program:
         return out
 
 
-def _solve_rows(scn, geo, big_m, tolerance):
-    """Per-city LP/MILP with lazily generated technology rows."""
-    prog = _Program(scn, geo, big_m)
-    if scn.is_entry_exit and prog.total_tech_rows() <= _FULL_MILP_ROWS:
-        prog.add_all()
-    else:
-        prog.seed()
+def _solve_rows(scn, geo, tolerance):
+    """Per-city LP with lazily generated technology rows."""
+    prog = _Program(scn, geo)
+    prog.seed()
     basis = None
     for _ in range(_MAX_GEN_ROUNDS):
-        lp = prog.lp()
-        if scn.is_entry_exit:
-            binaries = range(prog.b_off, prog.b_off + prog.n)
-            res = solve_milp(MixedIntegerProgram(lp, binaries), tolerance)
-        else:
-            res = solve_lp(lp, tolerance, basis)
+        res = solve_lp(prog.lp(), tolerance, basis)
         if res.status == "unbounded":
             raise PlannerError("scenario is unbounded; check resource caps")
         if res.status != "optimal":
             raise PlannerError(f"scenario solve failed with status {res.status!r}")
-        y, x, b = prog.split(res.primal_values)
-        new = prog.violations(y, x, b, _GEN_TOL)
+        y, x = prog.split(res.primal_values)
+        new = prog.violations(y, x, _GEN_TOL)
         if not new:
-            return y, x, b, res.objective_value
+            return y, x, np.ones(prog.n), res.objective_value
         n_before = prog.n_rows
         for d, local_i, h in new:
             prog.add_plane(d, local_i, h)
-        if not scn.is_entry_exit:
-            basis = BasisStart(
-                res.column_status,
-                np.concatenate([res.row_status,
-                                np.full(prog.n_rows - n_before, BASIS_BASIC,
-                                        dtype=np.int8)]))
+        basis = BasisStart(
+            res.column_status,
+            np.concatenate([res.row_status,
+                            np.full(prog.n_rows - n_before, BASIS_BASIC,
+                                    dtype=np.int8)]))
     raise PlannerError("technology row generation did not converge")
 
 
-def _solve_entry_counts(scn: PlannerScenario, geo: _Geo, big_m, tolerance):
-    """Entry/exit beyond the per-city binary range.
+def _solve_entry_counts(scn: PlannerScenario, geo: _Geo, tolerance):
+    """Entry/exit as a MILP over per-decile activity counts.
 
     Within a decile only the number of active pseudo-cities matters, so
     optimize per-decile aggregates: output Y_d, inputs X_d, and an
     integral activity count m_d in [0, n_d], tied by the perspective
     rows Y_d <= alpha_h . m_d + beta_h . X_d of the scaled envelope.
-    Exact by concavity; active pseudo-cities split X_d evenly.
+    Exact by concavity; active pseudo-cities split X_d evenly.  An
+    uncapped factor needs ``scn.big_m`` as its per-city bound.
     """
     n_dec = len(geo.counts)
     nr = geo.rcols.size
+    big_m = scn.big_m
+    for r in range(nr):
+        if not np.isfinite(geo.totals[r]) and big_m is None:
+            raise PlannerError(
+                f"entry/exit with uncapped factor {scn.reallocated_factors[r]!r} "
+                f"needs big_m")
     x_off, m_off = n_dec, n_dec + n_dec * nr
     ncols = m_off + n_dec
 
@@ -657,7 +593,7 @@ def _solve_entry_counts(scn: PlannerScenario, geo: _Geo, big_m, tolerance):
 
 
 def _solve_aggregated(scn: PlannerScenario, tolerance: float):
-    """Full reallocation without binaries: pseudo-cities in a decile are
+    """Full reallocation without entry/exit: pseudo-cities in a decile are
     interchangeable, so solve one aggregate city per decile (output rows
     scale the intercepts by the city count) and split its allocation
     evenly.  Exact by concavity of the envelopes."""
@@ -758,21 +694,15 @@ def _solve_separable(scn: PlannerScenario, geo: _Geo):
 def _solve(scn: PlannerScenario, tolerance: float) -> AllocationSolution:
     geo = _geometry(scn)
     _check_boundedness(scn, geo)
-    big_m = None
     if scn.is_entry_exit:
-        big_m = scn.big_m if scn.big_m is not None else default_big_m(scn)
-        if scn.n_pseudo_cities <= _PER_CITY_BINARIES:
-            y, x, b, obj = _solve_rows(scn, geo, big_m, tolerance)
-        else:
-            y, x, b, obj = _solve_entry_counts(scn, geo, big_m, tolerance)
-            big_m = None  # no M rows in the counts formulation
+        y, x, b, obj = _solve_entry_counts(scn, geo, tolerance)
     elif not scn.fixed_input_values and scn.n_pseudo_cities > len(scn.technologies):
         y, x, b, obj = _solve_aggregated(scn, tolerance)
     elif geo.rcols.size == 1:
         y, x, b, obj = _solve_separable(scn, geo)
     else:
-        y, x, b, obj = _solve_rows(scn, geo, None, tolerance)
-    _certify(scn, geo, y, x, b, big_m)
+        y, x, b, obj = _solve_rows(scn, geo, tolerance)
+    _certify(scn, geo, y, x, b)
     return _build_solution(scn, geo, y, x, b, obj)
 
 

@@ -3,13 +3,10 @@
 Generates raw city-year panels from a common Cobb-Douglas technology
 with per-city input-price wedges, together with the exact efficient
 aggregate output, so the whole pipeline (ingest, frontier estimation,
-reallocation) can be validated against closed-form ground truth.  Also
-houses the grid-search allocator used as an independent oracle for the
-planner at small scale.
+reallocation) can be validated against closed-form ground truth.
 """
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +14,6 @@ import numpy as np
 from .panel import CapitalRule, REQUIRED_COLUMNS
 
 _MAX_REDRAWS = 100
-_MAX_GRID_POINTS = 2e7
 
 
 @dataclass(frozen=True)
@@ -205,67 +201,3 @@ def truth_from_json(path) -> GroundTruth:
         actual_output=np.asarray(payload["actual_output"], dtype=float),
         efficient_output=float(payload["efficient_output"]),
         true_gain=np.asarray(payload["true_gain"], dtype=float))
-
-
-def _compositions(m, parts):
-    if parts == 1:
-        yield (m,)
-        return
-    for first in range(m + 1):
-        for rest in _compositions(m - first, parts - 1):
-            yield (first,) + rest
-
-
-def brute_force_allocate(technologies, aggregates, grid_step) -> float:
-    """Exhaustive grid search over full-reallocation splits.
-
-    Walks per-decile factor shares on a simplex grid with the given
-    share step; within a decile pseudo-cities split evenly, which is
-    optimal because the envelopes are concave.  Deliberately refuses
-    anything beyond oracle scale (4 pseudo-cities, 2 factors).
-    """
-    techs = list(technologies)
-    if not techs:
-        raise ValueError("no technologies")
-    counts = np.array([t.pseudo_city_count for t in techs])
-    n_fac = techs[0].n_factors
-    if counts.sum() > 4:
-        raise ValueError("grid oracle handles at most 4 pseudo-cities")
-    if n_fac > 2:
-        raise ValueError("grid oracle handles at most 2 factors")
-    totals = np.asarray(aggregates, dtype=float)
-    if totals.shape != (n_fac,) or not np.all(np.isfinite(totals)) or (totals < 0).any():
-        raise ValueError("aggregates must be finite, nonnegative, one per factor")
-    if not 0.0 < grid_step <= 1.0:
-        raise ValueError("grid_step is a share in (0, 1]")
-
-    n_dec = len(techs)
-    if n_dec == 1:
-        pt = totals / counts[0]
-        return float(counts[0] * techs[0].envelope(pt)[0])
-
-    m = max(int(round(1.0 / grid_step)), 1)
-    n_rows = math.comb(m + n_dec - 1, n_dec - 1)
-    if float(n_rows) ** n_fac > _MAX_GRID_POINTS:
-        raise ValueError("grid too fine for this size; increase grid_step")
-    shares = np.array(list(_compositions(m, n_dec)), dtype=float) / m
-
-    if n_fac == 1:
-        best = -np.inf
-        total = np.zeros(shares.shape[0])
-        for d, tech in enumerate(techs):
-            pts = (totals[0] * shares[:, d] / counts[d])[:, None]
-            total += counts[d] * tech.envelope(pts)
-        return float(total.max())
-
-    best = -np.inf
-    l_pts = totals[1] * shares  # (n_c, n_dec) allocations of factor 1
-    for row in shares:  # allocations of factor 0, one decile each
-        total = np.zeros(shares.shape[0])
-        for d, tech in enumerate(techs):
-            pts = np.column_stack([
-                np.full(shares.shape[0], totals[0] * row[d] / counts[d]),
-                l_pts[:, d] / counts[d]])
-            total += counts[d] * tech.envelope(pts)
-        best = max(best, float(total.max()))
-    return best

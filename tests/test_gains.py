@@ -50,8 +50,6 @@ def test_template_validation_and_labels():
         ScenarioTemplate("perfect", reallocated_factors=("L", "L"))
     with pytest.raises(GainError):
         ScenarioTemplate("imperfect", iceberg=-0.1)
-    with pytest.raises(GainError):
-        ScenarioTemplate("entry_exit", big_m=0.0)
 
 
 def test_gain_result_invariants():

@@ -12,7 +12,6 @@ from cityalloc.planner import (
     PlannerError,
     PlannerScenario,
     allocations_to_csv,
-    default_big_m,
     solve_entry_exit,
     solve_imperfect,
     solve_local,
@@ -279,8 +278,8 @@ def test_entry_exit_matches_pattern_enumeration():
 
 
 def test_entry_exit_count_formulation_matches_enumeration():
-    # above ten pseudo-cities the solve runs on per-decile activity
-    # counts; enumerate every count vector and re-solve as an LP
+    # the solve runs on per-decile activity counts; enumerate every
+    # count vector and re-solve as an LP
     rng = np.random.default_rng(113)
     for _ in range(4):
         n_dec = int(rng.integers(3, 5))
@@ -318,19 +317,20 @@ def test_entry_exit_count_formulation_matches_enumeration():
 
 def test_entry_exit_too_small_big_m():
     tech = DecileTechnology(1, 0.5, [1.0, 10.0], [[2.0, 3.0], [0.0, 0.0]], 1)
-    scn = PlannerScenario(2015, "entry_exit", [tech], ("K", "L"),
-                          {"K": 2.0, "L": 2.0}, big_m=5.0)
+    # every factor capped: big_m bounds nothing
+    capped = PlannerScenario(2015, "entry_exit", [tech], ("K", "L"),
+                             {"K": 2.0, "L": 2.0}, big_m=5.0)
+    assert solve_entry_exit(capped).efficient_output == pytest.approx(10.0)
+    # uncapped L: big_m is its per-city bound, and saturating it raises
+    uncapped = PlannerScenario(2015, "entry_exit", [tech], ("K", "L"),
+                               {"K": 2.0, "L": np.inf}, big_m=1.0)
     with pytest.raises(PlannerError, match="big_m"):
-        solve_entry_exit(scn)
-
-
-def test_default_big_m_bounds_any_single_city():
-    rng = np.random.default_rng(121)
-    scn = random_scenario(rng, mode="entry_exit")
-    m = default_big_m(scn)
-    totals = np.array([scn.aggregate_resources["K"], scn.aggregate_resources["L"]])
-    for t in scn.technologies:
-        assert t.envelope(totals[None, :])[0] <= m + 1e-12
+        solve_entry_exit(uncapped)
+    # uncapped L without big_m has no per-city bound at all
+    unbounded = PlannerScenario(2015, "entry_exit", [tech], ("K", "L"),
+                                {"K": 2.0, "L": np.inf})
+    with pytest.raises(PlannerError, match="needs big_m"):
+        solve_entry_exit(unbounded)
 
 
 def test_local_symmetric_equals_nationwide():

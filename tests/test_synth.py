@@ -14,7 +14,6 @@ from cityalloc import (
     PlannerScenario,
     SyntheticSpec,
     analytic_efficient_output,
-    brute_force_allocate,
     generate,
     load_panel,
     rows_to_csv,
@@ -142,7 +141,7 @@ def test_grid_single_city_is_direct_evaluation():
     rng = np.random.default_rng(51)
     tech = random_envelope_tech(rng, 1, 2)
     totals = [3.0, 4.0]
-    got = brute_force_allocate([tech], totals, 1e-3)
+    got = oracles.brute_force_allocate([tech], totals, 1e-3)
     want = 2.0 * float(tech.envelope(np.array(totals) / 2.0)[0])
     assert got == pytest.approx(want, rel=1e-12)
 
@@ -153,7 +152,7 @@ def test_grid_two_identical_cities_split_evenly():
     techs = [tech_planes,
              DecileTechnology(2, 0.6, tech_planes.alpha, tech_planes.beta, 1)]
     totals = np.array([2.0, 5.0])
-    got = brute_force_allocate(techs, totals, 1e-3)
+    got = oracles.brute_force_allocate(techs, totals, 1e-3)
     want = 2.0 * float(tech_planes.envelope(totals / 2.0)[0])
     # the optimum sits within one grid step of the symmetric split
     assert got <= want + 1e-9
@@ -167,7 +166,8 @@ def test_grid_matches_planner_lp():
         totals = {"K": float(rng.uniform(1, 6)), "L": float(rng.uniform(1, 6))}
         lp = solve_perfect(PlannerScenario(2015, "perfect", techs, ("K", "L"),
                                            totals)).efficient_output
-        grid = brute_force_allocate(techs, [totals["K"], totals["L"]], 1e-3)
+        grid = oracles.brute_force_allocate(techs, [totals["K"], totals["L"]],
+                                            1e-3)
         assert grid <= lp + 1e-9
         assert lp - grid <= 5e-3 * (1.0 + abs(lp))
 
@@ -176,13 +176,13 @@ def test_grid_refuses_beyond_oracle_scale():
     rng = np.random.default_rng(59)
     big = [random_envelope_tech(rng, 1, 3), random_envelope_tech(rng, 2, 2)]
     with pytest.raises(ValueError, match="4 pseudo-cities"):
-        brute_force_allocate(big, [1.0, 1.0], 0.01)
+        oracles.brute_force_allocate(big, [1.0, 1.0], 0.01)
     tech3 = DecileTechnology(1, 0.5, [1.0], [[0.1, 0.2, 0.3]], 1)
     with pytest.raises(ValueError, match="2 factors"):
-        brute_force_allocate([tech3], [1.0, 1.0, 1.0], 0.01)
+        oracles.brute_force_allocate([tech3], [1.0, 1.0, 1.0], 0.01)
     four = [random_envelope_tech(rng, d + 1, 1) for d in range(4)]
     with pytest.raises(ValueError, match="grid too fine"):
-        brute_force_allocate(four, [1.0, 1.0], 1e-3)
+        oracles.brute_force_allocate(four, [1.0, 1.0], 1e-3)
 
 
 def test_requires_two_inputs_for_panel_generation():
