@@ -21,8 +21,9 @@ outputs and inputs.  Four exact solution strategies split the work:
 * entry/exit solves a small MILP over per-decile aggregates with an
   integral count of active pseudo-cities per decile, exact at any size
   by concavity;
-* everything else runs the per-city LP with lazily generated
-  technology rows, warm-starting each round from the previous basis.
+* everything else runs the per-city LP through its dual, pricing
+  technology planes in as columns; a new column enters at zero, so
+  each round warm-starts from the previous optimal basis.
 
 All four land on the same post-solve certificate: outputs on or under
 the envelope, resource rows honored, inactive cities at rest.
@@ -37,7 +38,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .cqr import QuantileFit, dedup_hyperplanes
-from .solver import BASIS_BASIC, BasisStart, LinearProgram, solve_integer, solve_lp
+from .solver import BASIS_AT_LOWER, BasisStart, LinearProgram, solve_integer, solve_lp
 # unused here; benchmark tracing still patches cityalloc.planner.solve_milp
 from .solver import solve_milp  # noqa: F401
 
@@ -47,7 +48,7 @@ _ENTRY_MODES = ("entry_exit", "local_entry_exit")
 _LOCAL_MODES = ("local", "local_entry_exit")
 _LOCAL_SHARES = 10  # local caps are literal tenths of each total
 
-_ENVELOPE_TOL = 1e-6   # post-solve certificate: y within this of the envelope
+_ENVELOPE_TOL = 1e-6   # post-solve certificate slack, relative to the data
 _GEN_TOL = 1e-7        # violation cutoff for lazy row generation
 _CAP_GUARD = 1e-4      # big-M saturation detector, relative to M
 _ZERO_SLOPE_TOL = 1e-9
@@ -322,13 +323,17 @@ def _check_boundedness(scn: PlannerScenario, geo: _Geo):
 
 
 def _certify(scn, geo, y, x, b):
-    """Feasibility certificate on the final point; raises on violation."""
+    """Feasibility certificate on the final point; raises on violation.
+
+    Slacks scale with the values compared, so the verdict does not
+    depend on the units of output or inputs."""
     active = b > 0.5
+    env_tol = _ENVELOPE_TOL * (1.0 + np.abs(y).max(initial=0.0))
     for d, t in enumerate(scn.technologies):
         lo, hi = geo.starts[d], geo.starts[d + 1]
         env = (geo.alpha_eff[d] + x[lo:hi] @ geo.beta_r[d].T).min(axis=1)
         act = active[lo:hi]
-        if np.any(y[lo:hi][act] > env[act] + _ENVELOPE_TOL):
+        if np.any(y[lo:hi][act] > env[act] + env_tol):
             raise PlannerError(f"decile {t.decile}: output above the envelope")
     if scn.is_entry_exit:
         idle = ~active
@@ -339,13 +344,14 @@ def _certify(scn, geo, y, x, b):
         if not np.isfinite(geo.totals[r]):
             continue
         loads = geo.weights[r] * x[:, r]
+        row_tol = _ENVELOPE_TOL * (1.0 + geo.totals[r])
         if scn.is_local:
             cap = geo.totals[r] / _LOCAL_SHARES
             for d in range(len(geo.counts)):
                 lo, hi = geo.starts[d], geo.starts[d + 1]
-                if loads[lo:hi].sum() > cap + _ENVELOPE_TOL:
+                if loads[lo:hi].sum() > cap + row_tol:
                     raise PlannerError("local resource row violated")
-        elif loads.sum() > geo.totals[r] + _ENVELOPE_TOL:
+        elif loads.sum() > geo.totals[r] + row_tol:
             raise PlannerError("resource row violated")
 
 
@@ -366,12 +372,16 @@ def _build_solution(scn, geo, y, x, b, objective) -> AllocationSolution:
         efficient_output=float(objective))
 
 
-class _Program:
-    """Mutable row store for one per-city LP solve.
+class _DualMaster:
+    """Column store for the dual of one per-city LP.
 
-    Columns are fixed up front (y block, then per-city reallocated
-    inputs); resource rows are written once and technology rows
-    appended as generation discovers them.
+    The LP is max sum_i y_i over planes y_i - beta_h . x_i <= alpha_eff[i, h]
+    and resource rows sum_i w_r x_ir <= T_r (T_r / 10 per decile when
+    local), x >= 0.  Its dual: min sum alpha_eff lambda + sum T mu over
+    lambda, mu >= 0, with rows sum_h lambda_ih = 1 (dual of y_i) and
+    sum w_r mu_r - sum_h beta_hr lambda_ih >= 0 (dual of x_ir).  Each
+    generated plane appends a lambda column, which enters at zero, so
+    the last optimal basis stays feasible; y and x are the row duals.
     """
 
     def __init__(self, scn: PlannerScenario, geo: _Geo):
@@ -380,36 +390,25 @@ class _Program:
         self.n = int(geo.counts.sum())
         self.nr = geo.rcols.size
 
-        n, nr = self.n, self.nr
-        self.x_off = n
-        self.ncols = n + n * nr
-        self.objective = np.zeros(self.ncols)
-        self.objective[:n] = 1.0
-        self.lower = np.zeros(self.ncols)
-        self.lower[:n] = -np.inf
-        self.upper = np.full(self.ncols, np.inf)
-
         self._rows_i: list[int] = []
         self._cols: list[int] = []
         self._vals: list[float] = []
-        self._rhs: list[float] = []
-        self.n_rows = 0
+        self._cost: list[float] = []
         self._structural()
         self.added = [np.zeros((geo.counts[d], t.n_planes), dtype=bool)
                       for d, t in enumerate(scn.technologies)]
 
-    def _xcol(self, i, r):
-        return self.x_off + i * self.nr + r
+    def _xrow(self, i, r):
+        return self.n + i * self.nr + r
 
-    def _put(self, cols, vals, rhs):
-        row = self.n_rows
-        self._rows_i.extend([row] * len(cols))
-        self._cols.extend(cols)
+    def _put(self, rows, vals, cost):
+        self._cols.extend([len(self._cost)] * len(rows))
+        self._rows_i.extend(rows)
         self._vals.extend(vals)
-        self._rhs.append(rhs)
-        self.n_rows += 1
+        self._cost.append(cost)
 
     def _structural(self):
+        # one mu column per finite resource row
         scn, geo = self.scn, self.geo
         for r in range(self.nr):
             if not np.isfinite(geo.totals[r]):
@@ -417,17 +416,17 @@ class _Program:
             if scn.is_local:
                 for d in range(len(geo.counts)):
                     span = range(geo.starts[d], geo.starts[d + 1])
-                    self._put([self._xcol(i, r) for i in span],
+                    self._put([self._xrow(i, r) for i in span],
                               [geo.weights[r]] * len(span),
                               geo.totals[r] / _LOCAL_SHARES)
             else:
-                self._put([self._xcol(i, r) for i in range(self.n)],
+                self._put([self._xrow(i, r) for i in range(self.n)],
                           [geo.weights[r]] * self.n, geo.totals[r])
 
     def add_plane(self, d, local_i, h):
         geo = self.geo
         i = geo.starts[d] + local_i
-        self._put([i] + [self._xcol(i, r) for r in range(self.nr)],
+        self._put([i] + [self._xrow(i, r) for r in range(self.nr)],
                   [1.0] + list(-geo.beta_r[d][h]),
                   geo.alpha_eff[d][local_i, h])
         self.added[d][local_i, h] = True
@@ -452,16 +451,16 @@ class _Program:
                         self.add_plane(d, local_i, h)
 
     def lp(self) -> LinearProgram:
+        n, m = self.n, self.n * (1 + self.nr)
         mat = sp.csr_matrix(
-            (self._vals, (self._rows_i, self._cols)),
-            shape=(self.n_rows, self.ncols))
-        return LinearProgram("max", self.objective, mat,
-                             ["<="] * self.n_rows, self._rhs,
-                             self.lower, self.upper)
+            (self._vals, (self._rows_i, self._cols)), shape=(m, len(self._cost)))
+        return LinearProgram("min", self._cost, mat,
+                             ["="] * n + [">="] * (m - n),
+                             np.concatenate([np.ones(n), np.zeros(m - n)]))
 
-    def split(self, pv):
-        y = pv[:self.n]
-        x = pv[self.x_off:self.x_off + self.n * self.nr].reshape(self.n, self.nr)
+    def split(self, duals):
+        y = duals[:self.n]
+        x = np.maximum(duals[self.n:].reshape(self.n, self.nr), 0.0)
         return y, x
 
     def violations(self, y, x, tol):
@@ -481,28 +480,26 @@ class _Program:
 
 
 def _solve_rows(scn, geo, tolerance):
-    """Per-city LP with lazily generated technology rows."""
-    prog = _Program(scn, geo)
-    prog.seed()
+    """Per-city LP by plane generation on its dual master."""
+    master = _DualMaster(scn, geo)
+    master.seed()
     basis = None
     for _ in range(_MAX_GEN_ROUNDS):
-        res = solve_lp(prog.lp(), tolerance, basis)
-        if res.status == "unbounded":
+        res = solve_lp(master.lp(), tolerance, basis)
+        if res.status == "infeasible":  # an infeasible dual: unbounded primal
             raise PlannerError("scenario is unbounded; check resource caps")
         if res.status != "optimal":
             raise PlannerError(f"scenario solve failed with status {res.status!r}")
-        y, x = prog.split(res.primal_values)
-        new = prog.violations(y, x, _GEN_TOL)
+        y, x = master.split(res.dual_values)
+        new = master.violations(y, x, _GEN_TOL)
         if not new:
-            return y, x, np.ones(prog.n), res.objective_value
-        n_before = prog.n_rows
+            return y, x, np.ones(master.n), res.objective_value
         for d, local_i, h in new:
-            prog.add_plane(d, local_i, h)
+            master.add_plane(d, local_i, h)
         basis = BasisStart(
-            res.column_status,
-            np.concatenate([res.row_status,
-                            np.full(prog.n_rows - n_before, BASIS_BASIC,
-                                    dtype=np.int8)]))
+            np.concatenate([res.column_status,
+                            np.full(len(new), BASIS_AT_LOWER, dtype=np.int8)]),
+            res.row_status)
     raise PlannerError("technology row generation did not converge")
 
 

@@ -175,6 +175,8 @@ class SolveResult:
     increase of that row's right-hand side (None for integer programs
     and non-optimal statuses).  ``column_status``/``row_status`` give the
     optimal basis in BASIS_* codes for LPs, reusable via basis_start().
+    ``warm_started`` is True when the solve began from the caller's
+    starting basis rather than falling back to a cold start.
     """
 
     status: str  # "optimal" | "infeasible" | "unbounded"
@@ -184,6 +186,7 @@ class SolveResult:
     dual_values: np.ndarray | None = None
     column_status: np.ndarray | None = None
     row_status: np.ndarray | None = None
+    warm_started: bool = False
 
     def __post_init__(self):
         self.primal_values.setflags(write=False)
@@ -647,7 +650,8 @@ class _Simplex:
         slack_stat[slack_stat == _FIXED] = _AT_LOWER
         row_stat = np.full(self.n_rows_orig, _AT_LOWER, dtype=np.int8)
         row_stat[np.nonzero(self.keep)[0][self.ineq_rows]] = slack_stat
-        return SolveResult("optimal", x, objective, self.iters, duals, col_stat, row_stat)
+        return SolveResult("optimal", x, objective, self.iters, duals, col_stat, row_stat,
+                           warm)
 
     def lower_view(self):
         return self.lo[: self.n]

@@ -8,6 +8,7 @@ import shutil
 import pytest
 
 from cityalloc import cli
+from cityalloc.solver import SolverError
 
 
 def _rows(path):
@@ -80,3 +81,21 @@ def test_config_precedence_flag_over_file_over_default(tmp_path):
     assert resolved.seed == 13                      # flag over file
     assert resolved.iceberg == 0.1                  # file over default
     assert resolved.depletion == cli.RunConfig().depletion  # default
+
+
+def test_solver_failure_is_exit_3_with_no_outputs(tmp_path, monkeypatch, capsys):
+    synth_out = str(tmp_path / "synth")
+    assert cli.main(["synth", "--cities", "12", "--years", "2",
+                     "--out", synth_out]) == cli.EXIT_OK
+
+    def broken_fit(*args, **kwargs):
+        raise SolverError("iteration limit exceeded")
+
+    monkeypatch.setattr("cityalloc.gains.fit_all_quantiles", broken_fit)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    code = cli.main(["run", "--input", os.path.join(synth_out, "synthetic_panel.csv"),
+                     "--out", str(out), "--jobs", "1"])
+    assert code == cli.EXIT_SOLVER
+    assert "solver error" in capsys.readouterr().err
+    assert not out.exists() or not os.listdir(out)

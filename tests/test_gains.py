@@ -247,3 +247,25 @@ def test_gains_csv_and_plot_json(tmp_path, fixture_panel):
     assert series["scenario"] == "perfect"
     assert [p["year"] for p in series["points"]] == [2003, 2004, 2005]
     assert all("ci_low" in p and "se" in p for p in series["points"])
+
+
+def test_rescaled_units_complete_and_agree(tmp_path):
+    # the CLI fixture's economy at 30 cities x 2 years, rescaled after
+    # loading to large output and input units
+    rows, _ = generate(SyntheticSpec(30, 2, 1.0, (0.35, 0.45), 0.5, 0.1, 7))
+    path = tmp_path / "panel.csv"
+    rows_to_csv(rows, path)
+    panel = load_panel(path, base_year=2003)
+    scaled = Panel(panel.city_id, panel.years, panel.y * 1e8,
+                   {"K": panel.inputs["K"] * 1e5, "L": panel.inputs["L"] * 1e3})
+    templates = [ScenarioTemplate("perfect"),
+                 ScenarioTemplate("imperfect", iceberg=0.05, depletion=0.05),
+                 ScenarioTemplate("entry_exit"), ScenarioTemplate("local")]
+    base = run_pipeline(panel, templates)
+    moved = run_pipeline(scaled, templates)
+    assert [(g.year, g.scenario) for g in moved] == [(g.year, g.scenario) for g in base]
+    # Rescaling moves which optimal frontier vertex the simplex returns,
+    # so gains agree only approximately; exact unit invariance needs a
+    # unique counterfactual technology (ROADMAP open item 4).
+    for g, ref in zip(moved, base):
+        assert abs(g.gain - ref.gain) <= 2e-3 * ref.gain

@@ -22,6 +22,7 @@ from cityalloc.planner import (
     technology_from_fit,
 )
 from cityalloc.cqr import fit_cqr
+from cityalloc.solver import solve_lp
 
 
 def random_tech(rng, n_factors=2, n_planes=4, alpha_lo=-1.0, cap=None):
@@ -549,3 +550,61 @@ def test_csv_exports(tmp_path):
     assert got == sols[0].efficient_output
     with pytest.raises(ValueError):
         allocations_to_csv([], alloc)
+
+
+def fixed_factor_scenario(rng, mode, n_planes=5, counts=(4, 5, 6), k_total=None,
+                          **kw):
+    """K and L reallocated, H pinned per city; each decile holds tangent
+    planes of a Cobb-Douglas plus one plane flat in K."""
+    techs = []
+    for d, cnt in enumerate(counts):
+        pts = np.exp(rng.uniform(-1.5, 2.5, size=(n_planes, 3)))
+        scale = 0.6 + 0.08 * d
+        f = scale * np.prod(pts ** np.array([0.30, 0.35, 0.20]), axis=1)
+        beta = f[:, None] * np.array([0.30, 0.35, 0.20]) / pts
+        alpha = f - np.sum(beta * pts, axis=1)
+        flat = np.array([0.0, 0.05, 0.05])
+        techs.append(DecileTechnology(d + 1, (2 * d + 1) / 20,
+                                      np.append(alpha, 8.0 * scale),
+                                      np.vstack([beta, flat]), cnt))
+    n = sum(counts)
+    h = rng.lognormal(0.0, 0.5, n)
+    totals = {"K": float(n) if k_total is None else k_total, "L": float(n)}
+    return PlannerScenario(2015, mode, techs, ("K", "L", "H"), totals,
+                           reallocated_factors=("K", "L"),
+                           fixed_input_values={"H": h}, **kw)
+
+
+def test_fixed_factor_rows_match_scipy():
+    rng = np.random.default_rng(211)
+    cases = [("perfect", {}), ("imperfect", {"iceberg": 0.05, "depletion": 0.05}),
+             ("local", {})]
+    for k_total in (None, np.inf):
+        for mode, frictions in cases:
+            scn = fixed_factor_scenario(rng, mode, k_total=k_total, **frictions)
+            got = solve_scenario(scn).efficient_output
+            want = oracles.planner_lp(
+                [(t.alpha, t.beta) for t in scn.technologies],
+                [t.pseudo_city_count for t in scn.technologies],
+                [scn.aggregate_resources["K"], scn.aggregate_resources["L"], np.inf],
+                weights=[1.0 + scn.iceberg, 1.0 + scn.depletion, 1.0],
+                local=scn.is_local, fixed={2: scn.fixed_input_values["H"]})
+            assert abs(got - want) < 1e-6 * (1.0 + abs(want)), (mode, k_total)
+
+
+def test_fixed_factor_generation_rounds_all_warm_start(monkeypatch):
+    calls = []
+
+    def recording(lp, tolerance=1e-7, start=None):
+        res = solve_lp(lp, tolerance, start)
+        calls.append((start is not None, res.warm_started))
+        return res
+
+    monkeypatch.setattr("cityalloc.planner.solve_lp", recording)
+    scn = fixed_factor_scenario(np.random.default_rng(223), "imperfect",
+                                n_planes=12, counts=(10, 10, 10),
+                                iceberg=0.05, depletion=0.05)
+    solve_scenario(scn)
+    started = [warm for given, warm in calls if given]
+    assert len(calls) >= 3 and len(started) == len(calls) - 1
+    assert all(started)

@@ -301,6 +301,7 @@ def test_warm_start_same_problem_is_free():
     cold = solve_lp(lp)
     warm = solve_lp(lp, start=cold.basis_start())
     assert warm.status == "optimal"
+    assert warm.warm_started and not cold.warm_started
     assert warm.iteration_count == 0
     assert abs(warm.objective_value - cold.objective_value) <= 1e-12
 
@@ -329,6 +330,7 @@ def test_warm_start_with_added_columns():
     cs = np.concatenate([first.column_status, [1]])  # new column at lower
     warm = solve_lp(wide, start=BasisStart(cs, first.row_status))
     assert warm.status == "optimal"
+    assert warm.warm_started
     assert abs(warm.objective_value - 4.0) <= 1e-9
 
 
@@ -346,6 +348,7 @@ def test_bad_warm_starts_degrade_to_cold():
                       np.full(7, BASIS_BASIC, np.int8))
     res = solve_lp(lp, start=junk)
     assert res.status == "optimal"
+    assert not res.warm_started
     assert abs(res.objective_value - cold.objective_value) <= 1e-9
 
 
