@@ -8,15 +8,18 @@ envelope a common concave surface, and the pinball loss
 tau*sum(eps+) + (1-tau)*sum(eps-) is minimized.
 
 The full program has N^2 cross rows but only a handful bind at the
-optimum, so the solve runs on the LP dual with delayed generation:
-start from the regression and sign structure alone, add the columns of
-the most violated cross rows in batches, and re-solve warm from the
-previous basis until no violation exceeds 1e-6. Slack nonbasic columns
-are dropped while the working set is large; dropping switches off for
-good once progress stalls, after which the working set only grows and
-termination is guaranteed.
+optimum, and the binding rows join nearby observations. So the solve
+runs on the LP dual with delayed generation: start from the cross rows
+between each observation and its nearest neighbours (Lee, Johnson,
+Moreno-Centeno & Kuosmanen 2013), add the columns of the most violated
+cross rows in batches, and re-solve warm from the previous basis until
+no violation exceeds 1e-6. Slack nonbasic columns are dropped while the
+working set is large; dropping switches off for good once progress
+stalls, after which the working set only grows and termination is
+guaranteed.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,7 +96,7 @@ class DecileAssignment:
         return idx[order]
 
 
-def _check_inputs(x, y, tau):
+def _check_inputs(x, y, tau, weights):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.ndim != 2:
@@ -104,13 +107,39 @@ def _check_inputs(x, y, tau):
         raise ValueError("inputs must be finite")
     if not 0.0 < tau < 1.0:
         raise ValueError(f"tau must lie in (0, 1), got {tau}")
-    return x, y
+    weights = np.ones(len(y)) if weights is None else np.asarray(
+        weights, dtype=float)
+    if weights.shape != y.shape:
+        raise ValueError("weights length does not match observations")
+    if not (np.all(np.isfinite(weights)) and np.all(weights > 0.0)):
+        raise ValueError("weights must be finite and positive")
+    return x, y, weights
 
 
-def _dual_master(x, y, tau, pairs, crs):
+def _neighbour_pairs(x):
+    """Cross pairs (i, h) from each observation to its K nearest neighbours.
+
+    Distances are Euclidean on z-scored inputs (a constant column is
+    divided by 1); ties go to the lower index. K = min(n - 1,
+    max(10, ceil(sqrt(n)))).
+    """
+    n = len(x)
+    k = min(n - 1, max(10, math.ceil(math.sqrt(n))))
+    if k <= 0:
+        return np.zeros((0, 2), dtype=np.int64)
+    sd = x.std(axis=0)
+    z = (x - x.mean(axis=0)) / np.where(sd > 0.0, sd, 1.0)
+    dist = ((z[:, None, :] - z[None, :, :]) ** 2).sum(axis=2)
+    np.fill_diagonal(dist, np.inf)
+    near = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    return np.column_stack([np.repeat(np.arange(n), k), near.ravel()])
+
+
+def _dual_master(x, y, tau, weights, pairs, crs):
     """Restricted dual of the frontier LP.
 
-    Dual variables: u_i in [-(1-tau), tau] for the regression equalities
+    Dual variables: u_i in [-(1-tau)k_i, tau*k_i] for the regression
+    equalities, k_i being observation i's weight in the pinball loss,
     and w >= 0, one per generated cross row (i, h). Row blocks: one
     equality per alpha_i (absent under crs) and one inequality per
     beta_{i,f}. Primal planes are read back off the row duals.
@@ -119,8 +148,8 @@ def _dual_master(x, y, tau, pairs, crs):
     base = 0 if crs else n
     nw = len(pairs)
     cost = np.concatenate([y, np.zeros(nw)])
-    lower = np.concatenate([np.full(n, -(1.0 - tau)), np.zeros(nw)])
-    upper = np.concatenate([np.full(n, tau), np.full(nw, np.inf)])
+    lower = np.concatenate([-(1.0 - tau) * weights, np.zeros(nw)])
+    upper = np.concatenate([tau * weights, np.full(nw, np.inf)])
     rows = []
     cols = []
     vals = []
@@ -157,20 +186,20 @@ def _dual_master(x, y, tau, pairs, crs):
                          lower=lower, upper=upper)
 
 
-def _generate(x, y, tau, crs, tolerance, max_rounds):
+def _generate(x, y, tau, weights, crs, tolerance, max_rounds):
     """Delayed cross-row generation; returns (alpha, beta, objective)."""
     n, d = x.shape
     base = 0 if crs else n
     cap = 5 * n
     per_obs = 3
-    pairs = np.zeros((0, 2), dtype=np.int64)
+    pairs = _neighbour_pairs(x)
     start = None
     dropping = True
     stall = 0
     prev_obj = -np.inf
     hist = []
     for _ in range(max_rounds):
-        res = solve_lp(_dual_master(x, y, tau, pairs, crs),
+        res = solve_lp(_dual_master(x, y, tau, weights, pairs, crs),
                        tolerance=tolerance, start=start)
         if res.status != "optimal":
             raise SolverError(f"frontier master came back {res.status}")
@@ -240,7 +269,7 @@ def _generate(x, y, tau, crs, tolerance, max_rounds):
 
 
 def fit_cqr(x, y, tau, crs=False, year=0, tolerance=1e-7,
-            max_rounds=5000) -> QuantileFit:
+            max_rounds=5000, weights=None) -> QuantileFit:
     """Fit the shape-constrained quantile frontier for one year.
 
     Parameters
@@ -250,13 +279,17 @@ def fit_cqr(x, y, tau, crs=False, year=0, tolerance=1e-7,
     tau : quantile level in (0, 1).
     crs : force constant returns to scale (all intercepts zero).
     year : label stamped on the result.
+    weights : (n,) positive weights on the pinball loss, default all 1.
+        The loss is additive, so an observation of weight k fits as k
+        copies of itself: a resample fits on its distinct rows with
+        their multiplicities.
 
     Returns a QuantileFit whose planes satisfy every cross-observation
     inequality to within 1e-6 and whose residual split reproduces the
-    pinball objective.
+    (weighted) pinball objective.
     """
-    x, y = _check_inputs(x, y, tau)
-    alpha, beta, obj = _generate(x, y, tau, crs, tolerance, max_rounds)
+    x, y, weights = _check_inputs(x, y, tau, weights)
+    alpha, beta, obj = _generate(x, y, tau, weights, crs, tolerance, max_rounds)
     beta = np.clip(beta, 0.0, None)  # scrub dual roundoff at the sign bound
     resid = y - (alpha + np.sum(x * beta, axis=1))
     return QuantileFit(
@@ -271,55 +304,8 @@ def fit_cqr(x, y, tau, crs=False, year=0, tolerance=1e-7,
     )
 
 
-def fit_linear_qr(x, y, tau, year=0, tolerance=1e-7) -> QuantileFit:
-    """Single shared hyperplane fit (all cross rows collapsed).
-
-    The degenerate one-plane variant of the frontier program: quantile
-    regression on a common intercept and nonnegative slope vector. Used
-    as a diagnostic bound; its loss can never fall below the frontier
-    fit's, which nests it.
-    """
-    x, y = _check_inputs(x, y, tau)
-    n, d = x.shape
-    # columns: a0 (split as a+ - a- to stay nonnegative), b (d), eps+ (n), eps- (n)
-    ncol = 2 + d + 2 * n
-    cost = np.concatenate(
-        [np.zeros(2 + d), np.full(n, tau), np.full(n, 1.0 - tau)])
-    rows = np.repeat(np.arange(n), 2 + d + 2)
-    cols = np.empty((n, 2 + d + 2), dtype=np.int64)
-    vals = np.empty((n, 2 + d + 2))
-    cols[:, 0] = 0
-    vals[:, 0] = 1.0
-    cols[:, 1] = 1
-    vals[:, 1] = -1.0
-    cols[:, 2:2 + d] = np.arange(2, 2 + d)[None, :]
-    vals[:, 2:2 + d] = x
-    cols[:, 2 + d] = 2 + d + np.arange(n)
-    vals[:, 2 + d] = 1.0
-    cols[:, 3 + d] = 2 + d + n + np.arange(n)
-    vals[:, 3 + d] = -1.0
-    a = sp.csr_matrix((vals.ravel(), (rows, cols.ravel())), shape=(n, ncol))
-    lp = LinearProgram("min", cost, a, np.array([EQ] * n), y)
-    res = solve_lp(lp, tolerance=tolerance)
-    if res.status != "optimal":
-        raise SolverError(f"shared-plane fit came back {res.status}")
-    v = res.primal_values
-    a0 = v[0] - v[1]
-    b = v[2:2 + d]
-    return QuantileFit(
-        year=year,
-        tau=float(tau),
-        alpha=np.full(n, a0),
-        beta=np.tile(b, (n, 1)),
-        eps_plus=v[2 + d:2 + d + n].copy(),
-        eps_minus=v[2 + d + n:].copy(),
-        crs=False,
-        objective=float(res.objective_value),
-    )
-
-
 def fit_all_quantiles(x, y, quantile_grid=None, crs=False, year=0,
-                      tolerance=1e-7):
+                      tolerance=1e-7, weights=None):
     """Fit one frontier per grid value; default grid 0.05, 0.15, ..., 0.95."""
     grid = DEFAULT_QUANTILES if quantile_grid is None else np.asarray(
         quantile_grid, dtype=float)
@@ -327,7 +313,8 @@ def fit_all_quantiles(x, y, quantile_grid=None, crs=False, year=0,
         raise ValueError("quantile grid must be a nonempty 1-d sequence")
     if np.any(grid <= 0.0) or np.any(grid >= 1.0) or np.any(np.diff(grid) <= 0):
         raise ValueError("quantile grid must be strictly increasing within (0, 1)")
-    return [fit_cqr(x, y, t, crs=crs, year=year, tolerance=tolerance)
+    return [fit_cqr(x, y, t, crs=crs, year=year, tolerance=tolerance,
+                    weights=weights)
             for t in grid]
 
 

@@ -196,16 +196,43 @@ def _as_templates(templates):
     return templates
 
 
+def _distinct_rows(x, y):
+    """Distinct (x, y) rows: (first-occurrence indices, counts, row map).
+
+    Row i of the data is row ``back[i]`` of ``x[keep]``; ``counts``
+    holds each distinct row's multiplicity.
+    """
+    _, first, inverse, counts = np.unique(
+        np.column_stack([x, y]), axis=0, return_index=True,
+        return_inverse=True, return_counts=True)
+    order = np.argsort(first)
+    return first[order], counts[order], np.argsort(order)[inverse.reshape(-1)]
+
+
+def _expand(fit, back):
+    """A fit on distinct rows, repeated back onto every data row."""
+    return replace(fit, alpha=fit.alpha[back], beta=fit.beta[back],
+                   eps_plus=fit.eps_plus[back], eps_minus=fit.eps_minus[back])
+
+
 def _run_unit(x, y, city_id, year, names, templates, quantile_grid, crs,
               tolerance, frozen):
-    """Estimate and solve one cross-section; returns (gains, audit)."""
+    """Estimate and solve one cross-section; returns (gains, audit).
+
+    Identical (x, y) rows, as a resample holds, are fitted once with
+    their multiplicity as weight; every fit is expanded back to all
+    rows before ranking.
+    """
     n = len(y)
     if n < _N_DECILES:
         raise PipelineError(f"year {year}: need at least {_N_DECILES} cities, got {n}",
                             stage="ingest", year=year)
+    keep, counts, back = _distinct_rows(x, y)
+    xd, yd = x[keep], y[keep]
     try:
-        fits = fit_all_quantiles(x, y, quantile_grid, crs=crs, year=year,
-                                 tolerance=tolerance)
+        fits = [_expand(f, back) for f in fit_all_quantiles(
+            xd, yd, quantile_grid, crs=crs, year=year, tolerance=tolerance,
+            weights=counts)]
     except Exception as exc:
         raise PipelineError(f"year {year}: quantile estimation failed: {exc}",
                             stage="estimate", year=year) from exc
@@ -216,7 +243,8 @@ def _run_unit(x, y, city_id, year, names, templates, quantile_grid, crs,
 
     try:
         if frozen is None:
-            median = fit_cqr(x, y, 0.5, crs=crs, year=year, tolerance=tolerance)
+            median = _expand(fit_cqr(xd, yd, 0.5, crs=crs, year=year,
+                                     tolerance=tolerance, weights=counts), back)
             assignment = assign_deciles(x, y, median, city_id=city_id)
         else:
             median = None

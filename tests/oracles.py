@@ -151,10 +151,10 @@ def dense_cqr(x, y, tau, crs=False):
             r[na + i * d:na + (i + 1) * d] += x[i]
             r[na + h * d:na + (h + 1) * d] -= x[i]
             rows.append(r)
-    a_ub = np.vstack(rows)
+    a_ub = np.vstack(rows) if rows else None  # one observation: no cross rows
+    b_ub = np.zeros(len(rows)) if rows else None
     bounds = [(None, None)] * na + [(0.0, None)] * (nv - na)
-    status, obj, v = scipy_lp(cost, a_ub, np.zeros(len(rows)), a_eq, y,
-                              bounds, sense="min")
+    status, obj, v = scipy_lp(cost, a_ub, b_ub, a_eq, y, bounds, sense="min")
     if status != "optimal":
         raise RuntimeError(f"dense frontier oracle: {status}")
     alpha = np.zeros(n) if crs else v[:n]

@@ -4,13 +4,13 @@ decile bookkeeping, and the serialization round trip."""
 import numpy as np
 import pytest
 
+import cityalloc.cqr
 from cityalloc import (
     DEFAULT_QUANTILES,
     assign_deciles,
     dedup_hyperplanes,
     fit_all_quantiles,
     fit_cqr,
-    fit_linear_qr,
     fits_from_csv,
     fits_to_csv,
 )
@@ -51,6 +51,56 @@ def test_matches_dense_formulation_small():
     assert planes_clean >= 5   # comparison is not vacuous
 
 
+def fitted(fit, x):
+    return fit.alpha + np.sum(x * fit.beta, axis=1)
+
+
+def test_weighted_fit_matches_dense_fit_on_repeated_rows():
+    rng = np.random.default_rng(151)
+    x, y = cobb_douglas_year(rng, 15)
+    counts = rng.integers(1, 4, 15)  # each city appears 1-3 times
+    assert counts.max() == 3 and (counts == 1).any()
+    rows = np.repeat(np.arange(15), counts)
+    for tau, crs in ((0.05, False), (0.5, False), (0.95, False), (0.5, True)):
+        fit = fit_cqr(x, y, tau, crs=crs, weights=counts)
+        ref_obj, ref_a, ref_b, _, _ = dense_cqr(x[rows], y[rows], tau, crs=crs)
+        assert abs(fit.objective - ref_obj) <= 1e-9 * abs(ref_obj)
+        ref_fv = ref_a + np.sum(x[rows] * ref_b, axis=1)
+        assert np.max(np.abs(fitted(fit, x)[rows] - ref_fv)) <= 1e-7
+
+
+def test_tiny_samples_match_dense_formulation():
+    rng = np.random.default_rng(157)
+    for n in (1, 2):
+        x, y = cobb_douglas_year(rng, n)
+        for tau in (0.25, 0.5):
+            fit = fit_cqr(x, y, tau)
+            ref_obj, ref_a, ref_b, _, _ = dense_cqr(x, y, tau)
+            assert abs(fit.objective - ref_obj) <= 1e-9 * (1 + abs(ref_obj))
+            ref_fv = ref_a + np.sum(x * ref_b, axis=1)
+            assert np.max(np.abs(fitted(fit, x) - ref_fv)) <= 1e-7
+
+
+def test_small_samples_need_one_master_solve(monkeypatch):
+    # up to 11 observations the neighbour seed holds every cross pair,
+    # so the first master is the full program
+    solves = []
+    original = cityalloc.cqr.solve_lp
+
+    def counting(*args, **kwargs):
+        solves.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr("cityalloc.cqr.solve_lp", counting)
+    rng = np.random.default_rng(163)
+    for n in (3, 7, 11):
+        x, y = cobb_douglas_year(rng, n)
+        solves.clear()
+        fit = fit_cqr(x, y, 0.5)
+        assert len(solves) == 1
+        assert abs(fit.objective - dense_cqr(x, y, 0.5)[0]) <= 1e-9 * (1 + fit.objective)
+
+
 def test_duplicated_point_reduces_to_sample_median():
     rng = np.random.default_rng(103)
     n = 9
@@ -74,21 +124,6 @@ def test_objective_never_exceeds_single_plane_fit():
         assert fit.objective >= -1e-9
         resid = y - (fit.alpha + np.sum(x * fit.beta, axis=1))
         assert abs(pinball(resid, tau) - fit.objective) <= 1e-7 * (1 + fit.objective)
-
-
-def test_linear_qr_matches_oracle_and_sign_counts():
-    rng = np.random.default_rng(109)
-    for tau in (0.1, 0.5, 0.9):
-        x, y = cobb_douglas_year(rng, 30)
-        fit = fit_linear_qr(x, y, tau)
-        ref_obj, _, _ = linear_qr(x, y, tau)
-        assert abs(fit.objective - ref_obj) <= 1e-6 * (1 + abs(ref_obj))
-        n = len(y)
-        assert (fit.eps_minus > 1e-7).sum() <= tau * n
-        assert (fit.eps_plus > 1e-7).sum() <= (1 - tau) * n
-        # all planes coincide in the shared-plane reduction
-        assert np.ptp(fit.alpha) == 0.0
-        assert np.ptp(fit.beta, axis=0).max() == 0.0
 
 
 def test_crs_zero_intercepts_and_euler_identity():
@@ -133,6 +168,14 @@ def test_grid_and_input_validation():
     x_bad[0, 0] = np.nan
     with pytest.raises(ValueError):
         fit_cqr(x_bad, y, 0.5)
+    with pytest.raises(ValueError):
+        fit_cqr(x, y, 0.5, weights=np.ones(7))
+    with pytest.raises(ValueError):
+        fit_cqr(x, y, 0.5, weights=np.r_[np.inf, np.ones(7)])
+    with pytest.raises(ValueError):
+        fit_cqr(x, y, 0.5, weights=np.r_[0.0, np.ones(7)])
+    with pytest.raises(ValueError):
+        fit_all_quantiles(x, y, [0.25, 0.5], weights=np.r_[-1.0, np.ones(7)])
     with pytest.raises(ValueError):
         fit_all_quantiles(x, y, [0.5, 0.25])
     with pytest.raises(ValueError):

@@ -20,6 +20,7 @@ from cityalloc import (
     rows_to_csv,
     solve_perfect,
     SyntheticSpec,
+    fit_cqr,
 )
 from cityalloc.planner import DecileTechnology, PlannerScenario
 
@@ -149,6 +150,44 @@ def test_audit_retains_artifacts(fixture_panel):
         assert a.median_fit is not None
         assert set(a.solutions) == {"perfect"}
         assert a.assignment.sizes.sum() == panel.n_cities
+
+
+def test_repeated_cities_fit_as_expanded_rows(fixture_panel):
+    # a resample's repeated cities are fitted once, with their multiplicity
+    # as weight, and must reproduce the fit on every row
+    panel, _ = fixture_panel
+    idx = np.array([0, 1, 2, 2, 3, 4, 5, 5, 5, 6, 7, 8, 9, 10, 11, 12, 13, 0])
+    sub = panel.select_cities(idx)
+    audit = []
+    run_pipeline(sub, ScenarioTemplate("perfect"), audit=audit)
+    for a in audit:
+        x, y, _ = sub.year_slice(a.year)
+        for fit in a.fits + (a.median_fit,):
+            ref = fit_cqr(x, y, fit.tau)
+            assert fit.n_obs == len(idx)
+            assert abs(fit.objective - ref.objective) <= 1e-9 * abs(ref.objective)
+            got = fit.alpha + np.sum(x * fit.beta, axis=1)
+            want = ref.alpha + np.sum(x * ref.beta, axis=1)
+            assert np.max(np.abs(got - want)) <= 1e-7
+        sizes = a.assignment.sizes
+        assert sorted(sizes.tolist()) == [1] * 2 + [2] * 8
+        assert [t.pseudo_city_count for t in a.technologies] == sizes.tolist()
+
+
+def test_shared_city_id_with_different_data_is_not_merged(fixture_panel):
+    # rows are collapsed on their data, never on the city id
+    panel, _ = fixture_panel
+    ids = panel.city_id.copy()
+    ids[1] = ids[0]
+    shared = Panel(ids, panel.years, panel.y, panel.inputs)
+    base_audit, shared_audit = [], []
+    run_pipeline(panel, ScenarioTemplate("perfect"), audit=base_audit)
+    run_pipeline(shared, ScenarioTemplate("perfect"), audit=shared_audit)
+    for a, b in zip(base_audit, shared_audit):
+        for fa, fb in zip(a.fits + (a.median_fit,), b.fits + (b.median_fit,)):
+            assert np.array_equal(fa.alpha, fb.alpha)
+            assert np.array_equal(fa.beta, fb.beta)
+            assert fa.objective == fb.objective
 
 
 def test_bootstrap_determinism_and_point_match(fixture_panel):
