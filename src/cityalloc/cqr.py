@@ -39,6 +39,8 @@ from .solver import (
 DEFAULT_QUANTILES = np.arange(1, 20, 2) / 20.0
 
 _VIOL_TOL = 1e-6
+_MAX_ROUNDS = 5000   # master solves per fit before giving up
+_DEDUP_TOL = 1e-6    # coefficient distance at which two planes are one
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,10 +68,6 @@ class QuantileFit:
         """Lower envelope min_h(alpha_h + beta_h.x) at the given inputs."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         return np.min(self.alpha[None, :] + x @ self.beta.T, axis=1)
-
-    def hyperplanes(self, tol: float = 1e-6):
-        """Deduplicated (alpha, beta) pairs, first occurrence kept."""
-        return dedup_hyperplanes(self.alpha, self.beta, tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,7 +184,7 @@ def _dual_master(x, y, tau, weights, pairs, crs):
                          lower=lower, upper=upper)
 
 
-def _generate(x, y, tau, weights, crs, tolerance, max_rounds):
+def _generate(x, y, tau, weights, crs, tolerance):
     """Delayed cross-row generation; returns (alpha, beta, objective)."""
     n, d = x.shape
     base = 0 if crs else n
@@ -198,7 +196,7 @@ def _generate(x, y, tau, weights, crs, tolerance, max_rounds):
     stall = 0
     prev_obj = -np.inf
     hist = []
-    for _ in range(max_rounds):
+    for _ in range(_MAX_ROUNDS):
         res = solve_lp(_dual_master(x, y, tau, weights, pairs, crs),
                        tolerance=tolerance, start=start)
         if res.status != "optimal":
@@ -265,11 +263,11 @@ def _generate(x, y, tau, weights, crs, tolerance, max_rounds):
             [cs_u, cs_w, np.full(len(batch), BASIS_AT_LOWER, dtype=np.int8)])
         start = BasisStart(cs_new, res.row_status)
     raise SolverError(
-        f"cross-row generation did not converge within {max_rounds} rounds")
+        f"cross-row generation did not converge within {_MAX_ROUNDS} rounds")
 
 
 def fit_cqr(x, y, tau, crs=False, year=0, tolerance=1e-7,
-            max_rounds=5000, weights=None) -> QuantileFit:
+            weights=None) -> QuantileFit:
     """Fit the shape-constrained quantile frontier for one year.
 
     Parameters
@@ -289,7 +287,7 @@ def fit_cqr(x, y, tau, crs=False, year=0, tolerance=1e-7,
     (weighted) pinball objective.
     """
     x, y, weights = _check_inputs(x, y, tau, weights)
-    alpha, beta, obj = _generate(x, y, tau, weights, crs, tolerance, max_rounds)
+    alpha, beta, obj = _generate(x, y, tau, weights, crs, tolerance)
     beta = np.clip(beta, 0.0, None)  # scrub dual roundoff at the sign bound
     resid = y - (alpha + np.sum(x * beta, axis=1))
     return QuantileFit(
@@ -347,8 +345,8 @@ def assign_deciles(x, y, median_fit: QuantileFit, city_id=None,
     )
 
 
-def dedup_hyperplanes(alpha, beta, tol: float = 1e-6):
-    """Collapse planes equal within tol in every coefficient.
+def dedup_hyperplanes(alpha, beta):
+    """Collapse planes equal within _DEDUP_TOL in every coefficient.
 
     Greedy first-occurrence pass; order is deterministic. The envelope
     is unchanged, only duplicates handed to downstream row builders go.
@@ -358,7 +356,7 @@ def dedup_hyperplanes(alpha, beta, tol: float = 1e-6):
     coef = np.column_stack([alpha, beta])
     keep = []
     for i, row in enumerate(coef):
-        if not any(np.max(np.abs(row - coef[j])) <= tol for j in keep):
+        if not any(np.max(np.abs(row - coef[j])) <= _DEDUP_TOL for j in keep):
             keep.append(i)
     return alpha[keep], beta[keep].reshape(len(keep), -1)
 

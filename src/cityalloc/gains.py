@@ -301,6 +301,16 @@ def _unit_entry(payload):
     return _run_unit(*payload)
 
 
+def _fan_out(fn, payloads, jobs):
+    """[fn(p) for p in payloads], run in up to ``jobs`` processes."""
+    jobs = max(int(jobs), 1)
+    if jobs == 1 or len(payloads) == 1:
+        return [fn(p) for p in payloads]
+    with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
+        return list(pool.map(fn, payloads,
+                             chunksize=max(1, len(payloads) // (4 * jobs))))
+
+
 def _fan_units(panel, templates, fixed_effects, quantile_grid, crs,
                tolerance, jobs, frozen_deciles):
     if fixed_effects:
@@ -312,12 +322,7 @@ def _fan_units(panel, templates, fixed_effects, quantile_grid, crs,
         x, y, city_id = panel.year_slice(year)
         payloads.append((x, y, city_id, year, names, templates, quantile_grid,
                          crs, tolerance, frozen.get(year)))
-
-    jobs = max(int(jobs), 1)
-    if jobs == 1 or len(payloads) == 1:
-        return [_unit_entry(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
-        return list(pool.map(_unit_entry, payloads))
+    return _fan_out(_unit_entry, payloads, jobs)
 
 
 def run_pipeline(panel: Panel, templates, fixed_effects: bool = False,
@@ -408,13 +413,7 @@ def bootstrap_gain(panel: Panel, templates, config: BootstrapConfig,
     payloads = [(panel, templates, config.seed, rep, fixed_effects,
                  quantile_grid, crs, tolerance, frozen)
                 for rep in range(config.replicates)]
-    jobs = max(int(jobs), 1)
-    if jobs == 1 or len(payloads) == 1:
-        draws = [_replicate_entry(p) for p in payloads]
-    else:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
-            draws = list(pool.map(_replicate_entry, payloads,
-                                  chunksize=max(1, len(payloads) // (4 * jobs))))
+    draws = _fan_out(_replicate_entry, payloads, jobs)
 
     mat = np.array([gains for _, gains in sorted(draws)], dtype=np.float64)
     if mat.shape != (config.replicates, len(point)):

@@ -39,7 +39,8 @@ import scipy.sparse as sp
 
 from .cqr import QuantileFit, dedup_hyperplanes
 from .solver import BASIS_AT_LOWER, BasisStart, LinearProgram, solve_integer, solve_lp
-# unused here; benchmark tracing still patches cityalloc.planner.solve_milp
+# unused here: perfbench/trace.py patches cityalloc.planner.solve_milp, so the
+# import (and solver.solve_milp) can go once the benchmark drops that site
 from .solver import solve_milp  # noqa: F401
 
 MODES = ("perfect", "imperfect", "entry_exit", "local", "local_entry_exit")
@@ -109,10 +110,10 @@ class DecileTechnology:
         return (self.alpha[None, :] + pts @ self.beta.T).min(axis=1)
 
 
-def technology_from_fit(fit: QuantileFit, decile: int, pseudo_city_count: int,
-                        tol: float = 1e-6) -> DecileTechnology:
+def technology_from_fit(fit: QuantileFit, decile: int,
+                        pseudo_city_count: int) -> DecileTechnology:
     """Package a frontier fit as a decile technology, deduplicating planes."""
-    alpha, beta = dedup_hyperplanes(fit.alpha, fit.beta, tol=tol)
+    alpha, beta = dedup_hyperplanes(fit.alpha, fit.beta)
     return DecileTechnology(decile, fit.tau, alpha, beta, pseudo_city_count)
 
 
@@ -705,49 +706,6 @@ def _solve(scn: PlannerScenario, tolerance: float) -> AllocationSolution:
 
 def solve_scenario(scenario: PlannerScenario, tolerance: float = 1e-7) -> AllocationSolution:
     """Solve any scenario, dispatching on its mode."""
-    return _solve(scenario, tolerance)
-
-
-def _require(cond, message):
-    if not cond:
-        raise PlannerError(message)
-
-
-def solve_perfect(scenario: PlannerScenario, tolerance: float = 1e-7) -> AllocationSolution:
-    """Frictionless reallocation of every factor."""
-    _require(scenario.mode == "perfect", "solve_perfect needs mode='perfect'")
-    _require(len(scenario.reallocated_factors) == len(scenario.factor_names),
-             "solve_perfect reallocates the full factor set")
-    return _solve(scenario, tolerance)
-
-
-def solve_imperfect(scenario: PlannerScenario, tolerance: float = 1e-7) -> AllocationSolution:
-    """Full reallocation with iceberg/depletion frictions on the rows."""
-    _require(scenario.mode == "imperfect", "solve_imperfect needs mode='imperfect'")
-    _require(len(scenario.reallocated_factors) == len(scenario.factor_names),
-             "solve_imperfect reallocates the full factor set")
-    return _solve(scenario, tolerance)
-
-
-def solve_single_factor(scenario: PlannerScenario, tolerance: float = 1e-7) -> AllocationSolution:
-    """Reallocate a strict subset of factors, the rest pinned per city."""
-    _require(len(scenario.reallocated_factors) < len(scenario.factor_names),
-             "solve_single_factor needs a strict subset of reallocated factors")
-    _require(scenario.mode in ("perfect", "imperfect"),
-             "solve_single_factor runs under mode 'perfect' or 'imperfect'")
-    return _solve(scenario, tolerance)
-
-
-def solve_entry_exit(scenario: PlannerScenario, tolerance: float = 1e-7) -> AllocationSolution:
-    """Reallocation where pseudo-cities may deactivate (b = 0)."""
-    _require(scenario.mode == "entry_exit", "solve_entry_exit needs mode='entry_exit'")
-    return _solve(scenario, tolerance)
-
-
-def solve_local(scenario: PlannerScenario, tolerance: float = 1e-7) -> AllocationSolution:
-    """Per-decile resource caps (tenths), optionally with entry/exit."""
-    _require(scenario.mode in _LOCAL_MODES,
-             "solve_local needs mode 'local' or 'local_entry_exit'")
     return _solve(scenario, tolerance)
 
 

@@ -1,4 +1,4 @@
-"""Deterministic LP and binary-MILP solving.
+"""Deterministic LP and integer-program solving.
 
 The LP path is a bounded-variable revised simplex: the basis is held as
 a sparse LU factorization (SuperLU) refreshed every few dozen pivots,
@@ -11,7 +11,7 @@ the objective stalls on degenerate pivots the rule switches to Bland's,
 which rules out cycling, and every remaining tie is broken by lowest
 column index, so repeated solves of the same problem are bit-identical.
 The ratio test is a two-pass bound-relaxation test that prefers large
-pivot elements.  Binary programs run depth-first branch and bound on
+pivot elements.  Integer programs run depth-first branch and bound on
 top of the LP, bounding with the relaxation objective.
 """
 from __future__ import annotations
@@ -252,7 +252,9 @@ class _Simplex:
         self.ineq_rows = ineq
 
         self.A_struct = A.tocsc()
-        self.slack_mat = slack_mat
+        # [A | slacks], the columns every starting basis draws from
+        self.core = sp.hstack([self.A_struct, slack_mat]).tocsc() if n_slack \
+            else self.A_struct
         self.n_slack = n_slack
         # Core bounds/costs cover structural variables plus slacks; _crash
         # extends them with artificials and may run twice, so keep these pristine.
@@ -306,8 +308,7 @@ class _Simplex:
                           np.where(np.isfinite(hi), _AT_UPPER, _FREE)).astype(np.int8)
         status[np.isfinite(lo) & np.isfinite(hi) & (lo == hi)] = _FIXED
 
-        core = sp.hstack([self.A_struct, self.slack_mat]).tocsc() if self.n_slack \
-            else self.A_struct.tocsc()
+        core = self.core
         resid = self.b - core @ x
 
         # Columns touching exactly one row can absorb that row's residual
@@ -435,10 +436,8 @@ class _Simplex:
         x[at_lo] = lo[at_lo]
         x[at_hi] = hi[at_hi]
         x[nb & fixed] = lo[nb & fixed]
-        core = sp.hstack([self.A_struct, self.slack_mat]).tocsc() if self.n_slack \
-            else self.A_struct.tocsc()
-        self.A_ext = core
-        self.AT = core.T.tocsr()
+        self.A_ext = self.core
+        self.AT = self.core.T.tocsr()
         self.n_ext = n_core
         self.lo = lo.copy()
         self.hi = hi.copy()
@@ -464,7 +463,7 @@ class _Simplex:
         y = self._btran(cost[self.basis])
         return cost - self.AT @ y
 
-    def _optimize(self, cost: np.ndarray, phase: int) -> str:
+    def _optimize(self, cost: np.ndarray) -> str:
         bland = False
         stall = 0
         stall_limit = max(100, self.m)
@@ -617,7 +616,7 @@ class _Simplex:
 
         if self.artificial.any():
             c1 = np.where(self.artificial, 1.0, 0.0)
-            status = self._optimize(c1, phase=1)
+            status = self._optimize(c1)
             if status != "optimal":
                 raise SolverError("phase-1 subproblem reported unbounded")
             if float(self.x[self.artificial].sum()) > self.tol:
@@ -628,13 +627,13 @@ class _Simplex:
             self.status[nonbasic_art] = _FIXED
             self.x[self.artificial & (self.status != _BASIC)] = 0.0
 
-        status = self._optimize(self.c_phase2, phase=2)
+        status = self._optimize(self.c_phase2)
         if status == "unbounded":
             return _failed("unbounded", self.n, self.iters)
 
         self._refactor()
         x = self.x[: self.n].copy()
-        lo, hi = self.lower_view(), self.upper_view()
+        lo, hi = self.lo[: self.n], self.hi[: self.n]
         drift = float(np.maximum(lo - x, x - hi).max(initial=0.0))
         if drift > 1e-6:
             raise SolverError(f"basic variable left its bounds by {drift:.2e}")
@@ -652,12 +651,6 @@ class _Simplex:
         row_stat[np.nonzero(self.keep)[0][self.ineq_rows]] = slack_stat
         return SolveResult("optimal", x, objective, self.iters, duals, col_stat, row_stat,
                            warm)
-
-    def lower_view(self):
-        return self.lo[: self.n]
-
-    def upper_view(self):
-        return self.hi[: self.n]
 
     def _verify(self, x: np.ndarray):
         resid = self.A_struct @ x - self.b
@@ -781,39 +774,3 @@ def solve_milp(problem: MixedIntegerProgram, tolerance: float = 1e-7) -> SolveRe
     """
     return solve_integer(problem.lp, problem.binary_indices, tolerance)
 
-
-def _fmt(v: float) -> str:
-    return repr(float(v))
-
-
-def _terms(coeffs: np.ndarray, indices: np.ndarray) -> str:
-    parts = [f"{_fmt(c)} x{j}" for j, c in zip(indices, coeffs) if c != 0.0]
-    return " + ".join(parts) if parts else "0"
-
-
-def write_lp_text(problem, path) -> None:
-    """Dump a problem to a plain-text LP-style file for debugging.
-
-    One objective line, one line per constraint row, a bounds section,
-    and a trailing binary line for integer programs.
-    """
-    lp = problem.lp if isinstance(problem, MixedIntegerProgram) else problem
-    lines = [f"{lp.sense}: {_terms(lp.objective, np.arange(lp.n_variables))};"]
-    mat = lp.rows.tocsr()
-    for i in range(lp.n_rows):
-        lo_, hi_ = mat.indptr[i], mat.indptr[i + 1]
-        body = _terms(mat.data[lo_:hi_], mat.indices[lo_:hi_])
-        lines.append(f"r{i}: {body} {lp.relations[i]} {_fmt(lp.rhs[i])};")
-    lines.append("bounds:")
-    for j in range(lp.n_variables):
-        lo_, hi_ = lp.lower[j], lp.upper[j]
-        if not np.isfinite(lo_) and not np.isfinite(hi_):
-            lines.append(f"x{j} free;")
-        else:
-            lines.append(f"{_fmt(lo_)} <= x{j} <= {_fmt(hi_)};")
-    if isinstance(problem, MixedIntegerProgram) and problem.binary_indices:
-        names = " ".join(f"x{j}" for j in problem.binary_indices)
-        lines.append(f"binary: {names};")
-    text = "\n".join(lines) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)

@@ -54,10 +54,6 @@ class SyntheticSpec:
             raise ValueError("sigmas must be nonnegative")
         object.__setattr__(self, "exponents", tuple(float(v) for v in a))
 
-    @property
-    def returns_to_scale(self) -> float:
-        return float(sum(self.exponents))
-
 
 # the coverage benchmark economy: moderate wedges plus output noise
 NOISY_COVERAGE_SPEC = SyntheticSpec(

@@ -7,6 +7,7 @@ import pytest
 import cityalloc.cqr
 from cityalloc import (
     DEFAULT_QUANTILES,
+    SolverError,
     assign_deciles,
     dedup_hyperplanes,
     fit_all_quantiles,
@@ -99,6 +100,14 @@ def test_small_samples_need_one_master_solve(monkeypatch):
         fit = fit_cqr(x, y, 0.5)
         assert len(solves) == 1
         assert abs(fit.objective - dense_cqr(x, y, 0.5)[0]) <= 1e-9 * (1 + fit.objective)
+
+
+def test_fit_out_of_rounds_raises(monkeypatch):
+    # 40 observations need more than the seeded first master
+    monkeypatch.setattr(cityalloc.cqr, "_MAX_ROUNDS", 1)
+    x, y = cobb_douglas_year(np.random.default_rng(167), 40)
+    with pytest.raises(SolverError, match="did not converge"):
+        fit_cqr(x, y, 0.5)
 
 
 def test_duplicated_point_reduces_to_sample_median():

@@ -17,8 +17,8 @@ from cityalloc import (
     generate,
     load_panel,
     run_pipeline,
+    solve_scenario,
     rows_to_csv,
-    solve_perfect,
     SyntheticSpec,
     fit_cqr,
 )
@@ -38,7 +38,7 @@ def solved_solution():
     tech = DecileTechnology(1, 0.5, [0.0, 5.0], [[1.0, 0.5], [0.0, 0.0]], 3)
     scn = PlannerScenario(2010, "perfect", [tech], ("K", "L"),
                           {"K": 3.0, "L": 3.0})
-    return solve_perfect(scn)
+    return solve_scenario(scn)
 
 
 def test_template_validation_and_labels():

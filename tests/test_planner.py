@@ -12,12 +12,7 @@ from cityalloc.planner import (
     PlannerError,
     PlannerScenario,
     allocations_to_csv,
-    solve_entry_exit,
-    solve_imperfect,
-    solve_local,
-    solve_perfect,
     solve_scenario,
-    solve_single_factor,
     summary_to_csv,
     technology_from_fit,
 )
@@ -53,7 +48,7 @@ def remodel(scn, mode, **kw):
 def test_single_city_envelope():
     tech = DecileTechnology(1, 0.5, [1.0, 10.0], [[2.0, 3.0], [0.0, 0.0]], 1)
     scn = PlannerScenario(2015, "perfect", [tech], ("K", "L"), {"K": 2.0, "L": 2.0})
-    sol = solve_perfect(scn)
+    sol = solve_scenario(scn)
     assert abs(sol.efficient_output - 10.0) < 1e-9
     assert np.allclose(sol.inputs, [[2.0, 2.0]], atol=1e-8)
     assert sol.active.tolist() == [1]
@@ -70,15 +65,15 @@ def test_symmetric_replication():
                           [DecileTechnology(d + 1, 0.5, alpha, beta, 1)
                            for d in range(10)],
                           ("K", "L"), {"K": 7.0, "L": 13.0})
-    lone = solve_perfect(one).efficient_output
-    assert abs(solve_perfect(ten).efficient_output - 10.0 * lone) < 1e-8 * (1 + lone)
+    lone = solve_scenario(one).efficient_output
+    assert abs(solve_scenario(ten).efficient_output - 10.0 * lone) < 1e-8 * (1 + lone)
 
 
 def test_matches_scipy_dense_lp():
     rng = np.random.default_rng(21)
     for _ in range(30):
         scn = random_scenario(rng, n_deciles=int(rng.integers(1, 4)))
-        got = solve_perfect(scn).efficient_output
+        got = solve_scenario(scn).efficient_output
         want = oracles.planner_lp(
             [(t.alpha, t.beta) for t in scn.technologies],
             [t.pseudo_city_count for t in scn.technologies],
@@ -96,7 +91,7 @@ def test_matches_grid_oracle():
                               [DecileTechnology(1, 0.25, a1, b1, 2),
                                DecileTechnology(2, 0.75, a2, b2, 2)],
                               ("K", "L"), {"K": kt, "L": lt})
-        got = solve_perfect(scn).efficient_output
+        got = solve_scenario(scn).efficient_output
         want = oracles.two_decile_grid((a1, b1), (a2, b2), 2, 2, kt, lt, step=1e-3)
         # the grid undershoots by at most its resolution
         assert want <= got + 1e-9
@@ -106,8 +101,8 @@ def test_matches_grid_oracle():
 def test_imperfect_zero_friction_reduces_to_perfect():
     rng = np.random.default_rng(41)
     scn = random_scenario(rng)
-    base = solve_perfect(scn)
-    iced = solve_imperfect(remodel(scn, "imperfect"))
+    base = solve_scenario(scn)
+    iced = solve_scenario(remodel(scn, "imperfect"))
     assert iced.efficient_output == base.efficient_output
     assert np.array_equal(iced.inputs, base.inputs)
     assert np.array_equal(iced.output, base.output)
@@ -117,7 +112,7 @@ def test_imperfect_scaled_corner():
     tech = DecileTechnology(1, 0.5, [1.0, 10.0], [[2.0, 3.0], [0.0, 0.0]], 1)
     scn = PlannerScenario(2015, "imperfect", [tech], ("K", "L"),
                           {"K": 2.0, "L": 2.0}, iceberg=0.05, depletion=0.05)
-    sol = solve_imperfect(scn)
+    sol = solve_scenario(scn)
     assert abs(sol.efficient_output - 10.0) < 1e-9
     assert np.allclose(sol.inputs, [[2.0 / 1.05, 2.0 / 1.05]], atol=1e-8)
 
@@ -126,11 +121,11 @@ def test_friction_rescaling_identity():
     rng = np.random.default_rng(51)
     for _ in range(10):
         scn = random_scenario(rng)
-        iced = solve_imperfect(remodel(scn, "imperfect", iceberg=0.05, depletion=0.05))
+        iced = solve_scenario(remodel(scn, "imperfect", iceberg=0.05, depletion=0.05))
         shrunk = PlannerScenario(
             scn.year, "perfect", scn.technologies, scn.factor_names,
             {f: v / 1.05 for f, v in scn.aggregate_resources.items()})
-        assert abs(iced.efficient_output - solve_perfect(shrunk).efficient_output) < 1e-8
+        assert abs(iced.efficient_output - solve_scenario(shrunk).efficient_output) < 1e-8
 
 
 def test_imperfect_matches_scipy_weights():
@@ -139,7 +134,7 @@ def test_imperfect_matches_scipy_weights():
         scn = random_scenario(rng, mode="imperfect",
                               iceberg=float(rng.uniform(0, 0.3)),
                               depletion=float(rng.uniform(0, 0.3)))
-        got = solve_imperfect(scn).efficient_output
+        got = solve_scenario(scn).efficient_output
         want = oracles.planner_lp(
             [(t.alpha, t.beta) for t in scn.technologies],
             [t.pseudo_city_count for t in scn.technologies],
@@ -163,7 +158,7 @@ def test_single_factor_one_dimensional():
     scn = PlannerScenario(2015, "perfect", [tech], ("K", "L"),
                           {"K": 1.0, "L": 2.0}, reallocated_factors=("L",),
                           fixed_input_values={"K": [1.0]})
-    sol = solve_single_factor(scn)
+    sol = solve_scenario(scn)
     # monotone envelope: the optimum sits at l = L-bar
     want = tech.envelope([[1.0, 2.0]])[0]
     assert abs(sol.efficient_output - want) < 1e-9
@@ -173,12 +168,12 @@ def test_single_factor_attains_full_optimum_at_optimal_fix():
     rng = np.random.default_rng(71)
     for _ in range(5):
         scn = random_scenario(rng)
-        full = solve_perfect(scn)
+        full = solve_scenario(scn)
         pinned = PlannerScenario(
             scn.year, "perfect", scn.technologies, scn.factor_names,
             scn.aggregate_resources, reallocated_factors=("L",),
             fixed_input_values={"K": full.inputs[:, 0]})
-        got = solve_single_factor(pinned).efficient_output
+        got = solve_scenario(pinned).efficient_output
         assert abs(got - full.efficient_output) < 1e-7 * (1.0 + abs(full.efficient_output))
 
 
@@ -187,14 +182,14 @@ def test_single_factor_never_beats_full():
     for _ in range(200):
         scn = random_scenario(rng, n_deciles=int(rng.integers(1, 4)), max_cities=2)
         fixed = observed_inputs(rng, scn)
-        full = solve_perfect(scn).efficient_output
+        full = solve_scenario(scn).efficient_output
         for keep in ("K", "L"):
             other = "L" if keep == "K" else "K"
             sub = PlannerScenario(
                 scn.year, "perfect", scn.technologies, scn.factor_names,
                 scn.aggregate_resources, reallocated_factors=(keep,),
                 fixed_input_values={other: fixed[other]})
-            part = solve_single_factor(sub).efficient_output
+            part = solve_scenario(sub).efficient_output
             assert part <= full + 1e-7 * (1.0 + abs(full))
 
 
@@ -207,7 +202,7 @@ def test_single_factor_matches_scipy():
             scn.year, "perfect", scn.technologies, scn.factor_names,
             scn.aggregate_resources, reallocated_factors=("L",),
             fixed_input_values={"K": fixed["K"]})
-        got = solve_single_factor(sub).efficient_output
+        got = solve_scenario(sub).efficient_output
         want = oracles.planner_lp(
             [(t.alpha, t.beta) for t in scn.technologies],
             [t.pseudo_city_count for t in scn.technologies],
@@ -225,10 +220,10 @@ def test_entry_exit_all_positive_matches_perfect():
             alpha, beta = random_tech(rng, alpha_lo=0.0)
             techs.append(DecileTechnology(d + 1, 0.5, alpha, beta, 2))
         totals = {"K": float(rng.uniform(1, 5)), "L": float(rng.uniform(1, 5))}
-        perfect = solve_perfect(PlannerScenario(2015, "perfect", techs,
-                                                ("K", "L"), totals))
-        entry = solve_entry_exit(PlannerScenario(2015, "entry_exit", techs,
+        perfect = solve_scenario(PlannerScenario(2015, "perfect", techs,
                                                  ("K", "L"), totals))
+        entry = solve_scenario(PlannerScenario(2015, "entry_exit", techs,
+                                               ("K", "L"), totals))
         assert abs(entry.efficient_output - perfect.efficient_output) \
             < 1e-7 * (1.0 + abs(perfect.efficient_output))
 
@@ -237,10 +232,10 @@ def test_entry_exit_drops_negative_city():
     good = DecileTechnology(1, 0.5, [0.0, 8.0], [[3.0, 1.0], [0.0, 0.0]], 2)
     bad = DecileTechnology(2, 0.5, [-5.0, 2.0], [[1.0, 1.0], [0.0, 0.0]], 1)
     totals = {"K": 3.0, "L": 3.0}
-    perfect = solve_perfect(PlannerScenario(2015, "perfect", [good, bad],
-                                            ("K", "L"), totals))
-    entry = solve_entry_exit(PlannerScenario(2015, "entry_exit", [good, bad],
+    perfect = solve_scenario(PlannerScenario(2015, "perfect", [good, bad],
                                              ("K", "L"), totals))
+    entry = solve_scenario(PlannerScenario(2015, "entry_exit", [good, bad],
+                                           ("K", "L"), totals))
     assert entry.efficient_output > perfect.efficient_output + 1.0
     assert entry.active.tolist() == [1, 1, 0]
     assert np.all(np.abs(entry.output[entry.active == 0]) <= 1e-6)
@@ -258,7 +253,7 @@ def test_entry_exit_matches_pattern_enumeration():
             techs.append(DecileTechnology(d + 1, 0.5, alpha, beta, counts[d]))
         totals = {"K": float(rng.uniform(0.5, 4.0)), "L": float(rng.uniform(0.5, 4.0))}
         scn = PlannerScenario(2015, "entry_exit", techs, ("K", "L"), totals)
-        got = solve_entry_exit(scn).efficient_output
+        got = solve_scenario(scn).efficient_output
 
         n = sum(counts)
         best = 0.0  # the all-off pattern produces nothing
@@ -293,7 +288,7 @@ def test_entry_exit_count_formulation_matches_enumeration():
             techs.append(DecileTechnology(d + 1, 0.5, alpha, beta, counts[d]))
         totals = {"K": float(rng.uniform(0.5, 4.0)), "L": float(rng.uniform(0.5, 4.0))}
         scn = PlannerScenario(2015, "entry_exit", techs, ("K", "L"), totals)
-        sol = solve_entry_exit(scn)
+        sol = solve_scenario(scn)
 
         best = 0.0  # the all-off pattern produces nothing
         for alive in itertools.product(*(range(c + 1) for c in counts)):
@@ -321,17 +316,17 @@ def test_entry_exit_too_small_big_m():
     # every factor capped: big_m bounds nothing
     capped = PlannerScenario(2015, "entry_exit", [tech], ("K", "L"),
                              {"K": 2.0, "L": 2.0}, big_m=5.0)
-    assert solve_entry_exit(capped).efficient_output == pytest.approx(10.0)
+    assert solve_scenario(capped).efficient_output == pytest.approx(10.0)
     # uncapped L: big_m is its per-city bound, and saturating it raises
     uncapped = PlannerScenario(2015, "entry_exit", [tech], ("K", "L"),
                                {"K": 2.0, "L": np.inf}, big_m=1.0)
     with pytest.raises(PlannerError, match="big_m"):
-        solve_entry_exit(uncapped)
+        solve_scenario(uncapped)
     # uncapped L without big_m has no per-city bound at all
     unbounded = PlannerScenario(2015, "entry_exit", [tech], ("K", "L"),
                                 {"K": 2.0, "L": np.inf})
     with pytest.raises(PlannerError, match="needs big_m"):
-        solve_entry_exit(unbounded)
+        solve_scenario(unbounded)
 
 
 def test_local_symmetric_equals_nationwide():
@@ -339,8 +334,8 @@ def test_local_symmetric_equals_nationwide():
     alpha, beta = random_tech(rng)
     techs = [DecileTechnology(d + 1, 0.5, alpha, beta, 2) for d in range(10)]
     totals = {"K": 6.0, "L": 9.0}
-    nat = solve_perfect(PlannerScenario(2012, "perfect", techs, ("K", "L"), totals))
-    loc = solve_local(PlannerScenario(2012, "local", techs, ("K", "L"), totals))
+    nat = solve_scenario(PlannerScenario(2012, "perfect", techs, ("K", "L"), totals))
+    loc = solve_scenario(PlannerScenario(2012, "local", techs, ("K", "L"), totals))
     assert abs(nat.efficient_output - loc.efficient_output) \
         < 1e-8 * (1.0 + abs(nat.efficient_output))
 
@@ -349,10 +344,10 @@ def test_local_dominant_decile_strictly_below():
     meek = DecileTechnology(1, 0.05, [0.0, 1.0], [[0.5, 0.5], [0.0, 0.0]], 1)
     star = DecileTechnology(2, 0.95, [0.0, 50.0], [[5.0, 5.0], [0.0, 0.0]], 1)
     totals = {"K": 10.0, "L": 10.0}
-    nat = solve_perfect(PlannerScenario(2012, "perfect", [meek, star],
-                                        ("K", "L"), totals))
-    loc = solve_local(PlannerScenario(2012, "local", [meek, star],
-                                      ("K", "L"), totals))
+    nat = solve_scenario(PlannerScenario(2012, "perfect", [meek, star],
+                                         ("K", "L"), totals))
+    loc = solve_scenario(PlannerScenario(2012, "local", [meek, star],
+                                         ("K", "L"), totals))
     assert loc.efficient_output < nat.efficient_output - 1.0
 
 
@@ -360,7 +355,7 @@ def test_local_matches_scipy():
     rng = np.random.default_rng(141)
     for _ in range(10):
         scn = random_scenario(rng, mode="local")
-        got = solve_local(scn).efficient_output
+        got = solve_scenario(scn).efficient_output
         want = oracles.planner_lp(
             [(t.alpha, t.beta) for t in scn.technologies],
             [t.pseudo_city_count for t in scn.technologies],
@@ -373,13 +368,13 @@ def test_ordering_chain():
     rng = np.random.default_rng(151)
     for _ in range(60):
         scn = random_scenario(rng, n_deciles=int(rng.integers(1, 4)), max_cities=2)
-        perfect = solve_perfect(scn).efficient_output
+        perfect = solve_scenario(scn).efficient_output
         tol = 1e-7 * (1.0 + abs(perfect))
-        iced = solve_imperfect(remodel(scn, "imperfect",
-                                       iceberg=0.05, depletion=0.05)).efficient_output
-        entry = solve_entry_exit(remodel(scn, "entry_exit")).efficient_output
-        local = solve_local(remodel(scn, "local")).efficient_output
-        local_entry = solve_local(remodel(scn, "local_entry_exit")).efficient_output
+        iced = solve_scenario(remodel(scn, "imperfect",
+                                      iceberg=0.05, depletion=0.05)).efficient_output
+        entry = solve_scenario(remodel(scn, "entry_exit")).efficient_output
+        local = solve_scenario(remodel(scn, "local")).efficient_output
+        local_entry = solve_scenario(remodel(scn, "local_entry_exit")).efficient_output
         assert iced <= perfect + tol
         assert perfect <= entry + tol
         assert local <= perfect + tol         # delta_1 <= 0
@@ -390,8 +385,8 @@ def test_local_never_beats_nationwide():
     rng = np.random.default_rng(152)
     for _ in range(200):
         scn = random_scenario(rng, n_deciles=int(rng.integers(1, 4)))
-        perfect = solve_perfect(scn).efficient_output
-        local = solve_local(remodel(scn, "local")).efficient_output
+        perfect = solve_scenario(scn).efficient_output
+        local = solve_scenario(remodel(scn, "local")).efficient_output
         assert local <= perfect + 1e-7 * (1.0 + abs(perfect))
 
 
@@ -399,11 +394,11 @@ def test_resource_monotonicity():
     rng = np.random.default_rng(161)
     for _ in range(25):
         scn = random_scenario(rng)
-        base = solve_perfect(scn).efficient_output
+        base = solve_scenario(scn).efficient_output
         for f in ("K", "L"):
             bumped = dict(scn.aggregate_resources)
             bumped[f] = bumped[f] * 1.3
-            more = solve_perfect(PlannerScenario(
+            more = solve_scenario(PlannerScenario(
                 scn.year, "perfect", scn.technologies, scn.factor_names,
                 bumped)).efficient_output
             assert more >= base - 1e-9 * (1.0 + abs(base))
@@ -412,12 +407,12 @@ def test_resource_monotonicity():
 def test_objective_scales_with_technology():
     rng = np.random.default_rng(171)
     scn = random_scenario(rng)
-    base = solve_perfect(scn).efficient_output
+    base = solve_scenario(scn).efficient_output
     c = 3.7
     scaled_techs = [DecileTechnology(t.decile, t.tau, c * t.alpha, c * t.beta,
                                      t.pseudo_city_count)
                     for t in scn.technologies]
-    scaled = solve_perfect(PlannerScenario(
+    scaled = solve_scenario(PlannerScenario(
         scn.year, "perfect", scaled_techs, scn.factor_names,
         scn.aggregate_resources)).efficient_output
     assert abs(scaled - c * base) < 1e-9 * (1.0 + abs(c * base))
@@ -427,7 +422,7 @@ def test_rows_bind_or_marginal_value_is_zero():
     rng = np.random.default_rng(181)
     for _ in range(25):
         scn = random_scenario(rng)
-        sol = solve_perfect(scn)
+        sol = solve_scenario(scn)
         base = sol.efficient_output
         for j, f in enumerate(("K", "L")):
             used = sol.inputs[:, j].sum()
@@ -436,7 +431,7 @@ def test_rows_bind_or_marginal_value_is_zero():
                 continue  # row binds
             bumped = dict(scn.aggregate_resources)
             bumped[f] = total + 1e-3
-            more = solve_perfect(PlannerScenario(
+            more = solve_scenario(PlannerScenario(
                 scn.year, "perfect", scn.technologies, scn.factor_names,
                 bumped)).efficient_output
             assert abs(more - base) < 1e-6
@@ -447,11 +442,11 @@ def test_uncapped_factor_needs_flat_plane():
     scn = PlannerScenario(2015, "perfect", [sloped], ("K", "L"),
                           {"K": np.inf, "L": 2.0})
     with pytest.raises(PlannerError, match="zero-slope"):
-        solve_perfect(scn)
+        solve_scenario(scn)
     flat_k = DecileTechnology(1, 0.5, [1.0, 5.0], [[0.0, 1.0], [0.5, 0.2]], 1)
     free = PlannerScenario(2015, "perfect", [flat_k], ("K", "L"),
                            {"K": np.inf, "L": 2.0})
-    sol = solve_perfect(free)
+    sol = solve_scenario(free)
     assert np.isfinite(sol.efficient_output)
 
 
@@ -495,27 +490,6 @@ def test_scenario_validation():
         DecileTechnology(1, 0.5, [], np.zeros((0, 2)), 1)
 
 
-def test_dispatchers_enforce_modes():
-    tech = DecileTechnology(1, 0.5, [1.0, 4.0], [[1.0, 1.0], [0.0, 0.0]], 1)
-    perfect = PlannerScenario(2015, "perfect", [tech], ("K", "L"),
-                              {"K": 1.0, "L": 1.0})
-    with pytest.raises(PlannerError):
-        solve_imperfect(perfect)
-    with pytest.raises(PlannerError):
-        solve_entry_exit(perfect)
-    with pytest.raises(PlannerError):
-        solve_local(perfect)
-    with pytest.raises(PlannerError):
-        solve_single_factor(perfect)
-    sub = PlannerScenario(2015, "perfect", [tech], ("K", "L"),
-                          {"K": 1.0, "L": 1.0}, reallocated_factors=("L",),
-                          fixed_input_values={"K": [1.0]})
-    with pytest.raises(PlannerError):
-        solve_perfect(sub)
-    assert solve_scenario(sub).efficient_output == \
-        solve_single_factor(sub).efficient_output
-
-
 def test_technology_from_fit_envelope_agrees():
     rng = np.random.default_rng(191)
     x = rng.uniform(0.5, 3.0, size=(12, 2))
@@ -531,8 +505,8 @@ def test_technology_from_fit_envelope_agrees():
 def test_csv_exports(tmp_path):
     rng = np.random.default_rng(201)
     scn = random_scenario(rng)
-    sols = [solve_perfect(scn),
-            solve_local(remodel(scn, "local"))]
+    sols = [solve_scenario(scn),
+            solve_scenario(remodel(scn, "local"))]
     alloc = tmp_path / "alloc.csv"
     summary = tmp_path / "summary.csv"
     allocations_to_csv(sols, alloc)
@@ -608,3 +582,13 @@ def test_fixed_factor_generation_rounds_all_warm_start(monkeypatch):
     started = [warm for given, warm in calls if given]
     assert len(calls) >= 3 and len(started) == len(calls) - 1
     assert all(started)
+
+
+def test_fixed_factor_generation_out_of_rounds_raises(monkeypatch):
+    # the same scenario takes at least three rounds above
+    monkeypatch.setattr("cityalloc.planner._MAX_GEN_ROUNDS", 1)
+    scn = fixed_factor_scenario(np.random.default_rng(223), "imperfect",
+                                n_planes=12, counts=(10, 10, 10),
+                                iceberg=0.05, depletion=0.05)
+    with pytest.raises(PlannerError, match="did not converge"):
+        solve_scenario(scn)

@@ -16,7 +16,6 @@ from cityalloc import (
     solve_integer,
     solve_lp,
     solve_milp,
-    write_lp_text,
 )
 
 from oracles import milp_enumerate, scipy_lp, vertex_enumerate
@@ -358,15 +357,3 @@ def test_basis_start_unavailable_on_failure():
     assert res.status == "unbounded"
     with pytest.raises(ValueError):
         res.basis_start()
-
-
-def test_write_lp_text(tmp_path):
-    lp = LinearProgram("max", [3.0, 4.0], [[2.0, 3.0]], [LE], [3.0],
-                       upper=[1.0, 1.0])
-    path = tmp_path / "dump.lp"
-    write_lp_text(MixedIntegerProgram(lp, [0, 1]), path)
-    text = path.read_text()
-    assert text.splitlines()[0].startswith("max:")
-    assert "<=" in text
-    assert "bounds:" in text
-    assert "binary: x0 x1;" in text

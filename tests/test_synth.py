@@ -17,7 +17,7 @@ from cityalloc import (
     generate,
     load_panel,
     rows_to_csv,
-    solve_perfect,
+    solve_scenario,
     truth_from_json,
     truth_to_json,
 )
@@ -164,8 +164,8 @@ def test_grid_matches_planner_lp():
     for _ in range(6):
         techs = [random_envelope_tech(rng, 1, 2), random_envelope_tech(rng, 2, 2)]
         totals = {"K": float(rng.uniform(1, 6)), "L": float(rng.uniform(1, 6))}
-        lp = solve_perfect(PlannerScenario(2015, "perfect", techs, ("K", "L"),
-                                           totals)).efficient_output
+        lp = solve_scenario(PlannerScenario(2015, "perfect", techs, ("K", "L"),
+                                            totals)).efficient_output
         grid = oracles.brute_force_allocate(techs, [totals["K"], totals["L"]],
                                             1e-3)
         assert grid <= lp + 1e-9
