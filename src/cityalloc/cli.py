@@ -325,8 +325,7 @@ def _write_deciles_csv(audits, path):
 def _write_estimates(audits, staging):
     flat = []
     for a in audits:
-        unit = list(a.fits) + ([a.median_fit] if a.median_fit is not None else [])
-        flat.extend(sorted(unit, key=lambda f: f.tau))
+        flat.extend(sorted(a.fits + (a.median_fit,), key=lambda f: f.tau))
     fits_to_csv(flat, os.path.join(staging, "fits.csv"))
     _write_deciles_csv(audits, os.path.join(staging, "deciles.csv"))
 
@@ -568,6 +567,9 @@ def cmd_validate(config: RunConfig) -> int:
     with open(os.path.join(run_dir, "manifest.json"), encoding="utf-8") as fh:
         manifest = json.load(fh)
     echo = dict(manifest["config"])
+    unknown = sorted(set(echo) - set(_FIELD_PARSERS))
+    if unknown:
+        raise ValueError(f"manifest config: unknown key {unknown[0]!r}")
     for key, value in echo.items():
         if isinstance(value, list):
             echo[key] = tuple(value)

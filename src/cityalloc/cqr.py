@@ -83,10 +83,6 @@ class DecileAssignment:
     def sizes(self) -> np.ndarray:
         return np.bincount(self.decile, minlength=11)[1:]
 
-    @staticmethod
-    def tau_of(d: int) -> float:
-        return (2 * d - 1) / 20.0
-
     def members(self, d: int) -> np.ndarray:
         """Positional indices of decile d, ascending score order preserved."""
         idx = np.nonzero(self.decile == d)[0]

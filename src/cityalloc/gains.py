@@ -117,11 +117,6 @@ class GainResult:
     def pooled(self) -> bool:
         return self.year == POOLED_YEAR
 
-    @property
-    def allocative_efficiency(self) -> float:
-        """Reciprocal of the gain: observed share of attainable output."""
-        return 1.0 / self.gain
-
 
 @dataclass(frozen=True)
 class BootstrapConfig:
@@ -129,14 +124,11 @@ class BootstrapConfig:
 
     A replicate draws n cities with replacement (each draw carries the
     city's full time series) and re-runs estimation, decile ranking,
-    and allocation from scratch. ``freeze_deciles`` is the sensitivity
-    variant that lets resampled cities inherit the original sample's
-    decile labels instead of re-ranking.
+    and allocation from scratch.
     """
 
     replicates: int = 1000
     seed: int = 0
-    freeze_deciles: bool = False
 
     def __post_init__(self):
         if not self.replicates >= 1:
@@ -151,7 +143,7 @@ class PipelineAudit:
 
     year: int
     fits: tuple
-    median_fit: QuantileFit | None
+    median_fit: QuantileFit
     assignment: DecileAssignment
     technologies: tuple
     solutions: dict
@@ -216,7 +208,7 @@ def _expand(fit, back):
 
 
 def _run_unit(x, y, city_id, year, names, templates, quantile_grid, crs,
-              tolerance, frozen):
+              tolerance):
     """Estimate and solve one cross-section; returns (gains, audit).
 
     Identical (x, y) rows, as a resample holds, are fitted once with
@@ -242,22 +234,13 @@ def _run_unit(x, y, city_id, year, names, templates, quantile_grid, crs,
     fits = sorted(fits, key=lambda f: f.tau)
 
     try:
-        if frozen is None:
-            median = _expand(fit_cqr(xd, yd, 0.5, crs=crs, year=year,
-                                     tolerance=tolerance, weights=counts), back)
-            assignment = assign_deciles(x, y, median, city_id=city_id)
-        else:
-            median = None
-            assignment = DecileAssignment(year=year, city_id=np.asarray(city_id),
-                                          decile=np.asarray(frozen, dtype=np.int64),
-                                          score=np.zeros(n))
+        median = _expand(fit_cqr(xd, yd, 0.5, crs=crs, year=year,
+                                 tolerance=tolerance, weights=counts), back)
+        assignment = assign_deciles(x, y, median, city_id=city_id)
     except Exception as exc:
         raise PipelineError(f"year {year}: decile ranking failed: {exc}",
                             stage="deciles", year=year) from exc
     sizes = assignment.sizes
-    if (sizes == 0).any():  # frozen resamples can starve a decile
-        raise PipelineError(f"year {year}: a decile came out empty",
-                            stage="deciles", year=year)
 
     try:
         techs = tuple(technology_from_fit(f, d, int(sizes[d - 1]))
@@ -312,23 +295,21 @@ def _fan_out(fn, payloads, jobs):
 
 
 def _fan_units(panel, templates, fixed_effects, quantile_grid, crs,
-               tolerance, jobs, frozen_deciles):
+               tolerance, jobs):
     if fixed_effects:
         panel = fixed_effect_inputs(panel)
     names = list(panel.input_names)
-    frozen = dict(frozen_deciles) if frozen_deciles else {}
     payloads = []
     for year in (int(v) for v in panel.years):
         x, y, city_id = panel.year_slice(year)
         payloads.append((x, y, city_id, year, names, templates, quantile_grid,
-                         crs, tolerance, frozen.get(year)))
+                         crs, tolerance))
     return _fan_out(_unit_entry, payloads, jobs)
 
 
 def run_pipeline(panel: Panel, templates, fixed_effects: bool = False,
                  quantile_grid=None, crs: bool = False,
-                 tolerance: float = 1e-7, jobs: int = 1, audit=None,
-                 frozen_deciles=None) -> list:
+                 tolerance: float = 1e-7, jobs: int = 1, audit=None) -> list:
     """One GainResult per estimation unit and scenario template.
 
     Yearly mode estimates and solves every year separately; with
@@ -336,13 +317,12 @@ def run_pipeline(panel: Panel, templates, fixed_effects: bool = False,
     single pooled unit runs (reported under year 0). ``templates`` is
     one ScenarioTemplate or a sequence; all scenarios in a unit share
     that unit's frontier fits. ``audit``, when a list, receives one
-    PipelineAudit per unit. ``frozen_deciles`` maps year to per-city
-    decile labels and skips the ranking stage. Units run in up to
-    ``jobs`` worker processes; results are identical to a serial run.
+    PipelineAudit per unit. Units run in up to ``jobs`` worker
+    processes; results are identical to a serial run.
     """
     templates = _as_templates(templates)
     results = _fan_units(panel, templates, fixed_effects, quantile_grid, crs,
-                         tolerance, jobs, frozen_deciles)
+                         tolerance, jobs)
     out = []
     for gains, unit_audit in results:
         out.extend(gains)
@@ -353,32 +333,27 @@ def run_pipeline(panel: Panel, templates, fixed_effects: bool = False,
 
 def estimate_panel(panel: Panel, fixed_effects: bool = False,
                    quantile_grid=None, crs: bool = False,
-                   tolerance: float = 1e-7, jobs: int = 1,
-                   frozen_deciles=None) -> list:
+                   tolerance: float = 1e-7, jobs: int = 1) -> list:
     """Estimation-only pass: one PipelineAudit per unit, no scenarios.
 
     Runs the frontier fits, decile ranking, and technology build of
     run_pipeline but solves nothing; audits carry empty solution maps.
     """
     results = _fan_units(panel, (), fixed_effects, quantile_grid, crs,
-                         tolerance, jobs, frozen_deciles)
+                         tolerance, jobs)
     return [unit_audit for _, unit_audit in results]
 
 
 def _replicate_entry(args):
     (panel, templates, seed, rep, fixed_effects, quantile_grid, crs,
-     tolerance, frozen) = args
+     tolerance) = args
     rng = np.random.default_rng([seed, rep])
     idx = rng.integers(0, panel.n_cities, panel.n_cities)
-    sub_frozen = None
-    if frozen is not None:
-        sub_frozen = {yr: labels[idx] for yr, labels in frozen.items()}
     try:
         gains = run_pipeline(panel.select_cities(idx), templates,
                              fixed_effects=fixed_effects,
                              quantile_grid=quantile_grid, crs=crs,
-                             tolerance=tolerance, jobs=1,
-                             frozen_deciles=sub_frozen)
+                             tolerance=tolerance, jobs=1)
     except Exception as exc:
         raise PipelineError(
             f"replicate {rep} failed: {exc}; resample indices {idx.tolist()}",
@@ -400,18 +375,11 @@ def bootstrap_gain(panel: Panel, templates, config: BootstrapConfig,
     independent of execution order; a single replicate reports se 0.
     """
     templates = _as_templates(templates)
-    point_audit = []
     point = run_pipeline(panel, templates, fixed_effects=fixed_effects,
                          quantile_grid=quantile_grid, crs=crs,
-                         tolerance=tolerance, jobs=jobs, audit=point_audit)
-    if audit is not None:
-        audit.extend(point_audit)
-    frozen = None
-    if config.freeze_deciles:
-        frozen = {a.year: a.assignment.decile for a in point_audit}
-
+                         tolerance=tolerance, jobs=jobs, audit=audit)
     payloads = [(panel, templates, config.seed, rep, fixed_effects,
-                 quantile_grid, crs, tolerance, frozen)
+                 quantile_grid, crs, tolerance)
                 for rep in range(config.replicates)]
     draws = _fan_out(_replicate_entry, payloads, jobs)
 

@@ -37,23 +37,17 @@ class CapitalRule:
     with g_bar the mean growth rate of real investment over every year
     after the first. zhang2004: delta 9.6%, initial stock
     I_real(first)/0.10. shan2008: like baseline but g_bar averages only
-    the first five post-initial years. ``depreciation`` overrides the
-    variant's default rate.
+    the first five post-initial years.
     """
 
     variant: str = "baseline"
-    depreciation: float | None = None
 
     def __post_init__(self):
         if self.variant not in CAPITAL_VARIANTS:
             raise PanelError(f"unknown capital rule variant {self.variant!r}")
-        if self.depreciation is not None and not 0.0 < self.depreciation < 1.0:
-            raise PanelError("depreciation rate must lie in (0, 1)")
 
     @property
     def delta(self) -> float:
-        if self.depreciation is not None:
-            return self.depreciation
         return 0.096 if self.variant == "zhang2004" else 0.1096
 
 

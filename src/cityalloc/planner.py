@@ -51,13 +51,11 @@ _LOCAL_SHARES = 10  # local caps are literal tenths of each total
 
 _ENVELOPE_TOL = 1e-6   # post-solve certificate slack, relative to the data
 _GEN_TOL = 1e-7        # violation cutoff for lazy row generation
-_CAP_GUARD = 1e-4      # big-M saturation detector, relative to M
-_ZERO_SLOPE_TOL = 1e-9
 _MAX_GEN_ROUNDS = 500
 
 
 class PlannerError(ValueError):
-    """Raised for ill-posed, unbounded, or unsolvable scenarios."""
+    """Raised for ill-posed or unsolvable scenarios."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,17 +120,12 @@ class PlannerScenario:
     """Immutable description of one planner problem.
 
     ``factor_names`` orders the columns of every technology's beta.
-    ``aggregate_resources`` maps factor name to its total supply; an
-    infinite total drops the resource row, which is only sound when
-    every decile has a zero-slope plane in that factor (checked before
-    solving).  ``iceberg`` inflates the capital row to (1+iceberg).k and
+    ``aggregate_resources`` maps factor name to its finite total supply.
+    ``iceberg`` inflates the capital row to (1+iceberg).k and
     ``depletion`` the labor row to (1+depletion).l; both apply to the
     factors named "K" and "L" and other factors move freely.  Factors
     outside ``reallocated_factors`` are frozen at ``fixed_input_values``
-    (one value per pseudo-city, deciles in order).  ``big_m`` bounds a
-    single pseudo-city's allocation of a factor and is read only when an
-    entry/exit scenario leaves that factor uncapped; such a scenario
-    without ``big_m`` is rejected at solve time.
+    (one value per pseudo-city, deciles in order).
     """
 
     year: int
@@ -144,12 +137,10 @@ class PlannerScenario:
     iceberg: float
     depletion: float
     fixed_input_values: Mapping[str, np.ndarray]
-    big_m: float | None
 
     def __init__(self, year, mode, technologies, factor_names,
                  aggregate_resources, reallocated_factors=None,
-                 iceberg=0.0, depletion=0.0, fixed_input_values=None,
-                 big_m=None):
+                 iceberg=0.0, depletion=0.0, fixed_input_values=None):
         if mode not in MODES:
             raise PlannerError(f"unknown mode {mode!r}")
         techs = tuple(technologies)
@@ -190,8 +181,8 @@ class PlannerScenario:
             if f not in names:
                 raise PlannerError(f"aggregate resource for unknown factor {f!r}")
             v = float(v)
-            if np.isnan(v) or v < 0.0:
-                raise PlannerError(f"aggregate resource for {f!r} must be nonnegative")
+            if not (np.isfinite(v) and v >= 0.0):
+                raise PlannerError(f"aggregate resource for {f!r} must be finite and nonnegative")
             totals[f] = v
         for f in realloc:
             if f not in totals:
@@ -219,17 +210,12 @@ class PlannerScenario:
         elif fixed_input_values:
             raise PlannerError("fixed_input_values given but every factor is reallocated")
 
-        if big_m is not None:
-            big_m = float(big_m)
-            if not (np.isfinite(big_m) and big_m > 0.0):
-                raise PlannerError("big_m must be positive and finite")
-
         for name, value in (("year", int(year)), ("mode", mode),
                             ("technologies", techs), ("factor_names", names),
                             ("aggregate_resources", totals),
                             ("reallocated_factors", realloc),
                             ("iceberg", iceberg), ("depletion", depletion),
-                            ("fixed_input_values", fixed), ("big_m", big_m)):
+                            ("fixed_input_values", fixed)):
             object.__setattr__(self, name, value)
 
     @property
@@ -311,18 +297,6 @@ def _geometry(scn: PlannerScenario) -> _Geo:
     return _Geo(counts, starts, rcols, weights, totals, alpha_eff, beta_r)
 
 
-def _check_boundedness(scn: PlannerScenario, geo: _Geo):
-    # an uncapped factor is safe only if every envelope flattens in it
-    for r in range(geo.rcols.size):
-        if np.isfinite(geo.totals[r]):
-            continue
-        for t in scn.technologies:
-            if t.beta[:, geo.rcols[r]].min() > _ZERO_SLOPE_TOL:
-                raise PlannerError(
-                    f"factor {scn.reallocated_factors[r]!r} has no resource cap and "
-                    f"decile {t.decile} has no zero-slope hyperplane in it; unbounded")
-
-
 def _certify(scn, geo, y, x, b):
     """Feasibility certificate on the final point; raises on violation.
 
@@ -342,8 +316,6 @@ def _certify(scn, geo, y, x, b):
                 or np.abs(x[idle]).max(initial=0.0) > _ENVELOPE_TOL):
             raise PlannerError("inactive pseudo-city with nonzero allocation")
     for r in range(geo.rcols.size):
-        if not np.isfinite(geo.totals[r]):
-            continue
         loads = geo.weights[r] * x[:, r]
         row_tol = _ENVELOPE_TOL * (1.0 + geo.totals[r])
         if scn.is_local:
@@ -409,11 +381,9 @@ class _DualMaster:
         self._cost.append(cost)
 
     def _structural(self):
-        # one mu column per finite resource row
+        # one mu column per resource row
         scn, geo = self.scn, self.geo
         for r in range(self.nr):
-            if not np.isfinite(geo.totals[r]):
-                continue
             if scn.is_local:
                 for d in range(len(geo.counts)):
                     span = range(geo.starts[d], geo.starts[d + 1])
@@ -433,23 +403,14 @@ class _DualMaster:
         self.added[d][local_i, h] = True
 
     def seed(self):
-        # one plane per pseudo-city: the binding one at an equal share;
-        # uncapped factors also get their flattest plane so no seeded
-        # relaxation has an unbounded direction
+        # one plane per pseudo-city: the binding one at an equal share
         geo = self.geo
-        share = np.where(np.isfinite(geo.totals),
-                         geo.totals / max(self.n, 1), 0.0)
-        flat = np.nonzero(~np.isfinite(geo.totals))[0]
+        share = geo.totals / max(self.n, 1)
         for d in range(len(geo.counts)):
             vals = geo.alpha_eff[d] + (geo.beta_r[d] @ share)[None, :]
             best = np.argmin(vals, axis=1)
             for local_i, h in enumerate(best):
                 self.add_plane(d, local_i, int(h))
-            for r in flat:
-                h = int(np.argmin(geo.beta_r[d][:, r]))
-                for local_i in range(geo.counts[d]):
-                    if not self.added[d][local_i, h]:
-                        self.add_plane(d, local_i, h)
 
     def lp(self) -> LinearProgram:
         n, m = self.n, self.n * (1 + self.nr)
@@ -487,8 +448,6 @@ def _solve_rows(scn, geo, tolerance):
     basis = None
     for _ in range(_MAX_GEN_ROUNDS):
         res = solve_lp(master.lp(), tolerance, basis)
-        if res.status == "infeasible":  # an infeasible dual: unbounded primal
-            raise PlannerError("scenario is unbounded; check resource caps")
         if res.status != "optimal":
             raise PlannerError(f"scenario solve failed with status {res.status!r}")
         y, x = master.split(res.dual_values)
@@ -511,17 +470,10 @@ def _solve_entry_counts(scn: PlannerScenario, geo: _Geo, tolerance):
     optimize per-decile aggregates: output Y_d, inputs X_d, and an
     integral activity count m_d in [0, n_d], tied by the perspective
     rows Y_d <= alpha_h . m_d + beta_h . X_d of the scaled envelope.
-    Exact by concavity; active pseudo-cities split X_d evenly.  An
-    uncapped factor needs ``scn.big_m`` as its per-city bound.
+    Exact by concavity; active pseudo-cities split X_d evenly.
     """
     n_dec = len(geo.counts)
     nr = geo.rcols.size
-    big_m = scn.big_m
-    for r in range(nr):
-        if not np.isfinite(geo.totals[r]) and big_m is None:
-            raise PlannerError(
-                f"entry/exit with uncapped factor {scn.reallocated_factors[r]!r} "
-                f"needs big_m")
     x_off, m_off = n_dec, n_dec + n_dec * nr
     ncols = m_off + n_dec
 
@@ -546,11 +498,9 @@ def _solve_entry_counts(scn: PlannerScenario, geo: _Geo, tolerance):
             put([d, m_off + d] + [x_off + d * nr + r for r in range(nr)],
                 [1.0, -alpha[h]] + list(-geo.beta_r[d][h]), 0.0)
     for r in range(nr):
-        cap = geo.totals[r] / geo.weights[r] if np.isfinite(geo.totals[r]) else big_m
+        cap = geo.totals[r] / geo.weights[r]
         for d in range(n_dec):
             put([x_off + d * nr + r, m_off + d], [1.0, -cap], 0.0)
-        if not np.isfinite(geo.totals[r]):
-            continue
         if scn.is_local:
             for d in range(n_dec):
                 put([x_off + d * nr + r], [geo.weights[r]],
@@ -570,12 +520,6 @@ def _solve_entry_counts(scn: PlannerScenario, geo: _Geo, tolerance):
     m = np.round(res.primal_values[m_off:]).astype(np.int64)
     agg_x = res.primal_values[x_off:m_off].reshape(n_dec, nr)
     agg_y = res.primal_values[:n_dec]
-    for r in range(nr):
-        if not np.isfinite(geo.totals[r]):
-            if np.any(agg_x[:, r] > big_m * np.maximum(m, 1) * (1.0 - _CAP_GUARD)):
-                raise PlannerError(
-                    f"big_m={big_m:g} saturated by an allocation; "
-                    f"re-solve with big_m >= {4.0 * big_m:g}")
     n = int(geo.counts.sum())
     y = np.zeros(n)
     x = np.zeros((n, nr))
@@ -644,7 +588,6 @@ def _solve_separable(scn: PlannerScenario, geo: _Geo):
 
     # (slope, decile, city, length) for every positive-slope segment
     segments = []
-    tail_slope = 0.0
     for d in range(len(geo.counts)):
         bcol = geo.beta_r[d][:, 0]
         for local_i in range(geo.counts[d]):
@@ -655,19 +598,11 @@ def _solve_separable(scn: PlannerScenario, geo: _Geo):
                     break
                 length = (hs[seg + 1] - hs[seg]) if seg + 1 < len(ha) else np.inf
                 segments.append((hb[seg], d, i, length))
-                if not np.isfinite(length):
-                    tail_slope = max(tail_slope, hb[seg])
 
-    if np.isfinite(total):
-        budgets = {None: total / weight}
-        if scn.is_local:
-            budgets = {d: total / _LOCAL_SHARES / weight
-                       for d in range(len(geo.counts))}
-    else:
-        if tail_slope > _ZERO_SLOPE_TOL:
-            raise PlannerError("scenario is unbounded; check resource caps")
-        budgets = {None: np.inf} if not scn.is_local else \
-            {d: np.inf for d in range(len(geo.counts))}
+    budgets = {None: total / weight}
+    if scn.is_local:
+        budgets = {d: total / _LOCAL_SHARES / weight
+                   for d in range(len(geo.counts))}
 
     segments.sort(key=lambda s: (-s[0], s[2]))
     for slope, d, i, length in segments:
@@ -676,8 +611,6 @@ def _solve_separable(scn: PlannerScenario, geo: _Geo):
         if room <= 0.0:
             continue
         take = min(length, room)
-        if not np.isfinite(take):
-            continue  # flat-tolerance tail under an uncapped total
         alloc[i] += take
         budgets[key] = room - take
 
@@ -691,7 +624,6 @@ def _solve_separable(scn: PlannerScenario, geo: _Geo):
 
 def _solve(scn: PlannerScenario, tolerance: float) -> AllocationSolution:
     geo = _geometry(scn)
-    _check_boundedness(scn, geo)
     if scn.is_entry_exit:
         y, x, b, obj = _solve_entry_counts(scn, geo, tolerance)
     elif not scn.fixed_input_values and scn.n_pseudo_cities > len(scn.technologies):

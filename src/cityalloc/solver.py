@@ -174,7 +174,8 @@ class SolveResult:
     that it approximates the change in ``objective_value`` per unit
     increase of that row's right-hand side (None for integer programs
     and non-optimal statuses).  ``column_status``/``row_status`` give the
-    optimal basis in BASIS_* codes for LPs, reusable via basis_start().
+    optimal basis in BASIS_* codes for LPs (None otherwise); pass them
+    as a BasisStart to warm-start a related solve.
     ``warm_started`` is True when the solve began from the caller's
     starting basis rather than falling back to a cold start.
     """
@@ -193,11 +194,6 @@ class SolveResult:
         for arr in (self.dual_values, self.column_status, self.row_status):
             if arr is not None:
                 arr.setflags(write=False)
-
-    def basis_start(self) -> BasisStart:
-        if self.column_status is None or self.row_status is None:
-            raise ValueError(f"no basis available on a {self.status!r} result")
-        return BasisStart(self.column_status, self.row_status)
 
 
 def _failed(status: str, n: int, iters: int) -> SolveResult:

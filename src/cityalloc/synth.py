@@ -55,12 +55,6 @@ class SyntheticSpec:
         object.__setattr__(self, "exponents", tuple(float(v) for v in a))
 
 
-# the coverage benchmark economy: moderate wedges plus output noise
-NOISY_COVERAGE_SPEC = SyntheticSpec(
-    city_count=28, year_count=2, scale=1.0, exponents=(0.4, 0.5),
-    wedge_sigma=0.35, noise_sigma=0.1, seed=2718)
-
-
 @dataclass(frozen=True, eq=False)
 class GroundTruth:
     """What the generator knows that the pipeline must recover."""

@@ -99,3 +99,45 @@ def test_solver_failure_is_exit_3_with_no_outputs(tmp_path, monkeypatch, capsys)
     assert code == cli.EXIT_SOLVER
     assert "solver error" in capsys.readouterr().err
     assert not out.exists() or not os.listdir(out)
+
+
+def test_validate_rejects_unknown_manifest_key(run_dir, tmp_path, capsys):
+    copy = str(tmp_path / "run")
+    shutil.copytree(run_dir, copy)
+    path = os.path.join(copy, "manifest.json")
+    with open(path, encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    manifest["config"]["freeze_deciles"] = True
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh)
+    capsys.readouterr()
+    assert cli.main(["validate", "--input", copy]) == cli.EXIT_VALIDATION
+    assert "unknown key 'freeze_deciles'" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def small_panel(tmp_path_factory):
+    out = str(tmp_path_factory.mktemp("small"))
+    assert cli.main(["synth", "--cities", "12", "--years", "3", "--seed", "7",
+                     "--out", out]) == cli.EXIT_OK
+    return os.path.join(out, "synthetic_panel.csv")
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate"],
+    ["run", "--bootstrap", "2"],
+    ["run", "--fixed-effects"],
+    ["run", "--scenarios", "perfect,local:L,imperfect:K"],
+], ids=["estimate", "bootstrap", "fixed_effects", "single_factor"])
+def test_command_paths_complete_and_validate(small_panel, tmp_path, argv):
+    out = str(tmp_path / "out")
+    assert cli.main(argv + ["--input", small_panel, "--out", out,
+                            "--jobs", "1"]) == cli.EXIT_OK
+    written = set(os.listdir(out))
+    if argv[0] == "estimate":
+        assert {"fits.csv", "deciles.csv"} <= written
+        return
+    if "--scenarios" in argv:
+        assert "plot_single_factor.json" in written
+    assert "manifest.json" in written
+    assert cli.main(["validate", "--input", out]) == cli.EXIT_OK

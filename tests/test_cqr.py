@@ -203,7 +203,6 @@ def test_decile_assignment_ordering_and_sizes():
     da = assign_deciles(x, y, fit)
     order = np.argsort(y - fit.frontier(x), kind="stable")
     assert np.array_equal(da.decile[order], np.arange(1, 11))
-    assert da.tau_of(1) == 0.05 and da.tau_of(10) == 0.95
 
     # 284 cities: sizes differ by at most one and sum exactly
     x2, y2 = cobb_douglas_year(rng, 284)

@@ -55,7 +55,6 @@ def test_template_validation_and_labels():
 
 def test_gain_result_invariants():
     g = GainResult(2005, "perfect", 1.349, 1000.0, 1349.0)
-    assert g.allocative_efficiency == pytest.approx(1.0 / 1.349, abs=1e-15)
     assert not g.pooled
     assert GainResult(0, "perfect", 1.0, 2.0, 2.0).pooled
     with pytest.raises(GainError):
@@ -215,26 +214,16 @@ def test_single_replicate_reports_zero_se(fixture_panel):
         assert g.ci_low <= g.gain <= g.ci_high
 
 
-def test_frozen_deciles_reproduce_own_run(fixture_panel):
-    # feeding a run its own labels skips ranking but changes nothing else
-    panel, _ = fixture_panel
-    audit = []
-    point = run_pipeline(panel, ScenarioTemplate("perfect"), audit=audit)
-    frozen = {a.year: a.assignment.decile for a in audit}
-    redo_audit = []
-    redo = run_pipeline(panel, ScenarioTemplate("perfect"),
-                        frozen_deciles=frozen, audit=redo_audit)
-    assert [g.gain for g in redo] == [g.gain for g in point]
-    assert all(a.median_fit is None for a in redo_audit)
-
-
-def test_replicate_failure_is_annotated(tmp_path):
-    # ten cities, one per decile: almost every resample starves a decile
+def test_replicate_failure_is_annotated(tmp_path, monkeypatch):
+    # ten cities; a resample that loses one is too small to rank
     rows, _ = generate(SyntheticSpec(10, 2, 1.0, (0.35, 0.45), 0.4, 0.1, 8))
     path = tmp_path / "ten.csv"
     rows_to_csv(rows, path)
     panel = load_panel(path, base_year=2003)
-    cfg = BootstrapConfig(replicates=20, seed=0, freeze_deciles=True)
+    select = Panel.select_cities
+    monkeypatch.setattr(Panel, "select_cities",
+                        lambda self, idx: select(self, np.asarray(idx)[1:]))
+    cfg = BootstrapConfig(replicates=2, seed=0)
     with pytest.raises(PipelineError) as err:
         bootstrap_gain(panel, ScenarioTemplate("perfect"), cfg)
     assert err.value.stage == "bootstrap"

@@ -72,18 +72,16 @@ def test_deflation_base_in_the_middle():
 
 def test_capital_no_depreciation_accumulates():
     years = np.arange(2003, 2006)
-    k = build_capital_stock([10.0, 10.0, 10.0], years,
-                            CapitalRule("zhang2004", depreciation=1e-12))
-    # K0 = 10 / 0.10 = 100, then pure accumulation
-    assert np.allclose(k, [100.0, 110.0, 120.0], atol=1e-9)
+    k = build_capital_stock([10.0, 10.0, 10.0], years, CapitalRule("zhang2004"))
+    # K0 = 10 / 0.10 = 100, then K_t = 0.904 K_{t-1} + 10 accumulates
+    assert np.allclose(k, [100.0, 100.4, 100.7616], atol=1e-9)
 
 
 def test_capital_steady_state():
     years = np.arange(2003, 2009)
-    k = build_capital_stock([10.0] * 6, years,
-                            CapitalRule("baseline", depreciation=0.10))
-    # g_bar = 0 so K0 = 10 / 0.10 = 100 and the stock never moves
-    assert np.allclose(k, 100.0, atol=1e-9)
+    k = build_capital_stock([10.0] * 6, years, CapitalRule("baseline"))
+    # g_bar = 0 so K0 = 10 / 0.1096 and the stock never moves
+    assert np.allclose(k, 10.0 / 0.1096, atol=1e-9)
 
 
 def test_capital_variants_match_recursion_oracle():
@@ -123,12 +121,9 @@ def test_capital_errors():
         build_capital_stock([10.0, -1.0, 10.0], years, CapitalRule())
     with pytest.raises(PanelError):
         CapitalRule("other")
-    with pytest.raises(PanelError):
-        CapitalRule(depreciation=1.5)
     # strong shrinkage drives g_bar + delta negative
     with pytest.raises(PanelError):
-        build_capital_stock([100.0, 10.0, 1.0], years,
-                            CapitalRule(depreciation=0.01))
+        build_capital_stock([100.0, 10.0, 1.0], years, CapitalRule())
 
 
 def test_human_capital_values():

@@ -198,17 +198,18 @@ def test_single_factor_matches_scipy():
     for _ in range(10):
         scn = random_scenario(rng)
         fixed = observed_inputs(rng, scn)
-        sub = PlannerScenario(
-            scn.year, "perfect", scn.technologies, scn.factor_names,
-            scn.aggregate_resources, reallocated_factors=("L",),
-            fixed_input_values={"K": fixed["K"]})
-        got = solve_scenario(sub).efficient_output
-        want = oracles.planner_lp(
-            [(t.alpha, t.beta) for t in scn.technologies],
-            [t.pseudo_city_count for t in scn.technologies],
-            [np.inf, scn.aggregate_resources["L"]],
-            fixed={0: fixed["K"]})
-        assert abs(got - want) < 1e-6 * (1.0 + abs(want))
+        for mode in ("perfect", "local"):
+            sub = PlannerScenario(
+                scn.year, mode, scn.technologies, scn.factor_names,
+                scn.aggregate_resources, reallocated_factors=("L",),
+                fixed_input_values={"K": fixed["K"]})
+            got = solve_scenario(sub).efficient_output
+            want = oracles.planner_lp(
+                [(t.alpha, t.beta) for t in scn.technologies],
+                [t.pseudo_city_count for t in scn.technologies],
+                [np.inf, scn.aggregate_resources["L"]],
+                local=sub.is_local, fixed={0: fixed["K"]})
+            assert abs(got - want) < 1e-6 * (1.0 + abs(want)), mode
 
 
 def test_entry_exit_all_positive_matches_perfect():
@@ -312,21 +313,11 @@ def test_entry_exit_count_formulation_matches_enumeration():
 
 
 def test_entry_exit_too_small_big_m():
+    # the per-city bound comes from the totals, so the flat plane caps output
     tech = DecileTechnology(1, 0.5, [1.0, 10.0], [[2.0, 3.0], [0.0, 0.0]], 1)
-    # every factor capped: big_m bounds nothing
     capped = PlannerScenario(2015, "entry_exit", [tech], ("K", "L"),
-                             {"K": 2.0, "L": 2.0}, big_m=5.0)
+                             {"K": 2.0, "L": 2.0})
     assert solve_scenario(capped).efficient_output == pytest.approx(10.0)
-    # uncapped L: big_m is its per-city bound, and saturating it raises
-    uncapped = PlannerScenario(2015, "entry_exit", [tech], ("K", "L"),
-                               {"K": 2.0, "L": np.inf}, big_m=1.0)
-    with pytest.raises(PlannerError, match="big_m"):
-        solve_scenario(uncapped)
-    # uncapped L without big_m has no per-city bound at all
-    unbounded = PlannerScenario(2015, "entry_exit", [tech], ("K", "L"),
-                                {"K": 2.0, "L": np.inf})
-    with pytest.raises(PlannerError, match="needs big_m"):
-        solve_scenario(unbounded)
 
 
 def test_local_symmetric_equals_nationwide():
@@ -437,19 +428,6 @@ def test_rows_bind_or_marginal_value_is_zero():
             assert abs(more - base) < 1e-6
 
 
-def test_uncapped_factor_needs_flat_plane():
-    sloped = DecileTechnology(1, 0.5, [1.0, 5.0], [[2.0, 1.0], [0.5, 0.2]], 1)
-    scn = PlannerScenario(2015, "perfect", [sloped], ("K", "L"),
-                          {"K": np.inf, "L": 2.0})
-    with pytest.raises(PlannerError, match="zero-slope"):
-        solve_scenario(scn)
-    flat_k = DecileTechnology(1, 0.5, [1.0, 5.0], [[0.0, 1.0], [0.5, 0.2]], 1)
-    free = PlannerScenario(2015, "perfect", [flat_k], ("K", "L"),
-                           {"K": np.inf, "L": 2.0})
-    sol = solve_scenario(free)
-    assert np.isfinite(sol.efficient_output)
-
-
 def test_scenario_validation():
     tech = DecileTechnology(1, 0.5, [1.0], [[1.0, 1.0]], 1)
     good = dict(year=2015, mode="perfect", technologies=[tech],
@@ -479,8 +457,8 @@ def test_scenario_validation():
         PlannerScenario(**{**good, "aggregate_resources": {"K": 1.0}})
     with pytest.raises(PlannerError):
         PlannerScenario(**{**good, "aggregate_resources": {"K": 1.0, "L": -1.0}})
-    with pytest.raises(PlannerError):
-        PlannerScenario(**{**good, "big_m": 0.0})
+    with pytest.raises(PlannerError, match="finite"):
+        PlannerScenario(**{**good, "aggregate_resources": {"K": np.inf, "L": 1.0}})
     with pytest.raises(PlannerError):
         tech2 = DecileTechnology(1, 0.5, [1.0], [[1.0, 1.0]], 1)
         PlannerScenario(**{**good, "technologies": [tech, tech2]})
@@ -526,8 +504,7 @@ def test_csv_exports(tmp_path):
         allocations_to_csv([], alloc)
 
 
-def fixed_factor_scenario(rng, mode, n_planes=5, counts=(4, 5, 6), k_total=None,
-                          **kw):
+def fixed_factor_scenario(rng, mode, n_planes=5, counts=(4, 5, 6), **kw):
     """K and L reallocated, H pinned per city; each decile holds tangent
     planes of a Cobb-Douglas plus one plane flat in K."""
     techs = []
@@ -543,7 +520,7 @@ def fixed_factor_scenario(rng, mode, n_planes=5, counts=(4, 5, 6), k_total=None,
                                       np.vstack([beta, flat]), cnt))
     n = sum(counts)
     h = rng.lognormal(0.0, 0.5, n)
-    totals = {"K": float(n) if k_total is None else k_total, "L": float(n)}
+    totals = {"K": float(n), "L": float(n)}
     return PlannerScenario(2015, mode, techs, ("K", "L", "H"), totals,
                            reallocated_factors=("K", "L"),
                            fixed_input_values={"H": h}, **kw)
@@ -553,17 +530,16 @@ def test_fixed_factor_rows_match_scipy():
     rng = np.random.default_rng(211)
     cases = [("perfect", {}), ("imperfect", {"iceberg": 0.05, "depletion": 0.05}),
              ("local", {})]
-    for k_total in (None, np.inf):
-        for mode, frictions in cases:
-            scn = fixed_factor_scenario(rng, mode, k_total=k_total, **frictions)
-            got = solve_scenario(scn).efficient_output
-            want = oracles.planner_lp(
-                [(t.alpha, t.beta) for t in scn.technologies],
-                [t.pseudo_city_count for t in scn.technologies],
-                [scn.aggregate_resources["K"], scn.aggregate_resources["L"], np.inf],
-                weights=[1.0 + scn.iceberg, 1.0 + scn.depletion, 1.0],
-                local=scn.is_local, fixed={2: scn.fixed_input_values["H"]})
-            assert abs(got - want) < 1e-6 * (1.0 + abs(want)), (mode, k_total)
+    for mode, frictions in cases:
+        scn = fixed_factor_scenario(rng, mode, **frictions)
+        got = solve_scenario(scn).efficient_output
+        want = oracles.planner_lp(
+            [(t.alpha, t.beta) for t in scn.technologies],
+            [t.pseudo_city_count for t in scn.technologies],
+            [scn.aggregate_resources["K"], scn.aggregate_resources["L"], np.inf],
+            weights=[1.0 + scn.iceberg, 1.0 + scn.depletion, 1.0],
+            local=scn.is_local, fixed={2: scn.fixed_input_values["H"]})
+        assert abs(got - want) < 1e-6 * (1.0 + abs(want)), mode
 
 
 def test_fixed_factor_generation_rounds_all_warm_start(monkeypatch):

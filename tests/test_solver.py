@@ -298,7 +298,7 @@ def test_warm_start_same_problem_is_free():
     rng = np.random.default_rng(47)
     lp, _ = anchored_lp(rng, 8, 12)
     cold = solve_lp(lp)
-    warm = solve_lp(lp, start=cold.basis_start())
+    warm = solve_lp(lp, start=BasisStart(cold.column_status, cold.row_status))
     assert warm.status == "optimal"
     assert warm.warm_started and not cold.warm_started
     assert warm.iteration_count == 0
@@ -312,7 +312,8 @@ def test_warm_start_after_perturbation_agrees_with_cold():
         base = solve_lp(lp)
         c2 = c + rng.normal(0.0, 0.05, 6)
         bumped = LinearProgram("max", c2, a, [LE] * len(b), b, upper=hi)
-        warm = solve_lp(bumped, start=base.basis_start())
+        warm = solve_lp(bumped, start=BasisStart(base.column_status,
+                                                 base.row_status))
         cold = solve_lp(bumped)
         assert warm.status == cold.status == "optimal"
         assert abs(warm.objective_value - cold.objective_value) \
@@ -355,5 +356,4 @@ def test_basis_start_unavailable_on_failure():
     lp = LinearProgram("max", [1.0], np.zeros((0, 1)), [], [])
     res = solve_lp(lp)
     assert res.status == "unbounded"
-    with pytest.raises(ValueError):
-        res.basis_start()
+    assert res.column_status is None and res.row_status is None

@@ -10,7 +10,6 @@ from cityalloc import (
     CapitalRule,
     DecileTechnology,
     GroundTruth,
-    NOISY_COVERAGE_SPEC,
     PlannerScenario,
     SyntheticSpec,
     analytic_efficient_output,
@@ -21,6 +20,11 @@ from cityalloc import (
     truth_from_json,
     truth_to_json,
 )
+
+# the coverage benchmark economy: moderate wedges plus output noise
+NOISY_COVERAGE_SPEC = SyntheticSpec(
+    city_count=28, year_count=2, scale=1.0, exponents=(0.4, 0.5),
+    wedge_sigma=0.35, noise_sigma=0.1, seed=2718)
 
 
 def random_envelope_tech(rng, decile, count, n_planes=4):
