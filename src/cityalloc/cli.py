@@ -325,7 +325,9 @@ def _write_deciles_csv(audits, path):
 def _write_estimates(audits, staging):
     flat = []
     for a in audits:
-        flat.extend(sorted(a.fits + (a.median_fit,), key=lambda f: f.tau))
+        # one fit per tau: a grid that holds .5 shares its fit with the median
+        by_tau = {f.tau: f for f in a.fits + (a.median_fit,)}
+        flat.extend(by_tau[t] for t in sorted(by_tau))
     fits_to_csv(flat, os.path.join(staging, "fits.csv"))
     _write_deciles_csv(audits, os.path.join(staging, "deciles.csv"))
 
@@ -445,7 +447,7 @@ def cmd_pipeline(config: RunConfig, stage: int) -> int:
                                     quantile_grid=grid, crs=config.crs,
                                     tolerance=config.tolerance, jobs=jobs)
             _write_estimates(audits, staging)
-            print(f"estimate: {len(audits)} units x {len(grid) + 1} fits")
+            print(f"estimate: {len(audits)} units x {len(np.union1d(grid, [0.5]))} fits")
             return EXIT_OK
 
         templates = scenario_templates(config)

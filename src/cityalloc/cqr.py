@@ -17,6 +17,13 @@ no violation exceeds 1e-6. Slack nonbasic columns are dropped while the
 working set is large; dropping switches off for good once progress
 stalls, after which the working set only grows and termination is
 guaranteed.
+
+A grid of taus is fitted in ascending order, each fit carrying the
+previous one's working set and final basis (Koenker & d'Orey 1987 solve
+linear quantile regression parametrically in tau the same way). A new
+tau moves only the box bounds of the dual's u block, so the old basis
+stays dual feasible and the solver re-enters it through the dual
+simplex; only the first tau of a grid starts cold.
 """
 
 import math
@@ -180,14 +187,45 @@ def _dual_master(x, y, tau, weights, pairs, crs):
                          lower=lower, upper=upper)
 
 
-def _generate(x, y, tau, weights, crs, tolerance):
-    """Delayed cross-row generation; returns (alpha, beta, objective)."""
+@dataclass(eq=False)
+class _Carry:
+    """Working set and start that the previous fit of a tau sweep left."""
+
+    pairs: np.ndarray | None = None
+    start: BasisStart | None = None
+
+
+def _next_start(pairs, res, seed, viol, tolerance):
+    """Working set and start for the next tau of a sweep.
+
+    This fit's final pairs and basis, plus the seed pairs they lack
+    whose cross rows hold to within the solver tolerance, entering at
+    BASIS_AT_LOWER: those price dual feasible, and a new tau moves only
+    the u block's bounds, so the whole start stays dual feasible.
+    """
+    n = len(viol)
+    have = pairs[:, 0] * n + pairs[:, 1]
+    fresh = ~np.isin(seed[:, 0] * n + seed[:, 1], have)
+    extra = seed[fresh & (viol[seed[:, 0], seed[:, 1]] <= tolerance)]
+    cs = np.concatenate([res.column_status,
+                         np.full(len(extra), BASIS_AT_LOWER, dtype=np.int8)])
+    return np.vstack([pairs, extra]), BasisStart(cs, res.row_status)
+
+
+def _generate(x, y, tau, weights, crs, tolerance, carry=None):
+    """Delayed cross-row generation; returns (alpha, beta, objective).
+
+    With a ``carry`` holding an earlier fit's state the first master
+    starts from it, and the carry receives the start for the next tau.
+    """
     n, d = x.shape
     base = 0 if crs else n
     cap = 5 * n
     per_obs = 3
-    pairs = _neighbour_pairs(x)
-    start = None
+    seed = _neighbour_pairs(x)
+    pairs, start = seed, None
+    if carry is not None and carry.start is not None:
+        pairs, start = carry.pairs, carry.start
     dropping = True
     stall = 0
     prev_obj = -np.inf
@@ -208,6 +246,9 @@ def _generate(x, y, tau, weights, crs, tolerance):
             open_[pairs[:, 0], pairs[:, 1]] = -np.inf
         nviol = int((open_ > _VIOL_TOL).sum())
         if nviol == 0:
+            if carry is not None:
+                carry.pairs, carry.start = _next_start(pairs, res, seed, viol,
+                                                       tolerance)
             return alpha, beta, res.objective_value
         # Two stall signals disable dropping permanently: the objective
         # creeping below 1e-7 relative for 3 rounds, or the violation
@@ -263,7 +304,7 @@ def _generate(x, y, tau, weights, crs, tolerance):
 
 
 def fit_cqr(x, y, tau, crs=False, year=0, tolerance=1e-7,
-            weights=None) -> QuantileFit:
+            weights=None, *, _carry=None) -> QuantileFit:
     """Fit the shape-constrained quantile frontier for one year.
 
     Parameters
@@ -280,10 +321,11 @@ def fit_cqr(x, y, tau, crs=False, year=0, tolerance=1e-7,
 
     Returns a QuantileFit whose planes satisfy every cross-observation
     inequality to within 1e-6 and whose residual split reproduces the
-    (weighted) pinball objective.
+    (weighted) pinball objective. ``_carry`` is fit_all_quantiles'
+    hand-over of the previous tau's working set and basis.
     """
     x, y, weights = _check_inputs(x, y, tau, weights)
-    alpha, beta, obj = _generate(x, y, tau, weights, crs, tolerance)
+    alpha, beta, obj = _generate(x, y, tau, weights, crs, tolerance, _carry)
     beta = np.clip(beta, 0.0, None)  # scrub dual roundoff at the sign bound
     resid = y - (alpha + np.sum(x * beta, axis=1))
     return QuantileFit(
@@ -298,17 +340,31 @@ def fit_cqr(x, y, tau, crs=False, year=0, tolerance=1e-7,
     )
 
 
-def fit_all_quantiles(x, y, quantile_grid=None, crs=False, year=0,
-                      tolerance=1e-7, weights=None):
-    """Fit one frontier per grid value; default grid 0.05, 0.15, ..., 0.95."""
+def _as_grid(quantile_grid):
+    """The grid as a float array, default 0.05, 0.15, ..., 0.95; raises
+    ValueError unless it is nonempty, 1-d and strictly increasing in (0, 1)."""
     grid = DEFAULT_QUANTILES if quantile_grid is None else np.asarray(
         quantile_grid, dtype=float)
     if grid.ndim != 1 or len(grid) == 0:
         raise ValueError("quantile grid must be a nonempty 1-d sequence")
     if np.any(grid <= 0.0) or np.any(grid >= 1.0) or np.any(np.diff(grid) <= 0):
         raise ValueError("quantile grid must be strictly increasing within (0, 1)")
+    return grid
+
+
+def fit_all_quantiles(x, y, quantile_grid=None, crs=False, year=0,
+                      tolerance=1e-7, weights=None):
+    """Fit one frontier per grid value; default grid 0.05, 0.15, ..., 0.95.
+
+    The fits run in ascending tau. The first starts cold from the
+    nearest-neighbour seed; each later one starts from the previous
+    fit's final working set (plus the seed pairs it lacks) and final
+    basis, which the solver re-enters through the dual simplex.
+    """
+    grid = _as_grid(quantile_grid)
+    carry = _Carry()
     return [fit_cqr(x, y, t, crs=crs, year=year, tolerance=tolerance,
-                    weights=weights)
+                    weights=weights, _carry=carry)
             for t in grid]
 
 

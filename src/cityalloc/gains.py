@@ -19,10 +19,13 @@ import numpy as np
 from .cqr import (
     DecileAssignment,
     QuantileFit,
+    _as_grid,
     assign_deciles,
     fit_all_quantiles,
-    fit_cqr,
 )
+# Unused here: the benchmark's tracer (perfbench/trace.py, LAYER_SITES)
+# looks this name up on cityalloc.gains.
+from .cqr import fit_cqr  # noqa: F401
 from .panel import POOLED_YEAR, Panel, fixed_effect_inputs
 from .planner import (
     MODES,
@@ -211,9 +214,12 @@ def _run_unit(x, y, city_id, year, names, templates, quantile_grid, crs,
               tolerance):
     """Estimate and solve one cross-section; returns (gains, audit).
 
-    Identical (x, y) rows, as a resample holds, are fitted once with
-    their multiplicity as weight; every fit is expanded back to all
-    rows before ranking.
+    The grid and the median tau = .5 are fitted in one ascending sweep,
+    each fit warm-started from the previous one's working set and basis;
+    a grid that holds .5 shares its fit with the median. Identical
+    (x, y) rows, as a resample holds, are fitted once with their
+    multiplicity as weight; every fit is expanded back to all rows
+    before ranking.
     """
     n = len(y)
     if n < _N_DECILES:
@@ -222,20 +228,20 @@ def _run_unit(x, y, city_id, year, names, templates, quantile_grid, crs,
     keep, counts, back = _distinct_rows(x, y)
     xd, yd = x[keep], y[keep]
     try:
-        fits = [_expand(f, back) for f in fit_all_quantiles(
-            xd, yd, quantile_grid, crs=crs, year=year, tolerance=tolerance,
-            weights=counts)]
+        grid = _as_grid(quantile_grid)
+        swept = [_expand(f, back) for f in fit_all_quantiles(
+            xd, yd, np.union1d(grid, [0.5]), crs=crs, year=year,
+            tolerance=tolerance, weights=counts)]
     except Exception as exc:
         raise PipelineError(f"year {year}: quantile estimation failed: {exc}",
                             stage="estimate", year=year) from exc
-    if len(fits) != _N_DECILES:
+    if len(grid) != _N_DECILES:
         raise PipelineError("decile matching needs a ten-point quantile grid",
                             stage="estimate", year=year)
-    fits = sorted(fits, key=lambda f: f.tau)
+    fits = [f for f in swept if f.tau in grid]
 
     try:
-        median = _expand(fit_cqr(xd, yd, 0.5, crs=crs, year=year,
-                                 tolerance=tolerance, weights=counts), back)
+        median = next(f for f in swept if f.tau == 0.5)
         assignment = assign_deciles(x, y, median, city_id=city_id)
     except Exception as exc:
         raise PipelineError(f"year {year}: decile ranking failed: {exc}",

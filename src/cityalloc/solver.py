@@ -11,8 +11,14 @@ the objective stalls on degenerate pivots the rule switches to Bland's,
 which rules out cycling, and every remaining tie is broken by lowest
 column index, so repeated solves of the same problem are bit-identical.
 The ratio test is a two-pass bound-relaxation test that prefers large
-pivot elements.  Integer programs run depth-first branch and bound on
-top of the LP, bounding with the relaxation objective.
+pivot elements.  A caller's starting basis that is primal infeasible
+but dual feasible (an optimal basis after its bounds moved) re-enters
+through a bounded dual simplex, with dual devex row pricing, a Harris
+ratio test and a small deterministic cost perturbation against
+degeneracy, until it is primal feasible; the primal loop then finishes
+on the true costs.
+Integer programs run depth-first branch and bound on top of the LP,
+bounding with the relaxation objective.
 """
 from __future__ import annotations
 
@@ -41,6 +47,10 @@ _FIXED = 4
 _REFACTOR_EVERY = 64
 _PIVOT_TOL = 1e-9
 _MAX_ITERS = 500_000
+_STALL_MIN = 100  # see _Simplex._stall_limit
+_COST_ROUNDOFF = 1e-13  # relative roundoff floor on reduced costs
+_PERTURB = 1e-3  # dual-loop cost shift, as a share of the cost scale
+_GOLDEN = 0.6180339887498949  # spreads the shifts over [1, 2) by column
 
 
 class SolverError(Exception):
@@ -148,8 +158,12 @@ class BasisStart:
 
     ``column_status`` holds one BASIS_* code per variable and
     ``row_status`` one per constraint row (a basic row means its slack
-    is basic).  Invalid or singular starts fall back to a cold solve,
-    so feeding a stale basis is never unsafe, just slower.
+    is basic).  A start whose basic values leave their bounds but whose
+    reduced costs are dual feasible, as an optimal basis is after a
+    bound change, re-enters through the dual simplex.  Invalid or
+    singular starts, and starts neither primal nor dual feasible, fall
+    back to a cold solve, so feeding a stale basis is never unsafe, just
+    slower.
     """
 
     column_status: np.ndarray
@@ -177,7 +191,8 @@ class SolveResult:
     optimal basis in BASIS_* codes for LPs (None otherwise); pass them
     as a BasisStart to warm-start a related solve.
     ``warm_started`` is True when the solve began from the caller's
-    starting basis rather than falling back to a cold start.
+    starting basis (directly or through a dual re-entry) rather than
+    falling back to a cold start.
     """
 
     status: str  # "optimal" | "infeasible" | "unbounded"
@@ -399,9 +414,13 @@ class _Simplex:
         """Install a caller-supplied basis; False means fall back to cold.
 
         The start is rejected unless it names exactly m basic variables,
-        respects bound finiteness, factorizes, and yields basic values
-        inside their bounds, so a stale or mismatched basis costs one
-        factorization attempt and nothing else.
+        respects bound finiteness and factorizes.  A start whose basic
+        values lie inside their bounds is accepted as it is.  One that is
+        primal infeasible but prices dual feasible (the old optimal basis
+        after a bound change, say) re-enters through the bounded dual
+        simplex until it is primal feasible; one that is neither is
+        rejected, so a stale or mismatched basis costs one factorization
+        and a pricing pass and nothing else.
         """
         cs = start.column_status
         rs = start.row_status
@@ -447,11 +466,136 @@ class _Simplex:
             self._refactor()
         except SolverError:
             return False
-        xb = self.x[self.basis]
-        if np.any(xb < self.lo[self.basis] - self.tol) \
-                or np.any(xb > self.hi[self.basis] + self.tol):
+        if not (self._primal_infeasibility() > 0.0).any():
+            return True
+        z = self._reduced_costs(self.c_phase2)
+        can_up, can_dn = self._improving(z, self.c_phase2)
+        if can_up.any() or can_dn.any():
             return False
-        return True
+        try:
+            return self._dual_optimize(self.c_phase2, z)
+        except SolverError:
+            # a basis gone singular on the way; the cold solve keeps the
+            # iterations spent, so an exhausted iteration limit still raises
+            return False
+
+    def _primal_infeasibility(self) -> np.ndarray:
+        """Per basic row, how far its value lies outside its bounds (<= 0 inside)."""
+        xb = self.x[self.basis]
+        return np.maximum(self.lo[self.basis] - xb, xb - self.hi[self.basis]) - self.tol
+
+    def _dual_optimize(self, cost: np.ndarray, z: np.ndarray) -> bool:
+        """Bounded dual simplex from a dual feasible basis to a primal feasible one.
+
+        Runs on slightly perturbed costs (``_PERTURB``).  The leaving row
+        is the largest infeasibility^2 / w_r under dual devex reference
+        weights; the ratio test is Harris's two-pass test preferring the
+        largest |alpha_rj|, ties to the lowest index.  After the shared
+        stall count of degenerate steps both choices switch to lowest
+        index.  False means the pivot row had no usable entering
+        column (the LP looks primal infeasible, or the pivot is
+        numerically unsafe); the caller then solves cold.
+        """
+        # Shift each nonbasic cost away from its bound's zero reduced cost,
+        # the way that keeps it dual feasible: ties in the ratio test break,
+        # so fewer steps are degenerate.  The primal loop that takes over
+        # prices with the true costs.
+        side = np.where(self.status == _AT_LOWER, 1.0,
+                        np.where(self.status == _AT_UPPER, -1.0, 0.0))
+        spread = 1.0 + (_GOLDEN * np.arange(self.n_ext)) % 1.0
+        size = np.abs(cost)
+        shift = side * _PERTURB * spread * (size + size.max())
+        cost = cost + shift
+        z = z + shift
+        bland = False
+        stall = 0
+        stall_limit = self._stall_limit()
+        weight = np.ones(self.m)  # dual devex reference weights, one per row
+        while True:
+            if self.iters >= _MAX_ITERS:
+                raise SolverError("iteration limit exceeded")
+            if len(self.etas) >= _REFACTOR_EVERY:
+                self._refactor()
+                z = self._reduced_costs(cost)
+            infeas = self._primal_infeasibility()
+            rows = infeas > 0.0
+            if not rows.any():
+                return True
+            if bland:
+                cands = np.nonzero(rows)[0]
+                r = int(cands[np.argmin(self.basis[cands])])
+            else:
+                gap = infeas + self.tol
+                r = int(np.argmax(np.where(rows, gap * gap / weight, -1.0)))
+            leaving = int(self.basis[r])
+            to_lower = self.x[leaving] < self.lo[leaving]
+            sign = 1.0 if to_lower else -1.0
+
+            # Moving the duals along row r changes z_j by sign * t * alpha_rj;
+            # the leaving column's own reduced cost becomes sign * t.
+            rho = np.zeros(self.m)
+            rho[r] = 1.0
+            alpha_row = self.AT @ self._btran(rho)
+            sa = sign * alpha_row
+            st = self.status
+            up_block = ((st == _AT_LOWER) | (st == _FREE)) & (sa < -_PIVOT_TOL)
+            dn_block = ((st == _AT_UPPER) | (st == _FREE)) & (sa > _PIVOT_TOL)
+            blocking = up_block | dn_block
+            if not blocking.any():
+                return False
+            slack = np.maximum(np.where(up_block, z, -z), 0.0)
+            aabs = np.abs(alpha_row)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                ratio = np.where(blocking, slack / aabs, np.inf)
+            if bland:
+                q = int(np.nonzero(ratio <= ratio.min() + 1e-12)[0][0])
+            else:
+                with np.errstate(invalid="ignore", divide="ignore"):
+                    relaxed = np.where(blocking, (slack + 1e-9) / aabs, np.inf)
+                cands = np.nonzero(ratio <= relaxed.min())[0]
+                q = int(cands[np.lexsort((cands, -aabs[cands]))[0]])
+            step = ratio[q]
+
+            d = self._ftran(self._column(q))
+            pivot = d[r]
+            if abs(pivot) < _PIVOT_TOL or pivot * alpha_row[q] <= 0.0:
+                if not self.etas:
+                    return False
+                self._refactor()  # row and column disagree: shed the etas
+                z = self._reduced_costs(cost)
+                continue
+
+            target = self.lo[leaving] if to_lower else self.hi[leaving]
+            theta = (self.x[leaving] - target) / pivot
+            self.x[self.basis] -= theta * d
+            self.x[leaving] = target
+            self.x[q] += theta
+            if self.lo[leaving] == self.hi[leaving]:
+                self.status[leaving] = _FIXED
+            else:
+                self.status[leaving] = _AT_LOWER if to_lower else _AT_UPPER
+
+            w_leave = weight[r]
+            np.maximum(weight, (d / pivot) ** 2 * w_leave, out=weight)
+            weight[r] = max(w_leave / (pivot * pivot), 1.0)
+            if weight.max() > 1e8:
+                weight[:] = 1.0  # reset the reference framework
+            z += (sign * step) * alpha_row
+            z[q] = 0.0
+            z[leaving] = sign * step
+
+            self.status[q] = _BASIC
+            self.basis[r] = q
+            self.etas.append((r, d, pivot))
+            self.iters += 1
+
+            if step <= 1e-12:
+                stall += 1
+                if stall > stall_limit:
+                    bland = True
+            else:
+                stall = 0
+                bland = False
 
     # -- core iteration --------------------------------------------------------
 
@@ -459,10 +603,29 @@ class _Simplex:
         y = self._btran(cost[self.basis])
         return cost - self.AT @ y
 
+    def _stall_limit(self) -> int:
+        """Degenerate pivots in a row after which the primal and the dual
+        loop alike switch to their lowest-index rule."""
+        return max(_STALL_MIN, self.m)
+
+    def _improving(self, z: np.ndarray, cost: np.ndarray):
+        """Nonbasic columns whose reduced cost is dual infeasible, split by
+        the direction in which they would enter (up, down).
+
+        The threshold is tol, or the roundoff floor of the costs when that
+        is larger: with costs near 1e9 a reduced cost of 1e-7 is noise, and
+        pivoting on noise can alternate between two bases for ever.
+        """
+        dtol = max(self.tol, _COST_ROUNDOFF * float(np.abs(cost).max(initial=0.0)))
+        st = self.status
+        can_up = ((st == _AT_LOWER) | (st == _FREE)) & (z < -dtol)
+        can_dn = ((st == _AT_UPPER) | (st == _FREE)) & (z > dtol)
+        return can_up, can_dn
+
     def _optimize(self, cost: np.ndarray) -> str:
         bland = False
         stall = 0
-        stall_limit = max(100, self.m)
+        stall_limit = self._stall_limit()
         z = self._reduced_costs(cost)
         z_fresh = len(self.etas) == 0
         weight = np.ones(self.n_ext)  # devex reference weights
@@ -478,9 +641,7 @@ class _Simplex:
                 # current basis, so skip the incremental shortcut here.
                 z = self._reduced_costs(cost)
 
-            st = self.status
-            can_up = ((st == _AT_LOWER) | (st == _FREE)) & (z < -self.tol)
-            can_dn = ((st == _AT_UPPER) | (st == _FREE)) & (z > self.tol)
+            can_up, can_dn = self._improving(z, cost)
             eligible = can_up | can_dn
             if not eligible.any():
                 if z_fresh or bland:
@@ -684,8 +845,11 @@ def solve_lp(problem: LinearProgram, tolerance: float = 1e-7,
     """Solve an LP to a vertex optimum; statuses are returned, never raised.
 
     ``start`` warm-starts from a basis of a related problem (same rows,
-    possibly different columns remapped by the caller); anything invalid
-    about it silently degrades to a cold solve.
+    possibly different columns remapped by the caller, possibly other
+    bounds).  A primal infeasible but dual feasible start re-enters
+    through the dual simplex; anything else invalid about it silently
+    degrades to a cold solve.  ``iteration_count`` counts dual and
+    primal pivots alike.
     """
     return _Simplex(problem, tolerance, start).solve()
 

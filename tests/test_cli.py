@@ -141,3 +141,19 @@ def test_command_paths_complete_and_validate(small_panel, tmp_path, argv):
         assert "plot_single_factor.json" in written
     assert "manifest.json" in written
     assert cli.main(["validate", "--input", out]) == cli.EXIT_OK
+
+
+def test_grid_holding_the_median_writes_it_once(tmp_path):
+    # the median is then the grid's own fit; writing it twice made
+    # validate merge two copies into one fit of twice the rows
+    synth_out = str(tmp_path / "synth")
+    assert cli.main(["synth", "--cities", "12", "--years", "2",
+                     "--out", synth_out]) == cli.EXIT_OK
+    out = str(tmp_path / "out")
+    grid = "0.05,0.15,0.25,0.35,0.5,0.55,0.65,0.75,0.85,0.95"
+    assert cli.main(["run", "--input", os.path.join(synth_out, "synthetic_panel.csv"),
+                     "--out", out, "--quantiles", grid, "--jobs", "1"]) == cli.EXIT_OK
+    taus = [float(r["tau"]) for r in _rows(os.path.join(out, "fits.csv"))]
+    assert set(taus) == {float(t) for t in grid.split(",")}
+    assert len(taus) == 2 * 10 * 12  # years x taus x cities
+    assert cli.main(["validate", "--input", out]) == cli.EXIT_OK

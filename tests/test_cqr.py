@@ -102,6 +102,39 @@ def test_small_samples_need_one_master_solve(monkeypatch):
         assert abs(fit.objective - dense_cqr(x, y, 0.5)[0]) <= 1e-9 * (1 + fit.objective)
 
 
+@pytest.mark.parametrize("case", ["default", "crs", "weighted"])
+def test_grid_sweep_matches_separate_fits(case):
+    # each tau of the sweep starts from the previous tau's working set and
+    # basis; the optimum must not depend on that start
+    rng = np.random.default_rng(173)
+    x, y = cobb_douglas_year(rng, 30)
+    kw = {"crs": case == "crs"}
+    if case == "weighted":
+        kw["weights"] = rng.integers(1, 4, 30).astype(float)
+    swept = fit_all_quantiles(x, y, **kw)
+    assert [f.tau for f in swept] == list(DEFAULT_QUANTILES)
+    for fit in swept:
+        alone = fit_cqr(x, y, fit.tau, **kw)
+        assert abs(fit.objective - alone.objective) <= 1e-9 * abs(alone.objective)
+        assert np.max(np.abs(fitted(fit, x) - fitted(alone, x))) <= 1e-7
+
+
+def test_grid_sweep_makes_one_cold_master_solve(monkeypatch):
+    starts = []
+    original = cityalloc.cqr.solve_lp
+
+    def recording(lp, tolerance=1e-7, start=None):
+        res = original(lp, tolerance, start)
+        starts.append((start is None, res.warm_started))
+        return res
+
+    monkeypatch.setattr("cityalloc.cqr.solve_lp", recording)
+    x, y = cobb_douglas_year(np.random.default_rng(179), 40)
+    fit_all_quantiles(x, y)
+    assert sum(cold for cold, _ in starts) == 1
+    assert all(warm for cold, warm in starts if not cold)
+
+
 def test_fit_out_of_rounds_raises(monkeypatch):
     # 40 observations need more than the seeded first master
     monkeypatch.setattr(cityalloc.cqr, "_MAX_ROUNDS", 1)

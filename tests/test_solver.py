@@ -1,11 +1,15 @@
 """Solver checks against enumeration oracles and hand-worked instances."""
 
 import itertools
+import pathlib
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+import cityalloc.solver
 from cityalloc import (
+    BASIS_AT_UPPER,
     BASIS_BASIC,
     BasisStart,
     EQ,
@@ -334,6 +338,69 @@ def test_warm_start_with_added_columns():
     assert abs(warm.objective_value - 4.0) <= 1e-9
 
 
+def basis_is_primal_infeasible(a, b, upper, start):
+    """Whether the basic values of `start` on the LE rows a x <= b, with
+    0 <= x <= upper, leave their bounds (dense reference computation)."""
+    m, n = a.shape
+    full = np.hstack([a, np.eye(m)])
+    status = np.concatenate([start.column_status, start.row_status])
+    lo = np.zeros(n + m)
+    hi = np.concatenate([upper, np.full(m, np.inf)])
+    basic = status == BASIS_BASIC
+    x = np.where(status == BASIS_AT_UPPER, hi, lo)
+    x[basic] = 0.0
+    xb = np.linalg.solve(full[:, basic], b - full @ x)
+    return bool(np.any(xb < lo[basic] - 1e-7) or np.any(xb > hi[basic] + 1e-7))
+
+
+def shifted_bound_reentries(rng, count, copies=1):
+    """(lp, start, (c, a, b, upper)): an anchored LP with `copies` copies of
+    each column, shrunk upper bounds, and the optimal basis for its
+    original bounds, which the shrink leaves primal infeasible."""
+    found = 0
+    while found < count:
+        lp, (c, a, b, _, hi) = anchored_lp(rng, 6, 9)
+        c, a = np.tile(c, copies), np.tile(a, copies)
+        base = solve_lp(LinearProgram("max", c, a, [LE] * 9, b,
+                                      upper=np.tile(hi, copies)))
+        start = BasisStart(base.column_status, base.row_status)
+        upper = rng.uniform(2.0, 4.0, c.size)  # the anchor stays feasible
+        if basis_is_primal_infeasible(a, b, upper, start):
+            found += 1
+            yield LinearProgram("max", c, a, [LE] * 9, b, upper=upper), start, \
+                (c, a, b, upper)
+
+
+def check_reentry(lp, start, data):
+    c, a, b, upper = data
+    warm = solve_lp(lp, start=start)
+    cold = solve_lp(lp)
+    _, ref, _ = scipy_lp(c, a, b, bounds=[(0.0, u) for u in upper])
+    assert warm.status == cold.status == "optimal"
+    assert warm.warm_started and warm.iteration_count > 0
+    for value in (warm.objective_value, cold.objective_value):
+        assert abs(value - ref) <= 1e-7 * (1 + abs(ref))
+
+
+def test_dual_reentry_after_bound_shift():
+    # a bound change keeps the old optimal basis dual feasible; the start
+    # re-enters through the dual simplex instead of solving cold
+    rng = np.random.default_rng(61)
+    for lp, start, data in shifted_bound_reentries(rng, 20):
+        check_reentry(lp, start, data)
+
+
+def test_dual_reentry_under_lowest_index_rule(monkeypatch):
+    # repeated columns tie reduced costs at zero, so without the cost
+    # perturbation dual steps are degenerate; with no stall allowance
+    # both loops then run lowest-index
+    monkeypatch.setattr(cityalloc.solver, "_PERTURB", 0.0)
+    monkeypatch.setattr(cityalloc.solver._Simplex, "_stall_limit", lambda self: 0)
+    rng = np.random.default_rng(71)
+    for lp, start, data in shifted_bound_reentries(rng, 20, copies=3):
+        check_reentry(lp, start, data)
+
+
 def test_bad_warm_starts_degrade_to_cold():
     rng = np.random.default_rng(59)
     lp, _ = anchored_lp(rng, 5, 7)
@@ -357,3 +424,29 @@ def test_basis_start_unavailable_on_failure():
     res = solve_lp(lp)
     assert res.status == "unbounded"
     assert res.column_status is None and res.row_status is None
+
+
+def test_failed_reentry_falls_back_to_cold(monkeypatch):
+    def singular(self, cost, z):
+        raise cityalloc.solver.SolverError("basis factorization failed")
+
+    monkeypatch.setattr(cityalloc.solver._Simplex, "_dual_optimize", singular)
+    lp, start, _ = next(shifted_bound_reentries(np.random.default_rng(73), 1))
+    res = solve_lp(lp, start=start)
+    assert res.status == "optimal" and not res.warm_started
+    assert abs(res.objective_value - solve_lp(lp).objective_value) <= 1e-9
+
+
+def test_roundoff_reduced_costs_do_not_pivot(monkeypatch):
+    # the aggregated planner master of a panel in large units (outputs
+    # near 1e9), with an optimal start: its reduced costs are roundoff
+    # near -1e-7, and pivoting on them alternated between two bases
+    # until the iteration limit
+    d = np.load(pathlib.Path(__file__).parent / "data" / "roundoff_reduced_costs_lp.npz")
+    rows = sp.csr_matrix((d["data"], d["indices"], d["indptr"]), shape=tuple(d["shape"]))
+    lp = LinearProgram("min", d["objective"], rows, d["relations"], d["rhs"])
+    monkeypatch.setattr(cityalloc.solver, "_MAX_ITERS", 1000)
+    warm = solve_lp(lp, start=BasisStart(d["column_status"], d["row_status"]))
+    cold = solve_lp(lp)
+    assert warm.status == cold.status == "optimal" and warm.warm_started
+    assert abs(warm.objective_value - cold.objective_value) <= 1e-9 * abs(cold.objective_value)
