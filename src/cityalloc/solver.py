@@ -479,124 +479,6 @@ class _Simplex:
             # iterations spent, so an exhausted iteration limit still raises
             return False
 
-    def _primal_infeasibility(self) -> np.ndarray:
-        """Per basic row, how far its value lies outside its bounds (<= 0 inside)."""
-        xb = self.x[self.basis]
-        return np.maximum(self.lo[self.basis] - xb, xb - self.hi[self.basis]) - self.tol
-
-    def _dual_optimize(self, cost: np.ndarray, z: np.ndarray) -> bool:
-        """Bounded dual simplex from a dual feasible basis to a primal feasible one.
-
-        Runs on slightly perturbed costs (``_PERTURB``).  The leaving row
-        is the largest infeasibility^2 / w_r under dual devex reference
-        weights; the ratio test is Harris's two-pass test preferring the
-        largest |alpha_rj|, ties to the lowest index.  After the shared
-        stall count of degenerate steps both choices switch to lowest
-        index.  False means the pivot row had no usable entering
-        column (the LP looks primal infeasible, or the pivot is
-        numerically unsafe); the caller then solves cold.
-        """
-        # Shift each nonbasic cost away from its bound's zero reduced cost,
-        # the way that keeps it dual feasible: ties in the ratio test break,
-        # so fewer steps are degenerate.  The primal loop that takes over
-        # prices with the true costs.
-        side = np.where(self.status == _AT_LOWER, 1.0,
-                        np.where(self.status == _AT_UPPER, -1.0, 0.0))
-        spread = 1.0 + (_GOLDEN * np.arange(self.n_ext)) % 1.0
-        size = np.abs(cost)
-        shift = side * _PERTURB * spread * (size + size.max())
-        cost = cost + shift
-        z = z + shift
-        bland = False
-        stall = 0
-        stall_limit = self._stall_limit()
-        weight = np.ones(self.m)  # dual devex reference weights, one per row
-        while True:
-            if self.iters >= _MAX_ITERS:
-                raise SolverError("iteration limit exceeded")
-            if len(self.etas) >= _REFACTOR_EVERY:
-                self._refactor()
-                z = self._reduced_costs(cost)
-            infeas = self._primal_infeasibility()
-            rows = infeas > 0.0
-            if not rows.any():
-                return True
-            if bland:
-                cands = np.nonzero(rows)[0]
-                r = int(cands[np.argmin(self.basis[cands])])
-            else:
-                gap = infeas + self.tol
-                r = int(np.argmax(np.where(rows, gap * gap / weight, -1.0)))
-            leaving = int(self.basis[r])
-            to_lower = self.x[leaving] < self.lo[leaving]
-            sign = 1.0 if to_lower else -1.0
-
-            # Moving the duals along row r changes z_j by sign * t * alpha_rj;
-            # the leaving column's own reduced cost becomes sign * t.
-            rho = np.zeros(self.m)
-            rho[r] = 1.0
-            alpha_row = self.AT @ self._btran(rho)
-            sa = sign * alpha_row
-            st = self.status
-            up_block = ((st == _AT_LOWER) | (st == _FREE)) & (sa < -_PIVOT_TOL)
-            dn_block = ((st == _AT_UPPER) | (st == _FREE)) & (sa > _PIVOT_TOL)
-            blocking = up_block | dn_block
-            if not blocking.any():
-                return False
-            slack = np.maximum(np.where(up_block, z, -z), 0.0)
-            aabs = np.abs(alpha_row)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                ratio = np.where(blocking, slack / aabs, np.inf)
-            if bland:
-                q = int(np.nonzero(ratio <= ratio.min() + 1e-12)[0][0])
-            else:
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    relaxed = np.where(blocking, (slack + 1e-9) / aabs, np.inf)
-                cands = np.nonzero(ratio <= relaxed.min())[0]
-                q = int(cands[np.lexsort((cands, -aabs[cands]))[0]])
-            step = ratio[q]
-
-            d = self._ftran(self._column(q))
-            pivot = d[r]
-            if abs(pivot) < _PIVOT_TOL or pivot * alpha_row[q] <= 0.0:
-                if not self.etas:
-                    return False
-                self._refactor()  # row and column disagree: shed the etas
-                z = self._reduced_costs(cost)
-                continue
-
-            target = self.lo[leaving] if to_lower else self.hi[leaving]
-            theta = (self.x[leaving] - target) / pivot
-            self.x[self.basis] -= theta * d
-            self.x[leaving] = target
-            self.x[q] += theta
-            if self.lo[leaving] == self.hi[leaving]:
-                self.status[leaving] = _FIXED
-            else:
-                self.status[leaving] = _AT_LOWER if to_lower else _AT_UPPER
-
-            w_leave = weight[r]
-            np.maximum(weight, (d / pivot) ** 2 * w_leave, out=weight)
-            weight[r] = max(w_leave / (pivot * pivot), 1.0)
-            if weight.max() > 1e8:
-                weight[:] = 1.0  # reset the reference framework
-            z += (sign * step) * alpha_row
-            z[q] = 0.0
-            z[leaving] = sign * step
-
-            self.status[q] = _BASIC
-            self.basis[r] = q
-            self.etas.append((r, d, pivot))
-            self.iters += 1
-
-            if step <= 1e-12:
-                stall += 1
-                if stall > stall_limit:
-                    bland = True
-            else:
-                stall = 0
-                bland = False
-
     # -- core iteration --------------------------------------------------------
 
     def _reduced_costs(self, cost: np.ndarray) -> np.ndarray:
@@ -732,6 +614,124 @@ class _Simplex:
             self.status[q] = _BASIC
             self.basis[r] = q
             self.etas.append((r, d, d[r]))
+            self.iters += 1
+
+            if step <= 1e-12:
+                stall += 1
+                if stall > stall_limit:
+                    bland = True
+            else:
+                stall = 0
+                bland = False
+
+    def _primal_infeasibility(self) -> np.ndarray:
+        """Per basic row, how far its value lies outside its bounds (<= 0 inside)."""
+        xb = self.x[self.basis]
+        return np.maximum(self.lo[self.basis] - xb, xb - self.hi[self.basis]) - self.tol
+
+    def _dual_optimize(self, cost: np.ndarray, z: np.ndarray) -> bool:
+        """Bounded dual simplex from a dual feasible basis to a primal feasible one.
+
+        Runs on slightly perturbed costs (``_PERTURB``).  The leaving row
+        is the largest infeasibility^2 / w_r under dual devex reference
+        weights; the ratio test is Harris's two-pass test preferring the
+        largest |alpha_rj|, ties to the lowest index.  After the shared
+        stall count of degenerate steps both choices switch to lowest
+        index.  False means the pivot row had no usable entering
+        column (the LP looks primal infeasible, or the pivot is
+        numerically unsafe); the caller then solves cold.
+        """
+        # Shift each nonbasic cost away from its bound's zero reduced cost,
+        # the way that keeps it dual feasible: ties in the ratio test break,
+        # so fewer steps are degenerate.  The primal loop that takes over
+        # prices with the true costs.
+        side = np.where(self.status == _AT_LOWER, 1.0,
+                        np.where(self.status == _AT_UPPER, -1.0, 0.0))
+        spread = 1.0 + (_GOLDEN * np.arange(self.n_ext)) % 1.0
+        size = np.abs(cost)
+        shift = side * _PERTURB * spread * (size + size.max())
+        cost = cost + shift
+        z = z + shift
+        bland = False
+        stall = 0
+        stall_limit = self._stall_limit()
+        weight = np.ones(self.m)  # dual devex reference weights, one per row
+        while True:
+            if self.iters >= _MAX_ITERS:
+                raise SolverError("iteration limit exceeded")
+            if len(self.etas) >= _REFACTOR_EVERY:
+                self._refactor()
+                z = self._reduced_costs(cost)
+            infeas = self._primal_infeasibility()
+            rows = infeas > 0.0
+            if not rows.any():
+                return True
+            if bland:
+                cands = np.nonzero(rows)[0]
+                r = int(cands[np.argmin(self.basis[cands])])
+            else:
+                gap = infeas + self.tol
+                r = int(np.argmax(np.where(rows, gap * gap / weight, -1.0)))
+            leaving = int(self.basis[r])
+            to_lower = self.x[leaving] < self.lo[leaving]
+            sign = 1.0 if to_lower else -1.0
+
+            # Moving the duals along row r changes z_j by sign * t * alpha_rj;
+            # the leaving column's own reduced cost becomes sign * t.
+            rho = np.zeros(self.m)
+            rho[r] = 1.0
+            alpha_row = self.AT @ self._btran(rho)
+            sa = sign * alpha_row
+            st = self.status
+            up_block = ((st == _AT_LOWER) | (st == _FREE)) & (sa < -_PIVOT_TOL)
+            dn_block = ((st == _AT_UPPER) | (st == _FREE)) & (sa > _PIVOT_TOL)
+            blocking = up_block | dn_block
+            if not blocking.any():
+                return False
+            slack = np.maximum(np.where(up_block, z, -z), 0.0)
+            aabs = np.abs(alpha_row)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                ratio = np.where(blocking, slack / aabs, np.inf)
+            if bland:
+                q = int(np.nonzero(ratio <= ratio.min() + 1e-12)[0][0])
+            else:
+                with np.errstate(invalid="ignore", divide="ignore"):
+                    relaxed = np.where(blocking, (slack + 1e-9) / aabs, np.inf)
+                cands = np.nonzero(ratio <= relaxed.min())[0]
+                q = int(cands[np.lexsort((cands, -aabs[cands]))[0]])
+            step = ratio[q]
+
+            d = self._ftran(self._column(q))
+            pivot = d[r]
+            if abs(pivot) < _PIVOT_TOL or pivot * alpha_row[q] <= 0.0:
+                if not self.etas:
+                    return False
+                self._refactor()  # row and column disagree: shed the etas
+                z = self._reduced_costs(cost)
+                continue
+
+            target = self.lo[leaving] if to_lower else self.hi[leaving]
+            theta = (self.x[leaving] - target) / pivot
+            self.x[self.basis] -= theta * d
+            self.x[leaving] = target
+            self.x[q] += theta
+            if self.lo[leaving] == self.hi[leaving]:
+                self.status[leaving] = _FIXED
+            else:
+                self.status[leaving] = _AT_LOWER if to_lower else _AT_UPPER
+
+            w_leave = weight[r]
+            np.maximum(weight, (d / pivot) ** 2 * w_leave, out=weight)
+            weight[r] = max(w_leave / (pivot * pivot), 1.0)
+            if weight.max() > 1e8:
+                weight[:] = 1.0  # reset the reference framework
+            z += (sign * step) * alpha_row
+            z[q] = 0.0
+            z[leaving] = sign * step
+
+            self.status[q] = _BASIC
+            self.basis[r] = q
+            self.etas.append((r, d, pivot))
             self.iters += 1
 
             if step <= 1e-12:
