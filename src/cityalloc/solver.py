@@ -283,6 +283,7 @@ class _Simplex:
         except RuntimeError as exc:  # singular basis: numerical breakdown
             raise SolverError(f"basis factorization failed: {exc}") from None
         self.etas = []
+        self.flipped = False  # a bound flip moves x without adding an eta
         # Recompute basic values from scratch to shed accumulated drift.
         vals = self.x.copy()
         vals[self.basis] = 0.0
@@ -569,6 +570,7 @@ class _Simplex:
                 self.x[self.basis] = xB - flip_range * eff
                 self.x[q] = self.hi[q] if delta > 0 else self.lo[q]
                 self.status[q] = _AT_UPPER if delta > 0 else _AT_LOWER
+                self.flipped = True
                 self.iters += 1
                 continue
 
@@ -788,7 +790,8 @@ class _Simplex:
         if status == "unbounded":
             return _failed("unbounded", self.n, self.iters)
 
-        self._refactor()
+        if self.etas or self.flipped:
+            self._refactor()
         x = self.x[: self.n].copy()
         lo, hi = self.lo[: self.n], self.hi[: self.n]
         drift = float(np.maximum(lo - x, x - hi).max(initial=0.0))
