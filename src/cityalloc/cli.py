@@ -605,13 +605,15 @@ def cmd_validate(config: RunConfig) -> int:
                 problems.append(f"fit {fit.year}/{fit.tau}: row count mismatch")
                 continue
             planes = fit.alpha[None, :] + x @ fit.beta.T
+            # relative to the outputs, so a run in large units passes alike
+            tol = max(_AFRIAT_TOL, 1e-12 * float(np.abs(y).max(initial=0.0)))
             viol = float(np.max(planes.diagonal()[:, None] - planes))
-            if viol > _AFRIAT_TOL:
+            if viol > tol:
                 problems.append(
                     f"fit {fit.year}/{fit.tau}: concavity violated by {viol:.2e}")
             resid = y - planes.diagonal()
             gap = np.max(np.abs(resid - (fit.eps_plus - fit.eps_minus)))
-            if gap > _AFRIAT_TOL or min(fit.eps_plus.min(), fit.eps_minus.min()) < -1e-9:
+            if gap > tol or min(fit.eps_plus.min(), fit.eps_minus.min()) < -1e-9:
                 problems.append(f"fit {fit.year}/{fit.tau}: residual split broken")
         return problems
 

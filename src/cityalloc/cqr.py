@@ -11,19 +11,19 @@ The full program has N^2 cross rows but only a handful bind at the
 optimum, and the binding rows join nearby observations. So the solve
 runs on the LP dual with delayed generation: start from the cross rows
 between each observation and its nearest neighbours (Lee, Johnson,
-Moreno-Centeno & Kuosmanen 2013), add the columns of the most violated
-cross rows in batches, and re-solve warm from the previous basis until
-no violation exceeds 1e-6. Slack nonbasic columns are dropped while the
+Moreno-Centeno & Kuosmanen 2013), append the columns of the most
+violated cross rows in batches to one persistent master, and re-solve
+it from its kept basis until no violation exceeds 1e-6. Slack nonbasic columns are dropped while the
 working set is large; dropping switches off for good once progress
 stalls, after which the working set only grows and termination is
 guaranteed.
 
-A grid of taus is fitted in ascending order, each fit carrying the
-previous one's working set and final basis (Koenker & d'Orey 1987 solve
-linear quantile regression parametrically in tau the same way). A new
-tau moves only the box bounds of the dual's u block, so the old basis
-stays dual feasible and the solver re-enters it through the dual
-simplex; only the first tau of a grid starts cold.
+A grid of taus is fitted in ascending order on that one master, each
+fit carrying the previous one's working set and final basis (Koenker &
+d'Orey 1987 solve linear quantile regression parametrically in tau the
+same way). A new tau moves only the box bounds of the dual's u block in
+place, so the old basis stays dual feasible and the solver re-enters it
+through the dual simplex; only the first tau of a grid starts cold.
 """
 
 import math
@@ -33,13 +33,12 @@ import numpy as np
 import scipy.sparse as sp
 
 from .solver import (
-    BASIS_AT_LOWER,
     BASIS_BASIC,
     EQ,
     LE,
-    BasisStart,
     LinearProgram,
-    SolverError,
+    Master,
+    _delayed_generation,
     solve_lp,
 )
 
@@ -137,106 +136,89 @@ def _neighbour_pairs(x):
 
 
 def _dual_master(x, y, tau, weights, pairs, crs):
-    """Restricted dual of the frontier LP.
+    """Restricted dual of the frontier LP, as a Master.
 
     Dual variables: u_i in [-(1-tau)k_i, tau*k_i] for the regression
     equalities, k_i being observation i's weight in the pinball loss,
     and w >= 0, one per generated cross row (i, h). Row blocks: one
     equality per alpha_i (absent under crs) and one inequality per
-    beta_{i,f}. Primal planes are read back off the row duals.
+    beta_{i,f}. Primal planes are read back off the row duals. Each row
+    is scaled by the largest coefficient any w column can put in it: 1
+    on the alpha rows, max_i x[i, f] on beta row (h, f).
     """
     n, d = x.shape
     base = 0 if crs else n
-    nw = len(pairs)
-    cost = np.concatenate([y, np.zeros(nw)])
-    lower = np.concatenate([-(1.0 - tau) * weights, np.zeros(nw)])
-    upper = np.concatenate([tau * weights, np.full(nw, np.inf)])
-    rows = []
-    cols = []
-    vals = []
-    if not crs:
-        rows.append(np.arange(n))
-        cols.append(np.arange(n))
-        vals.append(np.ones(n))
-    rows.append(base + np.arange(n * d))
-    cols.append(np.repeat(np.arange(n), d))
-    vals.append(x.ravel())
-    if nw:
-        i, h = pairs[:, 0], pairs[:, 1]
-        wid = n + np.arange(nw)
-        if not crs:
-            rows.append(i)
-            cols.append(wid)
-            vals.append(np.full(nw, -1.0))
-            rows.append(h)
-            cols.append(wid)
-            vals.append(np.ones(nw))
-        for f in range(d):
-            rows.append(base + i * d + f)
-            cols.append(wid)
-            vals.append(-x[i, f])
-            rows.append(base + h * d + f)
-            cols.append(wid)
-            vals.append(x[i, f])
+    rows = [base + np.arange(n * d)] + ([] if crs else [np.arange(n)])
+    cols = [np.repeat(np.arange(n), d)] + ([] if crs else [np.arange(n)])
+    vals = [x.ravel()] + ([] if crs else [np.ones(n)])
     a = sp.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(base + n * d, n + nw),
+        shape=(base + n * d, n),
     )
-    rel = np.array([EQ] * base + [LE] * (n * d))
-    return LinearProgram("max", cost, a, rel, np.zeros(base + n * d),
-                         lower=lower, upper=upper)
+    lp = LinearProgram("max", y, a, [EQ] * base + [LE] * (n * d),
+                       np.zeros(base + n * d), lower=-(1.0 - tau) * weights,
+                       upper=tau * weights)
+    norm = np.concatenate([np.ones(base), np.tile(np.abs(x).max(axis=0), n)])
+    master = Master(lp, row_norm=norm)
+    _add_pairs(master, x, pairs, crs)
+    return master
+
+
+def _add_pairs(master, x, pairs, crs):
+    """Append the w columns of cross rows (i, h) at zero."""
+    n, d = x.shape
+    base = 0 if crs else n
+    i, h = pairs[:, 0], pairs[:, 1]
+    rows = [base + i[:, None] * d + np.arange(d), base + h[:, None] * d + np.arange(d)]
+    vals = [-x[i], x[i]]
+    if not crs:
+        rows += [i[:, None], h[:, None]]
+        vals += [np.full((len(i), 1), -1.0), np.ones((len(i), 1))]
+    rows, vals = np.hstack(rows), np.hstack(vals)
+    cols = np.repeat(np.arange(len(i)), rows.shape[1])
+    master.append_columns(
+        sp.csc_matrix((vals.ravel(), (rows.ravel(), cols)), shape=(base + n * d, len(i))),
+        np.zeros(len(i)))
 
 
 @dataclass(eq=False)
 class _Carry:
-    """Working set and start that the previous fit of a tau sweep left."""
+    """The master and working set that the previous fit of a tau sweep left."""
 
     pairs: np.ndarray | None = None
-    start: BasisStart | None = None
-
-
-def _next_start(pairs, res, seed, viol, tolerance):
-    """Working set and start for the next tau of a sweep.
-
-    This fit's final pairs and basis, plus the seed pairs they lack
-    whose cross rows hold to within the solver tolerance, entering at
-    BASIS_AT_LOWER: those price dual feasible, and a new tau moves only
-    the u block's bounds, so the whole start stays dual feasible.
-    """
-    n = len(viol)
-    have = pairs[:, 0] * n + pairs[:, 1]
-    fresh = ~np.isin(seed[:, 0] * n + seed[:, 1], have)
-    extra = seed[fresh & (viol[seed[:, 0], seed[:, 1]] <= tolerance)]
-    cs = np.concatenate([res.column_status,
-                         np.full(len(extra), BASIS_AT_LOWER, dtype=np.int8)])
-    return np.vstack([pairs, extra]), BasisStart(cs, res.row_status)
+    master: Master | None = None
 
 
 def _generate(x, y, tau, weights, crs, tolerance, carry=None):
     """Delayed cross-row generation; returns (alpha, beta, objective).
 
-    With a ``carry`` holding an earlier fit's state the first master
-    starts from it, and the carry receives the start for the next tau.
+    With a ``carry`` holding an earlier fit's master, this fit moves the
+    u bounds to its tau and resumes from the master's basis; the carry
+    then receives the master for the next tau, with the seed pairs it
+    lacks appended.
     """
     n, d = x.shape
     base = 0 if crs else n
     cap = 5 * n
     per_obs = 3
     seed = _neighbour_pairs(x)
-    pairs, start = seed, None
-    if carry is not None and carry.start is not None:
-        pairs, start = carry.pairs, carry.start
+    if carry is not None and carry.master is not None:
+        master, pairs = carry.master, carry.pairs
+        master.set_bounds(np.arange(n), -(1.0 - tau) * weights, tau * weights)
+    else:
+        master, pairs = _dual_master(x, y, tau, weights, seed, crs), seed
     dropping = True
     stall = 0
     prev_obj = -np.inf
     hist = []
-    for _ in range(_MAX_ROUNDS):
-        res = solve_lp(_dual_master(x, y, tau, weights, pairs, crs),
-                       tolerance=tolerance, start=start)
-        if res.status != "optimal":
-            raise SolverError(f"frontier master came back {res.status}")
+
+    def planes(res):
         alpha = np.zeros(n) if crs else res.dual_values[:n]
-        beta = res.dual_values[base:].reshape(n, d)
+        return alpha, res.dual_values[base:].reshape(n, d)
+
+    def price(res):
+        nonlocal pairs, dropping, stall, prev_obj
+        alpha, beta = planes(res)
         fit_at = alpha[None, :] + x @ beta.T
         own = fit_at.diagonal()
         viol = own[:, None] - fit_at
@@ -247,9 +229,15 @@ def _generate(x, y, tau, weights, crs, tolerance, carry=None):
         nviol = int((open_ > _VIOL_TOL).sum())
         if nviol == 0:
             if carry is not None:
-                carry.pairs, carry.start = _next_start(pairs, res, seed, viol,
-                                                       tolerance)
-            return alpha, beta, res.objective_value
+                # seed pairs whose cross rows hold to within the solver
+                # tolerance price dual feasible at zero, and a new tau
+                # moves only the u bounds: the master stays dual feasible
+                have = pairs[:, 0] * n + pairs[:, 1]
+                fresh = ~np.isin(seed[:, 0] * n + seed[:, 1], have)
+                extra = seed[fresh & (viol[seed[:, 0], seed[:, 1]] <= tolerance)]
+                _add_pairs(master, x, extra, crs)
+                carry.pairs, carry.master = np.vstack([pairs, extra]), master
+            return True
         # Two stall signals disable dropping permanently: the objective
         # creeping below 1e-7 relative for 3 rounds, or the violation
         # count failing to fall 25% over a 20-round window. Either one
@@ -284,23 +272,21 @@ def _generate(x, y, tau, weights, crs, tolerance, carry=None):
                 if open_[h, i] > _VIOL_TOL and (h, i) not in seen:
                     seen.add((h, i))
                     batch.append((h, i))
-        batch = np.asarray(batch[:cap], dtype=np.int64)
-        cs = res.column_status
-        cs_u, cs_w = cs[:n], cs[n:]
+        batch = np.asarray(batch[:cap], dtype=np.int64).reshape(-1, 2)
         if dropping and len(pairs) > 4 * n:
             # only nonbasic strictly-slack columns leave: the surviving
             # basis stays optimal, so master objectives never regress
             slack = -viol[pairs[:, 0], pairs[:, 1]]
-            keep = (cs_w == BASIS_BASIC) | (slack <= 1e-7 * (1 + np.abs(own).mean()))
+            keep = (res.column_status[n:] == BASIS_BASIC) \
+                | (slack <= 1e-7 * (1 + np.abs(own).mean()))
+            master.drop_columns(np.concatenate([np.ones(n, dtype=bool), keep]))
             pairs = pairs[keep]
-            cs_w = cs_w[keep]
-        if len(batch):
-            pairs = np.vstack([pairs, batch])
-        cs_new = np.concatenate(
-            [cs_u, cs_w, np.full(len(batch), BASIS_AT_LOWER, dtype=np.int8)])
-        start = BasisStart(cs_new, res.row_status)
-    raise SolverError(
-        f"cross-row generation did not converge within {_MAX_ROUNDS} rounds")
+        _add_pairs(master, x, batch, crs)
+        pairs = np.vstack([pairs, batch])
+        return False
+
+    res = _delayed_generation(master, solve_lp, tolerance, price, _MAX_ROUNDS)
+    return (*planes(res), res.objective_value)
 
 
 def fit_cqr(x, y, tau, crs=False, year=0, tolerance=1e-7,
@@ -322,7 +308,7 @@ def fit_cqr(x, y, tau, crs=False, year=0, tolerance=1e-7,
     Returns a QuantileFit whose planes satisfy every cross-observation
     inequality to within 1e-6 and whose residual split reproduces the
     (weighted) pinball objective. ``_carry`` is fit_all_quantiles'
-    hand-over of the previous tau's working set and basis.
+    hand-over of the previous tau's master and working set.
     """
     x, y, weights = _check_inputs(x, y, tau, weights)
     alpha, beta, obj = _generate(x, y, tau, weights, crs, tolerance, _carry)
@@ -356,10 +342,11 @@ def fit_all_quantiles(x, y, quantile_grid=None, crs=False, year=0,
                       tolerance=1e-7, weights=None):
     """Fit one frontier per grid value; default grid 0.05, 0.15, ..., 0.95.
 
-    The fits run in ascending tau. The first starts cold from the
-    nearest-neighbour seed; each later one starts from the previous
-    fit's final working set (plus the seed pairs it lacks) and final
-    basis, which the solver re-enters through the dual simplex.
+    The fits run in ascending tau on one master. The first starts cold
+    from the nearest-neighbour seed; each later one moves the u bounds
+    to its tau and resumes from the previous fit's final working set
+    (plus the seed pairs it lacks) and basis, which the solver re-enters
+    through the dual simplex.
     """
     grid = _as_grid(quantile_grid)
     carry = _Carry()

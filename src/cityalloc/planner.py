@@ -22,8 +22,8 @@ outputs and inputs.  Four exact solution strategies split the work:
   integral count of active pseudo-cities per decile, exact at any size
   by concavity;
 * everything else runs the per-city LP through its dual, pricing
-  technology planes in as columns; a new column enters at zero, so
-  each round warm-starts from the previous optimal basis.
+  technology planes in as columns of one persistent master; a new
+  column enters at zero, so each round resumes from the kept basis.
 
 All four land on the same post-solve certificate: outputs on or under
 the envelope, resource rows honored, inactive cities at rest.
@@ -38,7 +38,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .cqr import QuantileFit, dedup_hyperplanes
-from .solver import BASIS_AT_LOWER, BasisStart, LinearProgram, solve_integer, solve_lp
+from .solver import EQ, GE, LinearProgram, Master, _delayed_generation, solve_integer, solve_lp
 # unused here: perfbench/trace.py patches cityalloc.planner.solve_milp, so the
 # import (and solver.solve_milp) can go once the benchmark drops that site
 from .solver import solve_milp  # noqa: F401
@@ -346,7 +346,7 @@ def _build_solution(scn, geo, y, x, b, objective) -> AllocationSolution:
 
 
 class _DualMaster:
-    """Column store for the dual of one per-city LP.
+    """The dual of one per-city LP, kept as a Master across its rounds.
 
     The LP is max sum_i y_i over planes y_i - beta_h . x_i <= alpha_eff[i, h]
     and resource rows sum_i w_r x_ir <= T_r (T_r / 10 per decile when
@@ -355,70 +355,58 @@ class _DualMaster:
     sum w_r mu_r - sum_h beta_hr lambda_ih >= 0 (dual of x_ir).  Each
     generated plane appends a lambda column, which enters at zero, so
     the last optimal basis stays feasible; y and x are the row duals.
+    Rows are scaled by the largest coefficient they can ever hold: 1 on
+    the y rows, max(w_r, max_h beta_hr over the city's decile) on x row
+    (i, r).
     """
 
     def __init__(self, scn: PlannerScenario, geo: _Geo):
-        self.scn = scn
         self.geo = geo
-        self.n = int(geo.counts.sum())
-        self.nr = geo.rcols.size
-
-        self._rows_i: list[int] = []
-        self._cols: list[int] = []
-        self._vals: list[float] = []
-        self._cost: list[float] = []
-        self._structural()
+        self.n = n = int(geo.counts.sum())
+        self.nr = nr = geo.rcols.size
         self.added = [np.zeros((geo.counts[d], t.n_planes), dtype=bool)
                       for d, t in enumerate(scn.technologies)]
+        # one mu column per resource row, per decile when local
+        spans = list(zip(geo.starts[:-1], geo.starts[1:])) if scn.is_local else [(0, n)]
+        rows, cols, cost = [], [], []
+        for r in range(nr):
+            for lo, hi in spans:
+                rows.append(n + np.arange(lo, hi) * nr + r)
+                cols.append(np.full(hi - lo, len(cost)))
+                cost.append(geo.totals[r] / (_LOCAL_SHARES if scn.is_local else 1))
+        vals = np.repeat(geo.weights, n)
+        m = n * (1 + nr)
+        mat = sp.csr_matrix((vals, (np.concatenate(rows), np.concatenate(cols))),
+                            shape=(m, len(cost)))
+        norm = np.concatenate([np.ones(n)] + [
+            np.tile(np.maximum(geo.weights, geo.beta_r[d].max(axis=0)), geo.counts[d])
+            for d in range(len(geo.counts))])
+        self.master = Master(LinearProgram(
+            "min", cost, mat, [EQ] * n + [GE] * (m - n),
+            np.concatenate([np.ones(n), np.zeros(m - n)])), row_norm=norm)
 
-    def _xrow(self, i, r):
-        return self.n + i * self.nr + r
-
-    def _put(self, rows, vals, cost):
-        self._cols.extend([len(self._cost)] * len(rows))
-        self._rows_i.extend(rows)
-        self._vals.extend(vals)
-        self._cost.append(cost)
-
-    def _structural(self):
-        # one mu column per resource row
-        scn, geo = self.scn, self.geo
-        for r in range(self.nr):
-            if scn.is_local:
-                for d in range(len(geo.counts)):
-                    span = range(geo.starts[d], geo.starts[d + 1])
-                    self._put([self._xrow(i, r) for i in span],
-                              [geo.weights[r]] * len(span),
-                              geo.totals[r] / _LOCAL_SHARES)
-            else:
-                self._put([self._xrow(i, r) for i in range(self.n)],
-                          [geo.weights[r]] * self.n, geo.totals[r])
-
-    def add_plane(self, d, local_i, h):
-        geo = self.geo
-        i = geo.starts[d] + local_i
-        self._put([i] + [self._xrow(i, r) for r in range(self.nr)],
-                  [1.0] + list(-geo.beta_r[d][h]),
-                  geo.alpha_eff[d][local_i, h])
-        self.added[d][local_i, h] = True
+    def add_planes(self, planes):
+        """Append one lambda column per (decile, city, plane) triple."""
+        geo, n, nr = self.geo, self.n, self.nr
+        i = np.array([geo.starts[d] + local_i for d, local_i, _ in planes])
+        beta = np.array([geo.beta_r[d][h] for d, _, h in planes]).reshape(-1, nr)
+        cost = [geo.alpha_eff[d][local_i, h] for d, local_i, h in planes]
+        rows = np.column_stack([i, n + i[:, None] * nr + np.arange(nr)])
+        vals = np.column_stack([np.ones(len(i)), -beta])
+        cols = np.repeat(np.arange(len(i)), 1 + nr)
+        self.master.append_columns(
+            sp.csc_matrix((vals.ravel(), (rows.ravel(), cols)), shape=(n * (1 + nr), len(i))),
+            cost)
+        for d, local_i, h in planes:
+            self.added[d][local_i, h] = True
 
     def seed(self):
         # one plane per pseudo-city: the binding one at an equal share
         geo = self.geo
         share = geo.totals / max(self.n, 1)
-        for d in range(len(geo.counts)):
-            vals = geo.alpha_eff[d] + (geo.beta_r[d] @ share)[None, :]
-            best = np.argmin(vals, axis=1)
-            for local_i, h in enumerate(best):
-                self.add_plane(d, local_i, int(h))
-
-    def lp(self) -> LinearProgram:
-        n, m = self.n, self.n * (1 + self.nr)
-        mat = sp.csr_matrix(
-            (self._vals, (self._rows_i, self._cols)), shape=(m, len(self._cost)))
-        return LinearProgram("min", self._cost, mat,
-                             ["="] * n + [">="] * (m - n),
-                             np.concatenate([np.ones(n), np.zeros(m - n)]))
+        self.add_planes([(d, local_i, int(h)) for d in range(len(geo.counts))
+                         for local_i, h in enumerate(np.argmin(
+                             geo.alpha_eff[d] + (geo.beta_r[d] @ share)[None, :], axis=1))])
 
     def split(self, duals):
         y = duals[:self.n]
@@ -443,24 +431,19 @@ class _DualMaster:
 
 def _solve_rows(scn, geo, tolerance):
     """Per-city LP by plane generation on its dual master."""
-    master = _DualMaster(scn, geo)
-    master.seed()
-    basis = None
-    for _ in range(_MAX_GEN_ROUNDS):
-        res = solve_lp(master.lp(), tolerance, basis)
-        if res.status != "optimal":
-            raise PlannerError(f"scenario solve failed with status {res.status!r}")
-        y, x = master.split(res.dual_values)
-        new = master.violations(y, x, _GEN_TOL)
-        if not new:
-            return y, x, np.ones(master.n), res.objective_value
-        for d, local_i, h in new:
-            master.add_plane(d, local_i, h)
-        basis = BasisStart(
-            np.concatenate([res.column_status,
-                            np.full(len(new), BASIS_AT_LOWER, dtype=np.int8)]),
-            res.row_status)
-    raise PlannerError("technology row generation did not converge")
+    dual = _DualMaster(scn, geo)
+    dual.seed()
+
+    def price(res):
+        new = dual.violations(*dual.split(res.dual_values), _GEN_TOL)
+        if new:
+            dual.add_planes(new)
+        return not new
+
+    res = _delayed_generation(dual.master, solve_lp, tolerance, price,
+                              _MAX_GEN_ROUNDS, PlannerError)
+    y, x = dual.split(res.dual_values)
+    return y, x, np.ones(dual.n), res.objective_value
 
 
 def _solve_entry_counts(scn: PlannerScenario, geo: _Geo, tolerance):

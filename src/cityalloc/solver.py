@@ -11,12 +11,14 @@ the objective stalls on degenerate pivots the rule switches to Bland's,
 which rules out cycling, and every remaining tie is broken by lowest
 column index, so repeated solves of the same problem are bit-identical.
 The ratio test is a two-pass bound-relaxation test that prefers large
-pivot elements.  A caller's starting basis that is primal infeasible
-but dual feasible (an optimal basis after its bounds moved) re-enters
-through a bounded dual simplex, with dual devex row pricing, a Harris
-ratio test and a small deterministic cost perturbation against
-degeneracy, until it is primal feasible; the primal loop then finishes
-on the true costs.
+pivot elements.  A Master keeps the scaled problem, the basis and its
+factors between solves, so delayed column generation appends columns,
+drops them or moves bounds in place and re-solves without a rebuild.
+A kept basis that is primal infeasible but dual feasible (an optimal
+basis after its bounds moved) re-enters through a bounded dual simplex,
+with dual devex row pricing, a Harris ratio test and a small
+deterministic cost perturbation against degeneracy, until it is primal
+feasible; the primal loop then finishes on the true costs.
 Integer programs run depth-first branch and bound on top of the LP,
 bounding with the relaxation objective.
 """
@@ -36,8 +38,8 @@ GE = ">="
 _RELATIONS = (LE, EQ, GE)
 
 # Nonbasic/basic variable states.  The first four double as the public
-# basis codes used by BasisStart and SolveResult.*_status; _FIXED is
-# internal and reported as at-lower.
+# basis codes of SolveResult.*_status; _FIXED is internal and reported
+# as at-lower.
 BASIS_BASIC = _BASIC = 0
 BASIS_AT_LOWER = _AT_LOWER = 1
 BASIS_AT_UPPER = _AT_UPPER = 2
@@ -153,34 +155,6 @@ class MixedIntegerProgram:
 
 
 @dataclass(frozen=True, eq=False)
-class BasisStart:
-    """Starting basis for a warm LP solve.
-
-    ``column_status`` holds one BASIS_* code per variable and
-    ``row_status`` one per constraint row (a basic row means its slack
-    is basic).  A start whose basic values leave their bounds but whose
-    reduced costs are dual feasible, as an optimal basis is after a
-    bound change, re-enters through the dual simplex.  Invalid or
-    singular starts, and starts neither primal nor dual feasible, fall
-    back to a cold solve, so feeding a stale basis is never unsafe, just
-    slower.
-    """
-
-    column_status: np.ndarray
-    row_status: np.ndarray
-
-    def __init__(self, column_status, row_status):
-        cs = np.asarray(column_status, dtype=np.int8)
-        rs = np.asarray(row_status, dtype=np.int8)
-        for arr in (cs, rs):
-            if arr.size and (arr.min() < BASIS_BASIC or arr.max() > BASIS_FREE):
-                raise ValueError("basis codes must be BASIS_BASIC..BASIS_FREE")
-            arr.setflags(write=False)
-        object.__setattr__(self, "column_status", cs)
-        object.__setattr__(self, "row_status", rs)
-
-
-@dataclass(frozen=True, eq=False)
 class SolveResult:
     """Solver outcome.
 
@@ -188,11 +162,11 @@ class SolveResult:
     that it approximates the change in ``objective_value`` per unit
     increase of that row's right-hand side (None for integer programs
     and non-optimal statuses).  ``column_status``/``row_status`` give the
-    optimal basis in BASIS_* codes for LPs (None otherwise); pass them
-    as a BasisStart to warm-start a related solve.
-    ``warm_started`` is True when the solve began from the caller's
-    starting basis (directly or through a dual re-entry) rather than
-    falling back to a cold start.
+    optimal basis in BASIS_* codes for LPs (None otherwise).
+    ``warm_started`` is True when the solve began from a Master's kept
+    basis (directly or through a dual re-entry) rather than from a cold
+    crash.  ``iteration_count`` and ``refactorizations``
+    count this solve's own pivots and basis factorizations.
     """
 
     status: str  # "optimal" | "infeasible" | "unbounded"
@@ -203,6 +177,7 @@ class SolveResult:
     column_status: np.ndarray | None = None
     row_status: np.ndarray | None = None
     warm_started: bool = False
+    refactorizations: int = 0
 
     def __post_init__(self):
         self.primal_values.setflags(write=False)
@@ -215,64 +190,142 @@ def _failed(status: str, n: int, iters: int) -> SolveResult:
     return SolveResult(status, np.full(n, np.nan), np.nan, iters)
 
 
-class _Simplex:
-    """One bounded-variable revised simplex solve on a scaled problem."""
+class Master:
+    """A scaled LP whose simplex state lives on between solves.
 
-    def __init__(self, lp: LinearProgram, tolerance: float, start: BasisStart | None = None):
-        self.tol = float(tolerance)
-        self.start = start
+    It keeps the row-scaled CSC matrix [A | slacks] (plus the last cold
+    start's artificials), bounds, costs, the basis, x and the LU/eta
+    factors.  ``solve_lp(master, tolerance)`` resumes from the basis the
+    previous solve left; ``append_columns``, ``drop_columns`` (nonbasic
+    only) and ``set_bounds`` edit it in place and keep basis and factors
+    valid.  Each row is scaled once, to unit max-norm: by ``row_norm``
+    when given (the largest |a_ij| the row will ever hold, appended
+    columns included), else by the rows of ``lp``.  Rows with no
+    coefficients are constant assertions, checked at solve time and
+    otherwise dropped.
+    """
+
+    def __init__(self, lp: LinearProgram, row_norm=None):
         self.n = lp.n_variables
         self.sense_sign = 1.0 if lp.sense == "min" else -1.0
-        self.c_orig = lp.objective
-
         rows = lp.rows.tocsr()
-        rel = lp.relations
-        b = lp.rhs.astype(np.float64).copy()
-
-        # Rows with no coefficients cannot enter the basis system; they are
-        # constant assertions checked here and dropped.
-        norms = np.zeros(rows.shape[0])
-        if rows.nnz:
-            absrows = abs(rows)
-            norms = np.asarray(absrows.max(axis=1).todense()).ravel()
-        self.trivially_infeasible = False
+        if row_norm is None:
+            row_norm = np.zeros(rows.shape[0])
+            if rows.nnz:
+                row_norm = np.asarray(abs(rows).max(axis=1).todense()).ravel()
+        norms = np.asarray(row_norm, dtype=np.float64)
         keep = norms > 0.0
-        for i in np.nonzero(~keep)[0]:
-            r, bi = rel[i], b[i]
-            ok = (r == LE and bi >= -self.tol) or (r == GE and bi <= self.tol) \
-                or (r == EQ and abs(bi) <= self.tol)
-            if not ok:
-                self.trivially_infeasible = True
+        rel, b = lp.relations[~keep], lp.rhs[~keep]
+        self.empty_violation = float(np.max(
+            np.where(rel == LE, -b, np.where(rel == GE, b, np.abs(b))), initial=0.0))
         self.n_rows_orig = rows.shape[0]
         self.keep = keep
-        rows, rel, b = rows[keep], rel[keep], b[keep]
-        m = rows.shape[0]
+        self.rel, b = lp.relations[keep], lp.rhs[keep]
+        self.m = self.rel.size
+        self.scale = 1.0 / norms[keep]  # feasibility tolerances apply after it
+        self.b = self.scale * b
 
-        # Unit max-norm row scaling; feasibility tolerances apply after it.
-        scale = 1.0 / norms[keep] if m else np.ones(0)
-        A = sp.diags(scale) @ rows if m else rows
-        self.b = scale * b
-        self.m = m
-        self.rel = rel
-        self.scale = scale
-
-        ineq = np.nonzero(rel != EQ)[0]
-        slack_sign = np.where(rel[ineq] == LE, 1.0, -1.0)
-        n_slack = ineq.size
-        slack_mat = sp.csc_matrix((slack_sign, (ineq, np.arange(n_slack))), shape=(m, n_slack))
+        ineq = np.nonzero(self.rel != EQ)[0]
+        slack_sign = np.where(self.rel[ineq] == LE, 1.0, -1.0)
         self.ineq_rows = ineq
-
-        self.A_struct = A.tocsc()
+        self.n_slack = ineq.size
+        slack_mat = sp.csc_matrix((slack_sign, (ineq, np.arange(ineq.size))),
+                                  shape=(self.m, ineq.size))
         # [A | slacks], the columns every starting basis draws from
-        self.core = sp.hstack([self.A_struct, slack_mat]).tocsc() if n_slack \
-            else self.A_struct
-        self.n_slack = n_slack
-        # Core bounds/costs cover structural variables plus slacks; _crash
-        # extends them with artificials and may run twice, so keep these pristine.
-        self.lo_core = np.concatenate([lp.lower, np.zeros(n_slack)])
-        self.hi_core = np.concatenate([lp.upper, np.full(n_slack, np.inf)])
-        self.c_core = np.concatenate([self.sense_sign * lp.objective, np.zeros(n_slack)])
-        self.iters = 0
+        self.core = sp.hstack([self._scaled(rows), slack_mat], format="csc")
+        # bounds, costs, x and status run over [A | slacks | artificials]
+        self.lo = np.concatenate([lp.lower, np.zeros(self.n_slack)])
+        self.hi = np.concatenate([lp.upper, np.full(self.n_slack, np.inf)])
+        self.cost = np.concatenate([self.sense_sign * lp.objective, np.zeros(self.n_slack)])
+        self.x = np.zeros(self.lo.size)
+        self.status = np.full(self.lo.size, _AT_LOWER, dtype=np.int8)
+        self.basis = None  # none kept: the next solve starts cold
+        self.iters = self.refactors = 0
+        self._extend(None)
+
+    @property
+    def n_core(self) -> int:
+        return self.n + self.n_slack
+
+    def _scaled(self, cols) -> sp.csc_matrix:
+        """Columns given over the LP's rows, on the kept rows, scaled."""
+        cols = sp.csr_matrix(cols, dtype=np.float64)[self.keep]
+        return (sp.diags(self.scale) @ cols).tocsc() if self.m else cols.tocsc()
+
+    def _extend(self, art):
+        """Set [A | slacks | artificials] and its row-major transpose."""
+        self.art = art
+        self.A_ext = self.core if art is None else sp.hstack([self.core, art], format="csc")
+        self.AT = self.A_ext.T  # CSR over the same arrays
+        self.n_ext = self.A_ext.shape[1]
+
+    # -- in-place edits ----------------------------------------------------------
+
+    def append_columns(self, cols, cost):
+        """Add structural columns after the last one, with bounds [0, inf),
+        nonbasic at zero.  ``cols`` has one row per row of the original
+        LP.  The kept basis, its values and its factors stay valid; the
+        row scale does not change."""
+        cols = sp.csc_matrix(cols, dtype=np.float64)
+        k = cols.shape[1]
+        cost = np.asarray(cost, dtype=np.float64).ravel()
+        if cols.shape[0] != self.n_rows_orig or cost.size != k or not np.all(np.isfinite(cost)):
+            raise ValueError("appended columns must match the rows and have finite costs")
+        at = self.n
+        core = self.core
+        self.core = sp.hstack([core[:, :at], self._scaled(cols), core[:, at:]], format="csc")
+        for name, vals in (("lo", 0.0), ("hi", np.inf), ("cost", self.sense_sign * cost),
+                           ("x", 0.0), ("status", _AT_LOWER)):
+            setattr(self, name, np.insert(getattr(self, name), at, np.broadcast_to(vals, k)))
+        self.n += k
+        self._extend(self.art)
+        if self.basis is not None:
+            self.basis[self.basis >= at] += k
+
+    def drop_columns(self, keep):
+        """Remove the structural columns where ``keep`` is False.  They
+        must be nonbasic; the kept basis and its factors stay valid."""
+        keep = np.asarray(keep, dtype=bool)
+        if keep.shape != (self.n,):
+            raise ValueError("drop mask must have one entry per column")
+        full = np.ones(self.n_ext, dtype=bool)
+        full[: self.n] = keep
+        moved = np.any(self.x[: self.n][~keep] != 0.0)
+        if self.basis is not None:
+            if not full[self.basis].all():
+                raise ValueError("basic columns cannot be dropped")
+            self.basis = (np.cumsum(full) - 1)[self.basis]
+        self.core = self.core[:, np.nonzero(full[: self.n_core])[0]]
+        for name in ("lo", "hi", "cost", "x", "status"):
+            setattr(self, name, getattr(self, name)[full])
+        self.n = int(keep.sum())
+        self._extend(self.art)
+        if moved:
+            self._recompute_basics()
+
+    def set_bounds(self, cols, lower, upper):
+        """New bounds on structural columns ``cols``.  Nonbasic ones move
+        to the matching bound and the basic values follow through the
+        kept factors; the next solve re-enters from there."""
+        cols = np.asarray(cols, dtype=np.int64).ravel()
+        lower = np.broadcast_to(np.asarray(lower, dtype=np.float64), cols.shape)
+        upper = np.broadcast_to(np.asarray(upper, dtype=np.float64), cols.shape)
+        if np.any((cols < 0) | (cols >= self.n)) or np.any(np.isnan(lower)) \
+                or np.any(np.isnan(upper)) or np.any(lower > upper):
+            raise ValueError("bounds must be ordered, not NaN and on existing columns")
+        self.lo[cols] = lower
+        self.hi[cols] = upper
+        st = self.status[cols]
+        lo_f, hi_f = np.isfinite(lower), np.isfinite(upper)
+        new = np.where(lower == upper, _FIXED,
+                       np.where(hi_f & ((st == _AT_UPPER) | ~lo_f), _AT_UPPER,
+                                np.where(lo_f, _AT_LOWER, _FREE)))
+        new = np.where(st == _BASIC, _BASIC, new)
+        self.status[cols] = new
+        self.x[cols] = np.where(new == _BASIC, self.x[cols],
+                                np.where(new == _AT_UPPER, upper,
+                                         np.where(new == _FREE, 0.0, lower)))
+        self._recompute_basics()
 
     # -- basis linear algebra ------------------------------------------------
 
@@ -282,13 +335,19 @@ class _Simplex:
             self.lu = splu(B.tocsc())
         except RuntimeError as exc:  # singular basis: numerical breakdown
             raise SolverError(f"basis factorization failed: {exc}") from None
+        self.refactors += 1
         self.etas = []
         self.flipped = False  # a bound flip moves x without adding an eta
         # Recompute basic values from scratch to shed accumulated drift.
+        self._recompute_basics()
+
+    def _recompute_basics(self):
+        """Basic values from the nonbasic ones, through the current factors."""
+        if self.basis is None:
+            return
         vals = self.x.copy()
         vals[self.basis] = 0.0
-        rhs = self.b - self.A_ext @ vals
-        self.x[self.basis] = self.lu.solve(rhs)
+        self.x[self.basis] = self._ftran(self.b - self.A_ext @ vals)
 
     def _ftran(self, v: np.ndarray) -> np.ndarray:
         x = self.lu.solve(v)
@@ -313,8 +372,8 @@ class _Simplex:
     # -- crash basis and artificials ------------------------------------------
 
     def _crash(self, triangular: bool = True):
-        n_core = self.n + self.n_slack
-        lo, hi = self.lo_core, self.hi_core
+        n_core = self.n_core
+        lo, hi = self.lo[:n_core], self.hi[:n_core]
         x = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
         status = np.where(np.isfinite(lo), _AT_LOWER,
                           np.where(np.isfinite(hi), _AT_UPPER, _FREE)).astype(np.int8)
@@ -351,25 +410,17 @@ class _Simplex:
         art_rows = [i for i in range(self.m) if basis[i] < 0]
         art_signs = [1.0 if resid[i] >= 0 else -1.0 for i in art_rows]
         n_art = len(art_rows)
-        if n_art:
-            art_mat = sp.csc_matrix((art_signs, (art_rows, np.arange(n_art))),
-                                    shape=(self.m, n_art))
-            self.A_ext = sp.hstack([core, art_mat]).tocsc()
-        else:
-            self.A_ext = core
-        self.AT = self.A_ext.T.tocsr()
-        self.n_ext = n_core + n_art
+        self._extend(sp.csc_matrix((art_signs, (art_rows, np.arange(n_art))),
+                                   shape=(self.m, n_art)) if n_art else None)
         self.lo = np.concatenate([lo, np.zeros(n_art)])
         self.hi = np.concatenate([hi, np.full(n_art, np.inf)])
+        self.cost = np.concatenate([self.cost[:n_core], np.zeros(n_art)])
         self.x = np.concatenate([x, np.zeros(n_art)])
         self.status = np.concatenate([status, np.full(n_art, _BASIC, dtype=np.int8)])
-        self.artificial = np.zeros(self.n_ext, dtype=bool)
-        self.artificial[n_core:] = True
         for k, i in enumerate(art_rows):
             basis[i] = n_core + k
             self.x[n_core + k] = abs(resid[i])
         self.basis = basis
-        self.c_phase2 = np.concatenate([self.c_core, np.zeros(n_art)])
 
     def _triangular_extend(self, core: sp.csc_matrix, x, status, basis):
         """Pivot columns into uncovered rows while the basis stays triangular.
@@ -411,74 +462,59 @@ class _Simplex:
                 if uncov[j2] == 1 and usable[j2]:
                     heapq.heappush(heap, int(j2))
 
-    def _start_from_basis(self, start: BasisStart) -> bool:
-        """Install a caller-supplied basis; False means fall back to cold.
+    def _reenter(self) -> bool:
+        """Resume from the kept basis; False means start cold instead.
 
-        The start is rejected unless it names exactly m basic variables,
-        respects bound finiteness and factorizes.  A start whose basic
-        values lie inside their bounds is accepted as it is.  One that is
-        primal infeasible but prices dual feasible (the old optimal basis
+        A basis whose values lie inside their bounds is taken as it is.
+        One outside them that prices dual feasible (the old optimal basis
         after a bound change, say) re-enters through the bounded dual
-        simplex until it is primal feasible; one that is neither is
-        rejected, so a stale or mismatched basis costs one factorization
-        and a pricing pass and nothing else.
+        simplex until it is primal feasible; one that is neither, or that
+        goes singular on the way, is dropped, at the cost of a pricing
+        pass.  A cold start keeps the iterations spent, so an exhausted
+        iteration limit still raises.
         """
-        cs = start.column_status
-        rs = start.row_status
-        if cs.size != self.n or rs.size != self.n_rows_orig:
-            raise ValueError("starting basis sizes do not match the problem")
-        rs = rs[self.keep]
-        n_core = self.n + self.n_slack
-        lo, hi = self.lo_core, self.hi_core
-        status = np.empty(n_core, dtype=np.int8)
-        status[: self.n] = cs
-        status[self.n:] = rs[self.ineq_rows]
-        if np.any((rs == BASIS_BASIC) & (self.rel == EQ)):
-            return False  # equality rows have no slack to make basic
-        nb = status != _BASIC
-        at_lo = nb & (status == _AT_LOWER)
-        at_hi = nb & (status == _AT_UPPER)
-        free = nb & (status == _FREE)
-        if np.any(at_lo & ~np.isfinite(lo)) or np.any(at_hi & ~np.isfinite(hi)) \
-                or np.any(free & (np.isfinite(lo) | np.isfinite(hi))):
-            return False
-        fixed = np.isfinite(lo) & np.isfinite(hi) & (lo == hi)
-        status[nb & fixed] = _FIXED
-        basis = np.nonzero(status == _BASIC)[0]
-        if basis.size != self.m:
-            return False
-
-        x = np.zeros(n_core)
-        x[at_lo] = lo[at_lo]
-        x[at_hi] = hi[at_hi]
-        x[nb & fixed] = lo[nb & fixed]
-        self.A_ext = self.core
-        self.AT = self.core.T.tocsr()
-        self.n_ext = n_core
-        self.lo = lo.copy()
-        self.hi = hi.copy()
-        self.x = x
-        self.status = status
-        self.artificial = np.zeros(n_core, dtype=bool)
-        self.basis = basis
-        self.c_phase2 = self.c_core
-        self.etas = []
-        try:
-            self._refactor()
-        except SolverError:
-            return False
         if not (self._primal_infeasibility() > 0.0).any():
             return True
-        z = self._reduced_costs(self.c_phase2)
-        can_up, can_dn = self._improving(z, self.c_phase2)
+        z = self._reduced_costs(self.cost)
+        can_up, can_dn = self._improving(z, self.cost)
         if can_up.any() or can_dn.any():
             return False
         try:
-            return self._dual_optimize(self.c_phase2, z)
+            return self._dual_optimize(self.cost, z)
         except SolverError:
-            # a basis gone singular on the way; the cold solve keeps the
-            # iterations spent, so an exhausted iteration limit still raises
             return False
+
+    def _cold_start(self) -> bool:
+        """Crash a basis and drive its artificials out; False means the LP
+        is infeasible."""
+        # Triangular crash first; it assigns basic values only via the
+        # factorization, so fall back to the always-feasible singleton
+        # start if any basic lands outside its bounds (or the basis is bad).
+        self._crash(triangular=True)
+        try:
+            self._refactor()
+            xb = self.x[self.basis]
+            bad = np.any(xb < self.lo[self.basis] - self.tol) \
+                or np.any(xb > self.hi[self.basis] + self.tol)
+        except SolverError:
+            bad = True
+        if bad:
+            self._crash(triangular=False)
+            self._refactor()
+        if self.n_ext == self.n_core:
+            return True
+        c1 = np.zeros(self.n_ext)
+        c1[self.n_core:] = 1.0
+        if self._optimize(c1) != "optimal":
+            raise SolverError("phase-1 subproblem reported unbounded")
+        if float(self.x[self.n_core:].sum()) > self.tol:
+            return False
+        self.lo[self.n_core:] = 0.0
+        self.hi[self.n_core:] = 0.0
+        art = self.status[self.n_core:]
+        self.x[self.n_core:][art != _BASIC] = 0.0
+        art[art != _BASIC] = _FIXED
+        return True
 
     # -- core iteration --------------------------------------------------------
 
@@ -746,48 +782,20 @@ class _Simplex:
 
     # -- driver -----------------------------------------------------------------
 
-    def solve(self) -> SolveResult:
-        if self.trivially_infeasible:
+    def solve(self, tolerance: float) -> SolveResult:
+        """One solve, from the kept basis when there is one."""
+        self.tol = float(tolerance)
+        self.iters = self.refactors = 0
+        if self.empty_violation > self.tol:
             return _failed("infeasible", self.n, 0)
         if self.m == 0:
             return self._solve_unconstrained()
-
-        warm = False
-        if self.start is not None:
-            warm = self._start_from_basis(self.start)
-        if not warm:
-            # Triangular crash first; it assigns basic values only via the
-            # factorization, so fall back to the always-feasible singleton
-            # start if any basic lands outside its bounds (or the basis is bad).
-            self._crash(triangular=True)
-            self.etas = []
-            try:
-                self._refactor()
-                xb = self.x[self.basis]
-                bad = np.any(xb < self.lo[self.basis] - self.tol) \
-                    or np.any(xb > self.hi[self.basis] + self.tol)
-            except SolverError:
-                bad = True
-            if bad:
-                self._crash(triangular=False)
-                self.etas = []
-                self._refactor()
-
-        if self.artificial.any():
-            c1 = np.where(self.artificial, 1.0, 0.0)
-            status = self._optimize(c1)
-            if status != "optimal":
-                raise SolverError("phase-1 subproblem reported unbounded")
-            if float(self.x[self.artificial].sum()) > self.tol:
-                return _failed("infeasible", self.n, self.iters)
-            self.lo[self.artificial] = 0.0
-            self.hi[self.artificial] = 0.0
-            nonbasic_art = self.artificial & (self.status != _BASIC)
-            self.status[nonbasic_art] = _FIXED
-            self.x[self.artificial & (self.status != _BASIC)] = 0.0
-
-        status = self._optimize(self.c_phase2)
-        if status == "unbounded":
+        warm = self.basis is not None and self._reenter()
+        if not warm and not self._cold_start():
+            self.basis = None
+            return _failed("infeasible", self.n, self.iters)
+        if self._optimize(self.cost) == "unbounded":
+            self.basis = None
             return _failed("unbounded", self.n, self.iters)
 
         if self.etas or self.flipped:
@@ -799,21 +807,21 @@ class _Simplex:
             raise SolverError(f"basic variable left its bounds by {drift:.2e}")
         np.clip(x, lo, hi, out=x)
         self._verify(x)
-        objective = float(self.c_orig @ x)
-        y = self._btran(self.c_phase2[self.basis])
+        objective = self.sense_sign * float(self.cost[: self.n] @ x)
+        y = self._btran(self.cost[self.basis])
         duals = np.zeros(self.n_rows_orig)
         duals[self.keep] = self.sense_sign * self.scale * y
         col_stat = self.status[: self.n].astype(np.int8, copy=True)
         col_stat[col_stat == _FIXED] = _AT_LOWER
-        slack_stat = self.status[self.n + 0: self.n + self.n_slack].astype(np.int8, copy=True)
+        slack_stat = self.status[self.n: self.n_core].astype(np.int8, copy=True)
         slack_stat[slack_stat == _FIXED] = _AT_LOWER
         row_stat = np.full(self.n_rows_orig, _AT_LOWER, dtype=np.int8)
         row_stat[np.nonzero(self.keep)[0][self.ineq_rows]] = slack_stat
         return SolveResult("optimal", x, objective, self.iters, duals, col_stat, row_stat,
-                           warm)
+                           warm, self.refactors)
 
     def _verify(self, x: np.ndarray):
-        resid = self.A_struct @ x - self.b
+        resid = self.A_ext[:, : self.n] @ x - self.b
         ok = np.ones(self.m, dtype=bool)
         le = self.rel == LE
         ge = self.rel == GE
@@ -827,8 +835,8 @@ class _Simplex:
             raise SolverError(f"optimal basis violates a row by {worst:.2e} after scaling")
 
     def _solve_unconstrained(self) -> SolveResult:
-        c = self.sense_sign * self.c_orig
-        lo, hi = self.lo_core[: self.n], self.hi_core[: self.n]
+        c = self.cost[: self.n]
+        lo, hi = self.lo[: self.n], self.hi[: self.n]
         x = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
         take_hi = c < 0
         x[take_hi] = hi[take_hi]
@@ -838,23 +846,40 @@ class _Simplex:
         col_stat = np.where(np.isfinite(lo), _AT_LOWER,
                             np.where(np.isfinite(hi), _AT_UPPER, _FREE)).astype(np.int8)
         col_stat[take_hi & np.isfinite(hi)] = _AT_UPPER
-        return SolveResult("optimal", x, float(self.c_orig @ x), 0,
+        return SolveResult("optimal", x, self.sense_sign * float(c @ x), 0,
                            np.zeros(self.n_rows_orig),
                            col_stat, np.full(self.n_rows_orig, _AT_LOWER, dtype=np.int8))
 
 
-def solve_lp(problem: LinearProgram, tolerance: float = 1e-7,
-             start: BasisStart | None = None) -> SolveResult:
+def solve_lp(problem: LinearProgram | Master, tolerance: float = 1e-7) -> SolveResult:
     """Solve an LP to a vertex optimum; statuses are returned, never raised.
 
-    ``start`` warm-starts from a basis of a related problem (same rows,
-    possibly different columns remapped by the caller, possibly other
-    bounds).  A primal infeasible but dual feasible start re-enters
-    through the dual simplex; anything else invalid about it silently
-    degrades to a cold solve.  ``iteration_count`` counts dual and
-    primal pivots alike.
+    A LinearProgram is solved once, cold.  A Master is re-solved from the
+    basis its last solve left, after whatever edits were made since.
+    ``iteration_count`` counts this solve's dual and primal pivots alike.
     """
-    return _Simplex(problem, tolerance, start).solve()
+    master = problem if isinstance(problem, Master) else Master(problem)
+    return master.solve(tolerance)
+
+
+def _delayed_generation(master: Master, solve, tolerance: float, price, max_rounds: int,
+                        error=SolverError) -> SolveResult:
+    """Re-solve ``master`` until ``price`` has nothing left to add.
+
+    Each round is one ``solve(master, tolerance)`` call: callers pass
+    their module's ``solve_lp``, so a solve is counted where it is made.
+    ``price(result)`` edits the master in place (appending violated
+    columns, dropping idle ones) and returns True once nothing is
+    violated; that result is returned.  A master that is not optimal,
+    or no convergence within ``max_rounds`` solves, raises ``error``.
+    """
+    for _ in range(max_rounds):
+        res = solve(master, tolerance)
+        if res.status != "optimal":
+            raise error(f"generation master came back {res.status}")
+        if price(res):
+            return res
+    raise error(f"delayed generation did not converge within {max_rounds} rounds")
 
 
 def _node_lp(lp: LinearProgram, tight: dict[int, tuple[float, float]]) -> LinearProgram:

@@ -5,9 +5,11 @@ import json
 import os
 import shutil
 
+import numpy as np
 import pytest
 
 from cityalloc import cli
+from cityalloc.cqr import fits_from_csv, fits_to_csv
 from cityalloc.solver import SolverError
 
 
@@ -54,6 +56,54 @@ def test_validate_detects_corrupted_artifact(run_dir, tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["validate", "--input", copy]) == cli.EXIT_VALIDATION
     assert "hash mismatch for gains.csv" in capsys.readouterr().out
+
+
+def test_run_in_large_output_units_validates(tmp_path):
+    # validate's concavity slack is relative to the outputs: in grdp x 1e8
+    # a cross row the solver holds to 1e-14 of the outputs missed by
+    # 1.03e-6 against an absolute 1e-6
+    synth_out = str(tmp_path / "synth")
+    assert cli.main(["synth", "--cities", "30", "--years", "2", "--seed", "7",
+                     "--out", synth_out]) == cli.EXIT_OK
+    rows = _rows(os.path.join(synth_out, "synthetic_panel.csv"))
+    for r in rows:
+        r["grdp"] = repr(float(r["grdp"]) * 1e8)
+    panel = str(tmp_path / "large.csv")
+    with open(panel, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    out = str(tmp_path / "out")
+    assert cli.main(["run", "--input", panel, "--out", out, "--jobs", "1"]) == cli.EXIT_OK
+    assert cli.main(["validate", "--input", out]) == cli.EXIT_OK
+
+
+def test_validate_rejects_a_unit_scale_cross_row_miss(run_dir, tmp_path, capsys):
+    # at unit scale the relative slack is still 1e-6: a plane raised until
+    # one cross row misses by 1e-5 fails, with the residual split intact
+    copy = str(tmp_path / "run")
+    shutil.copytree(run_dir, copy)
+    with open(os.path.join(copy, "manifest.json"), encoding="utf-8") as fh:
+        inputs = json.load(fh)["config"]["inputs"]
+    fits = fits_from_csv(os.path.join(copy, "fits.csv"))
+    fit = fits[0]
+    x = cli._panel_arrays(copy, inputs)[fit.year][0]
+    planes = fit.alpha[None, :] + x @ fit.beta.T
+    gap = planes - planes.diagonal()[:, None]  # cross-row slack, row i, plane h
+    np.fill_diagonal(gap, np.inf)
+    i, h = np.unravel_index(np.argmin(gap), gap.shape)
+    shift = gap[i, h] + 1e-5
+    fit.alpha[i] += shift
+    resid = fit.eps_plus[i] - fit.eps_minus[i] - shift
+    fit.eps_plus[i], fit.eps_minus[i] = max(resid, 0.0), max(-resid, 0.0)
+    fits_to_csv(fits, os.path.join(copy, "fits.csv"))
+    capsys.readouterr()
+    assert cli.main(["validate", "--input", copy]) == cli.EXIT_VALIDATION
+    report = capsys.readouterr().out
+    status = next(line for line in report.splitlines() if line.startswith("afriat-rows"))
+    assert status.split()[-1] == "FAIL"
+    assert f"fit {fit.year}/{fit.tau}: concavity violated by 1.00e-05" in report
+    assert "residual split broken" not in report
 
 
 def test_missing_input_is_io_error_with_no_outputs(tmp_path):

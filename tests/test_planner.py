@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+import cityalloc.planner
 import oracles
 from cityalloc.planner import (
     AllocationSolution,
@@ -543,21 +544,39 @@ def test_fixed_factor_rows_match_scipy():
 
 
 def test_fixed_factor_generation_rounds_all_warm_start(monkeypatch):
-    calls = []
+    # one master per scenario: each generation round is one call through
+    # planner.solve_lp on it, every one after the first warm, and no round
+    # builds a LinearProgram
+    calls, rounds, built = [], [], []
+    generate = cityalloc.planner._delayed_generation
+    program = cityalloc.planner.LinearProgram
 
-    def recording(lp, tolerance=1e-7, start=None):
-        res = solve_lp(lp, tolerance, start)
-        calls.append((start is not None, res.warm_started))
+    def recording(master, tolerance=1e-7):
+        res = solve_lp(master, tolerance)
+        calls.append((master, res.warm_started))
         return res
 
+    def counting(master, solve, tolerance, price, *args):
+        def priced(res):
+            rounds.append(res)
+            return price(res)
+        return generate(master, solve, tolerance, priced, *args)
+
+    def building(*args, **kwargs):
+        built.append(1)
+        return program(*args, **kwargs)
+
     monkeypatch.setattr("cityalloc.planner.solve_lp", recording)
+    monkeypatch.setattr("cityalloc.planner._delayed_generation", counting)
+    monkeypatch.setattr("cityalloc.planner.LinearProgram", building)
     scn = fixed_factor_scenario(np.random.default_rng(223), "imperfect",
                                 n_planes=12, counts=(10, 10, 10),
                                 iceberg=0.05, depletion=0.05)
     solve_scenario(scn)
-    started = [warm for given, warm in calls if given]
-    assert len(calls) >= 3 and len(started) == len(calls) - 1
-    assert all(started)
+    assert len(calls) == len(rounds) >= 3
+    assert [warm for _, warm in calls] == [False] + [True] * (len(calls) - 1)
+    assert all(master is calls[0][0] for master, _ in calls)
+    assert len(built) == 1
 
 
 def test_fixed_factor_generation_out_of_rounds_raises(monkeypatch):

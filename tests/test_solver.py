@@ -10,8 +10,8 @@ import scipy.sparse as sp
 import cityalloc.solver
 from cityalloc import (
     BASIS_AT_UPPER,
+    BASIS_AT_LOWER,
     BASIS_BASIC,
-    BasisStart,
     EQ,
     GE,
     LE,
@@ -21,6 +21,7 @@ from cityalloc import (
     solve_lp,
     solve_milp,
 )
+from cityalloc.solver import Master
 
 from oracles import milp_enumerate, scipy_lp, vertex_enumerate
 
@@ -34,6 +35,22 @@ def anchored_lp(rng, n, m, box=4.0):
     hi = np.full(n, box)
     lp = LinearProgram("max", c, a, [LE] * m, b, upper=hi)
     return lp, (c, a, b, np.zeros(n), hi)
+
+
+def kept(lp, column_status, row_status):
+    """A Master of `lp` that keeps the given basis (BASIS_* codes per
+    column and per row) as a solve would leave it: nonbasic columns at
+    the bound their code names, basic values from a fresh factorization."""
+    master = Master(lp)
+    assert master.keep.all()
+    status = np.concatenate([column_status, np.asarray(row_status)[master.ineq_rows]])
+    master.x = np.where(status == BASIS_AT_UPPER, master.hi,
+                        np.where(status == BASIS_AT_LOWER, master.lo, 0.0))
+    fixed = (status != BASIS_BASIC) & (master.lo == master.hi)
+    master.status = np.where(fixed, cityalloc.solver._FIXED, status).astype(np.int8)
+    master.basis = np.nonzero(status == BASIS_BASIC)[0]
+    master._refactor()
+    return master
 
 
 def test_single_variable_corner():
@@ -299,13 +316,17 @@ def test_milp_infeasible():
 
 
 def test_warm_start_same_problem_is_free():
+    # re-solving an optimal master pivots nowhere and refactors nothing:
+    # both counts are per solve, never cumulative
     rng = np.random.default_rng(47)
     lp, _ = anchored_lp(rng, 8, 12)
-    cold = solve_lp(lp)
-    warm = solve_lp(lp, start=BasisStart(cold.column_status, cold.row_status))
+    master = Master(lp)
+    cold = solve_lp(master)
+    warm = solve_lp(master)
     assert warm.status == "optimal"
     assert warm.warm_started and not cold.warm_started
-    assert warm.iteration_count == 0
+    assert cold.iteration_count > 0 and cold.refactorizations > 0
+    assert warm.iteration_count == 0 and warm.refactorizations == 0
     assert abs(warm.objective_value - cold.objective_value) <= 1e-12
 
 
@@ -316,8 +337,7 @@ def test_warm_start_after_perturbation_agrees_with_cold():
         base = solve_lp(lp)
         c2 = c + rng.normal(0.0, 0.05, 6)
         bumped = LinearProgram("max", c2, a, [LE] * len(b), b, upper=hi)
-        warm = solve_lp(bumped, start=BasisStart(base.column_status,
-                                                 base.row_status))
+        warm = solve_lp(kept(bumped, base.column_status, base.row_status))
         cold = solve_lp(bumped)
         assert warm.status == cold.status == "optimal"
         assert abs(warm.objective_value - cold.objective_value) \
@@ -325,17 +345,56 @@ def test_warm_start_after_perturbation_agrees_with_cold():
 
 
 def test_warm_start_with_added_columns():
-    # mimic delayed column generation: extend a solved problem with a
+    # mimic delayed column generation: extend a solved master with a
     # fresh column entering at its lower bound
-    lp = LinearProgram("max", [1.0, 0.5], [[1.0, 1.0]], [LE], [2.0])
-    first = solve_lp(lp)
-    wide = LinearProgram("max", [1.0, 0.5, 2.0],
-                         [[1.0, 1.0, 1.0]], [LE], [2.0])
-    cs = np.concatenate([first.column_status, [1]])  # new column at lower
-    warm = solve_lp(wide, start=BasisStart(cs, first.row_status))
+    master = Master(LinearProgram("max", [1.0, 0.5], [[1.0, 1.0]], [LE], [2.0]))
+    assert solve_lp(master).status == "optimal"
+    master.append_columns([[1.0]], [2.0])
+    warm = solve_lp(master)
     assert warm.status == "optimal"
     assert warm.warm_started
     assert abs(warm.objective_value - 4.0) <= 1e-9
+
+
+def test_master_edits_match_one_shot_and_oracle():
+    # after each in-place edit the master's optimum equals a one-shot
+    # solve of the same LP and the HiGHS optimum
+    rng = np.random.default_rng(227)
+    for _ in range(10):
+        a = rng.normal(0.0, 1.0, (8, 12))
+        b = rng.uniform(1.0, 2.0, 8)  # x = 0 stays feasible under every edit
+        c = rng.normal(0.0, 1.0, 12)
+        upper = np.full(12, 4.0)
+        cols = np.arange(6)
+
+        def lp():
+            return LinearProgram("max", c[cols], a[:, cols], [LE] * 8, b, upper=upper[cols])
+
+        def check():
+            res = solve_lp(master)
+            _, ref, _ = scipy_lp(c[cols], a[:, cols], b,
+                                 bounds=[(0.0, u) for u in upper[cols]])
+            for value in (res.objective_value, solve_lp(lp()).objective_value):
+                assert abs(value - ref) <= 1e-9 * abs(ref)
+            return res
+
+        master = Master(lp())
+        check()
+        master.append_columns(a[:, 6:], c[6:])
+        master.set_bounds(np.arange(6, 12), 0.0, upper[6:])
+        cols = np.arange(12)
+        res = check()
+        assert res.warm_started
+        basic = res.column_status == BASIS_BASIC
+        with pytest.raises(ValueError):
+            master.drop_columns(~basic)
+        keep = basic | (np.cumsum(~basic) > 3)  # three nonbasic columns go
+        master.drop_columns(keep)
+        cols = cols[keep]
+        assert check().warm_started
+        upper[cols] = rng.uniform(0.5, 4.0, cols.size)
+        master.set_bounds(np.arange(cols.size), 0.0, upper[cols])
+        check()
 
 
 def basis_is_primal_infeasible(a, b, upper, start):
@@ -354,27 +413,26 @@ def basis_is_primal_infeasible(a, b, upper, start):
 
 
 def shifted_bound_reentries(rng, count, copies=1):
-    """(lp, start, (c, a, b, upper)): an anchored LP with `copies` copies of
-    each column, shrunk upper bounds, and the optimal basis for its
-    original bounds, which the shrink leaves primal infeasible."""
+    """(master, (c, a, b, upper)): the solved master of an anchored LP with
+    `copies` copies of each column, whose upper bounds then shrink so that
+    its optimal basis leaves them, primal infeasible."""
     found = 0
     while found < count:
         lp, (c, a, b, _, hi) = anchored_lp(rng, 6, 9)
         c, a = np.tile(c, copies), np.tile(a, copies)
-        base = solve_lp(LinearProgram("max", c, a, [LE] * 9, b,
-                                      upper=np.tile(hi, copies)))
-        start = BasisStart(base.column_status, base.row_status)
+        master = Master(LinearProgram("max", c, a, [LE] * 9, b, upper=np.tile(hi, copies)))
+        base = solve_lp(master)
         upper = rng.uniform(2.0, 4.0, c.size)  # the anchor stays feasible
-        if basis_is_primal_infeasible(a, b, upper, start):
+        if basis_is_primal_infeasible(a, b, upper, base):
             found += 1
-            yield LinearProgram("max", c, a, [LE] * 9, b, upper=upper), start, \
-                (c, a, b, upper)
+            master.set_bounds(np.arange(c.size), 0.0, upper)
+            yield master, (c, a, b, upper)
 
 
-def check_reentry(lp, start, data):
+def check_reentry(master, data):
     c, a, b, upper = data
-    warm = solve_lp(lp, start=start)
-    cold = solve_lp(lp)
+    warm = solve_lp(master)
+    cold = solve_lp(LinearProgram("max", c, a, [LE] * len(b), b, upper=upper))
     _, ref, _ = scipy_lp(c, a, b, bounds=[(0.0, u) for u in upper])
     assert warm.status == cold.status == "optimal"
     assert warm.warm_started and warm.iteration_count > 0
@@ -386,8 +444,8 @@ def test_dual_reentry_after_bound_shift():
     # a bound change keeps the old optimal basis dual feasible; the start
     # re-enters through the dual simplex instead of solving cold
     rng = np.random.default_rng(61)
-    for lp, start, data in shifted_bound_reentries(rng, 20):
-        check_reentry(lp, start, data)
+    for master, data in shifted_bound_reentries(rng, 20):
+        check_reentry(master, data)
 
 
 def test_dual_reentry_under_lowest_index_rule(monkeypatch):
@@ -395,25 +453,27 @@ def test_dual_reentry_under_lowest_index_rule(monkeypatch):
     # perturbation dual steps are degenerate; with no stall allowance
     # both loops then run lowest-index
     monkeypatch.setattr(cityalloc.solver, "_PERTURB", 0.0)
-    monkeypatch.setattr(cityalloc.solver._Simplex, "_stall_limit", lambda self: 0)
+    monkeypatch.setattr(cityalloc.solver.Master, "_stall_limit", lambda self: 0)
     rng = np.random.default_rng(71)
-    for lp, start, data in shifted_bound_reentries(rng, 20, copies=3):
-        check_reentry(lp, start, data)
+    for master, data in shifted_bound_reentries(rng, 20, copies=3):
+        check_reentry(master, data)
 
 
 def test_bad_warm_starts_degrade_to_cold():
     rng = np.random.default_rng(59)
-    lp, _ = anchored_lp(rng, 5, 7)
+    lp, (c, a, b, _, hi) = anchored_lp(rng, 5, 7)
     cold = solve_lp(lp)
-    # wrong shape raises; well-formed nonsense silently solves cold
+    # edits that do not fit the problem raise
+    master = Master(lp)
     with pytest.raises(ValueError):
-        solve_lp(lp, start=BasisStart(np.zeros(3, np.int8),
-                                      np.zeros(7, np.int8)))
+        master.append_columns(np.ones((3, 1)), [1.0])
     with pytest.raises(ValueError):
-        BasisStart(np.array([9], np.int8), np.array([0], np.int8))
-    junk = BasisStart(np.full(5, BASIS_BASIC, np.int8),
-                      np.full(7, BASIS_BASIC, np.int8))
-    res = solve_lp(lp, start=junk)
+        master.set_bounds([5], 0.0, 1.0)
+    # every column at its upper bound and every slack basic is neither
+    # primal nor dual feasible: the kept basis is dropped for a cold solve
+    assert np.any(a @ hi > b) and np.any(c < 0.0)
+    junk = kept(lp, np.full(5, BASIS_AT_UPPER, np.int8), np.full(7, BASIS_BASIC, np.int8))
+    res = solve_lp(junk)
     assert res.status == "optimal"
     assert not res.warm_started
     assert abs(res.objective_value - cold.objective_value) <= 1e-9
@@ -430,11 +490,12 @@ def test_failed_reentry_falls_back_to_cold(monkeypatch):
     def singular(self, cost, z):
         raise cityalloc.solver.SolverError("basis factorization failed")
 
-    monkeypatch.setattr(cityalloc.solver._Simplex, "_dual_optimize", singular)
-    lp, start, _ = next(shifted_bound_reentries(np.random.default_rng(73), 1))
-    res = solve_lp(lp, start=start)
+    monkeypatch.setattr(cityalloc.solver.Master, "_dual_optimize", singular)
+    master, (c, a, b, upper) = next(shifted_bound_reentries(np.random.default_rng(73), 1))
+    res = solve_lp(master)
     assert res.status == "optimal" and not res.warm_started
-    assert abs(res.objective_value - solve_lp(lp).objective_value) <= 1e-9
+    cold = solve_lp(LinearProgram("max", c, a, [LE] * len(b), b, upper=upper))
+    assert abs(res.objective_value - cold.objective_value) <= 1e-9
 
 
 def test_roundoff_reduced_costs_do_not_pivot(monkeypatch):
@@ -446,7 +507,7 @@ def test_roundoff_reduced_costs_do_not_pivot(monkeypatch):
     rows = sp.csr_matrix((d["data"], d["indices"], d["indptr"]), shape=tuple(d["shape"]))
     lp = LinearProgram("min", d["objective"], rows, d["relations"], d["rhs"])
     monkeypatch.setattr(cityalloc.solver, "_MAX_ITERS", 1000)
-    warm = solve_lp(lp, start=BasisStart(d["column_status"], d["row_status"]))
+    warm = solve_lp(kept(lp, d["column_status"], d["row_status"]))
     cold = solve_lp(lp)
     assert warm.status == cold.status == "optimal" and warm.warm_started
     assert abs(warm.objective_value - cold.objective_value) <= 1e-9 * abs(cold.objective_value)
