@@ -54,7 +54,7 @@ _FIXTURE = SyntheticSpec(city_count=284, year_count=17, scale=1.0,
                          exponents=(0.35, 0.45), wedge_sigma=0.5,
                          noise_sigma=0.1, seed=7)
 
-_AFRIAT_TOL = 1e-6
+_AFRIAT_TOL = 1e-6  # floor of the concavity slack, 1e-12 of max|y| above it
 _RESOURCE_TOL = 1e-6
 _GAIN_TOL = 1e-12
 
@@ -605,7 +605,6 @@ def cmd_validate(config: RunConfig) -> int:
                 problems.append(f"fit {fit.year}/{fit.tau}: row count mismatch")
                 continue
             planes = fit.alpha[None, :] + x @ fit.beta.T
-            # relative to the outputs, so a run in large units passes alike
             tol = max(_AFRIAT_TOL, 1e-12 * float(np.abs(y).max(initial=0.0)))
             viol = float(np.max(planes.diagonal()[:, None] - planes))
             if viol > tol:

@@ -249,8 +249,12 @@ class Master:
 
     def _scaled(self, cols) -> sp.csc_matrix:
         """Columns given over the LP's rows, on the kept rows, scaled."""
-        cols = sp.csr_matrix(cols, dtype=np.float64)[self.keep]
-        return (sp.diags(self.scale) @ cols).tocsc() if self.m else cols.tocsc()
+        if not self.keep.all():
+            cols = sp.csr_matrix(cols)[self.keep]
+        cols = sp.csc_matrix(cols, dtype=np.float64, copy=True)
+        cols.data *= self.scale[cols.indices]
+        cols.eliminate_zeros()
+        return cols
 
     def _extend(self, art):
         """Set [A | slacks | artificials] and its row-major transpose."""
@@ -266,14 +270,16 @@ class Master:
         nonbasic at zero.  ``cols`` has one row per row of the original
         LP.  The kept basis, its values and its factors stay valid; the
         row scale does not change."""
-        cols = sp.csc_matrix(cols, dtype=np.float64)
-        k = cols.shape[1]
-        cost = np.asarray(cost, dtype=np.float64).ravel()
-        if cols.shape[0] != self.n_rows_orig or cost.size != k or not np.all(np.isfinite(cost)):
+        at, core, new = self.n, self.core, self._scaled(cols)
+        k, cost = new.shape[1], np.asarray(cost, dtype=np.float64).ravel()
+        if new.shape[0] != self.m or cost.size != k or not np.all(np.isfinite(cost)):
             raise ValueError("appended columns must match the rows and have finite costs")
-        at = self.n
-        core = self.core
-        self.core = sp.hstack([core[:, :at], self._scaled(cols), core[:, at:]], format="csc")
+        p = core.indptr[at]  # splice the new columns in before the slacks
+        self.core = sp.csc_matrix((
+            np.concatenate([core.data[:p], new.data, core.data[p:]]),
+            np.concatenate([core.indices[:p], new.indices, core.indices[p:]]),
+            np.concatenate([core.indptr[:at], p + new.indptr, core.indptr[at + 1:] + new.nnz])),
+            shape=(self.m, core.shape[1] + k))
         for name, vals in (("lo", 0.0), ("hi", np.inf), ("cost", self.sense_sign * cost),
                            ("x", 0.0), ("status", _AT_LOWER)):
             setattr(self, name, np.insert(getattr(self, name), at, np.broadcast_to(vals, k)))
@@ -284,24 +290,22 @@ class Master:
 
     def drop_columns(self, keep):
         """Remove the structural columns where ``keep`` is False.  They
-        must be nonbasic; the kept basis and its factors stay valid."""
+        must be nonbasic at zero; the kept basis, its values and its
+        factors stay valid."""
         keep = np.asarray(keep, dtype=bool)
         if keep.shape != (self.n,):
             raise ValueError("drop mask must have one entry per column")
         full = np.ones(self.n_ext, dtype=bool)
         full[: self.n] = keep
-        moved = np.any(self.x[: self.n][~keep] != 0.0)
         if self.basis is not None:
-            if not full[self.basis].all():
-                raise ValueError("basic columns cannot be dropped")
+            if not full[self.basis].all() or np.any(self.x[: self.n][~keep] != 0.0):
+                raise ValueError("only nonbasic columns at zero can be dropped")
             self.basis = (np.cumsum(full) - 1)[self.basis]
         self.core = self.core[:, np.nonzero(full[: self.n_core])[0]]
         for name in ("lo", "hi", "cost", "x", "status"):
             setattr(self, name, getattr(self, name)[full])
         self.n = int(keep.sum())
         self._extend(self.art)
-        if moved:
-            self._recompute_basics()
 
     def set_bounds(self, cols, lower, upper):
         """New bounds on structural columns ``cols``.  Nonbasic ones move
@@ -866,12 +870,11 @@ def _delayed_generation(master: Master, solve, tolerance: float, price, max_roun
                         error=SolverError) -> SolveResult:
     """Re-solve ``master`` until ``price`` has nothing left to add.
 
-    Each round is one ``solve(master, tolerance)`` call: callers pass
+    Each round is one ``solve(master, tolerance)`` call; callers pass
     their module's ``solve_lp``, so a solve is counted where it is made.
-    ``price(result)`` edits the master in place (appending violated
-    columns, dropping idle ones) and returns True once nothing is
-    violated; that result is returned.  A master that is not optimal,
-    or no convergence within ``max_rounds`` solves, raises ``error``.
+    ``price(result)`` edits the master in place and returns True once
+    nothing is violated; that result is returned.  A master that is not
+    optimal, or ``max_rounds`` solves without convergence, raise ``error``.
     """
     for _ in range(max_rounds):
         res = solve(master, tolerance)
