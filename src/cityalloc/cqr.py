@@ -13,10 +13,10 @@ runs on the LP dual with delayed generation: start from the cross rows
 between each observation and its nearest neighbours (Lee, Johnson,
 Moreno-Centeno & Kuosmanen 2013), append the columns of the most
 violated cross rows in batches to one persistent master, and re-solve
-it from its kept basis until no violation exceeds 1e-6. Slack nonbasic columns are dropped while the
-working set is large; dropping switches off for good once progress
-stalls, after which the working set only grows and termination is
-guaranteed.
+it from its kept basis until no violation exceeds 1e-6. Slack nonbasic
+columns are dropped while the working set is large; dropping switches
+off for good once progress stalls, after which the working set only
+grows and termination is guaranteed.
 
 A grid of taus is fitted in ascending order on that one master, each
 fit carrying the previous one's working set and final basis (Koenker &

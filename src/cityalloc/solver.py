@@ -165,8 +165,8 @@ class SolveResult:
     optimal basis in BASIS_* codes for LPs (None otherwise).
     ``warm_started`` is True when the solve began from a Master's kept
     basis (directly or through a dual re-entry) rather than from a cold
-    crash.  ``iteration_count`` and ``refactorizations``
-    count this solve's own pivots and basis factorizations.
+    crash.  ``iteration_count`` and ``refactorizations`` count this
+    solve's own pivots and basis factorizations.
     """
 
     status: str  # "optimal" | "infeasible" | "unbounded"
@@ -197,8 +197,8 @@ class Master:
     start's artificials), bounds, costs, the basis, x and the LU/eta
     factors.  ``solve_lp(master, tolerance)`` resumes from the basis the
     previous solve left; ``append_columns``, ``drop_columns`` (nonbasic
-    only) and ``set_bounds`` edit it in place and keep basis and factors
-    valid.  Each row is scaled once, to unit max-norm: by ``row_norm``
+    at zero) and ``set_bounds`` edit it in place and keep basis and
+    factors valid.  Each row is scaled once, to unit max-norm: by ``row_norm``
     when given (the largest |a_ij| the row will ever hold, appended
     columns included), else by the rows of ``lp``.  Rows with no
     coefficients are constant assertions, checked at solve time and
