@@ -49,7 +49,7 @@ _FIXED = 4
 _REFACTOR_EVERY = 64
 _PIVOT_TOL = 1e-9
 _MAX_ITERS = 500_000
-_STALL_MIN = 100  # see _Simplex._stall_limit
+_STALL_MIN = 100  # see Master._stall_limit
 _COST_ROUNDOFF = 1e-13  # relative roundoff floor on reduced costs
 _PERTURB = 1e-3  # dual-loop cost shift, as a share of the cost scale
 _GOLDEN = 0.6180339887498949  # spreads the shifts over [1, 2) by column

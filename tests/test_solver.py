@@ -9,8 +9,8 @@ import scipy.sparse as sp
 
 import cityalloc.solver
 from cityalloc import (
-    BASIS_AT_UPPER,
     BASIS_AT_LOWER,
+    BASIS_AT_UPPER,
     BASIS_BASIC,
     EQ,
     GE,
