@@ -552,119 +552,118 @@ class Master:
         z = self._reduced_costs(cost)
         z_fresh = len(self.etas) == 0
         weight = np.ones(self.n_ext)  # devex reference weights
-        while True:
-            if self.iters >= _MAX_ITERS:
-                raise SolverError("iteration limit exceeded")
-            if len(self.etas) >= _REFACTOR_EVERY:
-                self._refactor()
-                z = self._reduced_costs(cost)
-                z_fresh = True
-            if bland:
-                # Bland's rule needs reduced costs consistent with the
-                # current basis, so skip the incremental shortcut here.
-                z = self._reduced_costs(cost)
+        with np.errstate(invalid="ignore"):  # ratios over non-blocking entries
+            while True:
+                if self.iters >= _MAX_ITERS:
+                    raise SolverError("iteration limit exceeded")
+                if len(self.etas) >= _REFACTOR_EVERY:
+                    self._refactor()
+                    z = self._reduced_costs(cost)
+                    z_fresh = True
+                if bland:
+                    # Bland's rule needs reduced costs consistent with the
+                    # current basis, so skip the incremental shortcut here.
+                    z = self._reduced_costs(cost)
 
-            can_up, can_dn = self._improving(z, cost)
-            eligible = can_up | can_dn
-            if not eligible.any():
-                if z_fresh or bland:
-                    return "optimal"
-                # Optimality seen on incrementally updated costs: refactor,
-                # reprice exactly, and only then trust the verdict.
-                self._refactor()
-                z = self._reduced_costs(cost)
-                z_fresh = True
-                continue
+                can_up, can_dn = self._improving(z, cost)
+                eligible = can_up | can_dn
+                if not eligible.any():
+                    if z_fresh or bland:
+                        return "optimal"
+                    # Optimality seen on incrementally updated costs: refactor,
+                    # reprice exactly, and only then trust the verdict.
+                    self._refactor()
+                    z = self._reduced_costs(cost)
+                    z_fresh = True
+                    continue
 
-            if bland:
-                q = int(np.nonzero(eligible)[0][0])
-            else:
-                score = np.where(eligible, z * z / weight, -1.0)
-                q = int(np.argmax(score))
-            delta = 1.0 if can_up[q] else -1.0
+                if bland:
+                    q = int(np.nonzero(eligible)[0][0])
+                else:
+                    score = np.where(eligible, z * z / weight, -1.0)
+                    q = int(np.argmax(score))
+                delta = 1.0 if can_up[q] else -1.0
 
-            d = self._ftran(self._column(q))
-            eff = delta * d
-            xB = self.x[self.basis]
-            loB = self.lo[self.basis]
-            hiB = self.hi[self.basis]
-            pos = eff > _PIVOT_TOL
-            neg = eff < -_PIVOT_TOL
-            blocking = pos | neg
-            dist = np.full(self.m, np.inf)
-            dist[pos] = xB[pos] - loB[pos]
-            dist[neg] = hiB[neg] - xB[neg]
-            np.maximum(dist, 0.0, out=dist)
-            aeff = np.abs(eff)
-            with np.errstate(invalid="ignore"):
+                d = self._ftran(self._column(q))
+                eff = delta * d
+                xB = self.x[self.basis]
+                loB = self.lo[self.basis]
+                hiB = self.hi[self.basis]
+                pos = eff > _PIVOT_TOL
+                neg = eff < -_PIVOT_TOL
+                blocking = pos | neg
+                dist = np.full(self.m, np.inf)
+                dist[pos] = xB[pos] - loB[pos]
+                dist[neg] = hiB[neg] - xB[neg]
+                np.maximum(dist, 0.0, out=dist)
+                aeff = np.abs(eff)
                 theta_exact = np.where(blocking, dist / aeff, np.inf)
-            theta_basic = theta_exact.min() if self.m else np.inf
-            flip_range = self.hi[q] - self.lo[q]
+                theta_basic = theta_exact.min() if self.m else np.inf
+                flip_range = self.hi[q] - self.lo[q]
 
-            if not np.isfinite(min(theta_basic, flip_range)):
-                return "unbounded"
+                if not np.isfinite(min(theta_basic, flip_range)):
+                    return "unbounded"
 
-            if flip_range <= theta_basic + 1e-12:
-                # Bound flip: the entering variable crosses its own range
-                # first.  No basis change, so costs and weights stand.
-                self.x[self.basis] = xB - flip_range * eff
-                self.x[q] = self.hi[q] if delta > 0 else self.lo[q]
-                self.status[q] = _AT_UPPER if delta > 0 else _AT_LOWER
-                self.flipped = True
-                self.iters += 1
-                continue
+                if flip_range <= theta_basic + 1e-12:
+                    # Bound flip: the entering variable crosses its own range
+                    # first.  No basis change, so costs and weights stand.
+                    self.x[self.basis] = xB - flip_range * eff
+                    self.x[q] = self.hi[q] if delta > 0 else self.lo[q]
+                    self.status[q] = _AT_UPPER if delta > 0 else _AT_LOWER
+                    self.flipped = True
+                    self.iters += 1
+                    continue
 
-            if bland:
-                cands = np.nonzero(theta_exact <= theta_basic + 1e-12)[0]
-                r = int(cands[np.argmin(self.basis[cands])])
-            else:
-                # Two-pass ratio test: relax each blocking bound by a hair,
-                # then take the largest pivot element among the survivors.
-                with np.errstate(invalid="ignore"):
+                if bland:
+                    cands = np.nonzero(theta_exact <= theta_basic + 1e-12)[0]
+                    r = int(cands[np.argmin(self.basis[cands])])
+                else:
+                    # Two-pass ratio test: relax each blocking bound by a hair,
+                    # then take the largest pivot element among the survivors.
                     relaxed = np.where(blocking, (dist + 1e-9) / aeff, np.inf)
-                tmax = relaxed.min()
-                cands = np.nonzero(theta_exact <= tmax)[0]
-                order = np.lexsort((self.basis[cands], -aeff[cands]))
-                r = int(cands[order[0]])
-            leaving = int(self.basis[r])
+                    tmax = relaxed.min()
+                    cands = np.nonzero(theta_exact <= tmax)[0]
+                    order = np.lexsort((self.basis[cands], -aeff[cands]))
+                    r = int(cands[order[0]])
+                leaving = int(self.basis[r])
 
-            step = theta_exact[r]
-            self.x[self.basis] = xB - step * eff
-            bound = loB[r] if eff[r] > 0 else hiB[r]
-            self.x[leaving] = bound
-            if self.lo[leaving] == self.hi[leaving]:
-                self.status[leaving] = _FIXED
-            else:
-                self.status[leaving] = _AT_LOWER if eff[r] > 0 else _AT_UPPER
-            self.x[q] = self.x[q] + delta * step
+                step = theta_exact[r]
+                self.x[self.basis] = xB - step * eff
+                bound = loB[r] if eff[r] > 0 else hiB[r]
+                self.x[leaving] = bound
+                if self.lo[leaving] == self.hi[leaving]:
+                    self.status[leaving] = _FIXED
+                else:
+                    self.status[leaving] = _AT_LOWER if eff[r] > 0 else _AT_UPPER
+                self.x[q] = self.x[q] + delta * step
 
-            # Pivot row through the current basis inverse, shared by the
-            # devex weight update and the incremental reduced-cost update.
-            rho = np.zeros(self.m)
-            rho[r] = 1.0
-            alpha_row = self.AT @ self._btran(rho)
-            pivot = d[r]
-            w_enter = weight[q]
-            np.maximum(weight, (alpha_row / pivot) ** 2 * w_enter, out=weight)
-            weight[leaving] = max(w_enter / (pivot * pivot), 1.0)
-            if weight.max() > 1e8:
-                weight[:] = 1.0  # reset the reference framework
-            z -= (z[q] / pivot) * alpha_row
-            z[q] = 0.0
-            z_fresh = False
+                # Pivot row through the current basis inverse, shared by the
+                # devex weight update and the incremental reduced-cost update.
+                rho = np.zeros(self.m)
+                rho[r] = 1.0
+                alpha_row = self.AT @ self._btran(rho)
+                pivot = d[r]
+                w_enter = weight[q]
+                np.maximum(weight, (alpha_row / pivot) ** 2 * w_enter, out=weight)
+                weight[leaving] = max(w_enter / (pivot * pivot), 1.0)
+                if weight.max() > 1e8:
+                    weight[:] = 1.0  # reset the reference framework
+                z -= (z[q] / pivot) * alpha_row
+                z[q] = 0.0
+                z_fresh = False
 
-            self.status[q] = _BASIC
-            self.basis[r] = q
-            self.etas.append((r, d, d[r]))
-            self.iters += 1
+                self.status[q] = _BASIC
+                self.basis[r] = q
+                self.etas.append((r, d, d[r]))
+                self.iters += 1
 
-            if step <= 1e-12:
-                stall += 1
-                if stall > stall_limit:
-                    bland = True
-            else:
-                stall = 0
-                bland = False
+                if step <= 1e-12:
+                    stall += 1
+                    if stall > stall_limit:
+                        bland = True
+                else:
+                    stall = 0
+                    bland = False
 
     def _primal_infeasibility(self) -> np.ndarray:
         """Per basic row, how far its value lies outside its bounds (<= 0 inside)."""
@@ -698,91 +697,90 @@ class Master:
         stall = 0
         stall_limit = self._stall_limit()
         weight = np.ones(self.m)  # dual devex reference weights, one per row
-        while True:
-            if self.iters >= _MAX_ITERS:
-                raise SolverError("iteration limit exceeded")
-            if len(self.etas) >= _REFACTOR_EVERY:
-                self._refactor()
-                z = self._reduced_costs(cost)
-            infeas = self._primal_infeasibility()
-            rows = infeas > 0.0
-            if not rows.any():
-                return True
-            if bland:
-                cands = np.nonzero(rows)[0]
-                r = int(cands[np.argmin(self.basis[cands])])
-            else:
-                gap = infeas + self.tol
-                r = int(np.argmax(np.where(rows, gap * gap / weight, -1.0)))
-            leaving = int(self.basis[r])
-            to_lower = self.x[leaving] < self.lo[leaving]
-            sign = 1.0 if to_lower else -1.0
+        with np.errstate(invalid="ignore", divide="ignore"):  # ratios over non-blocking entries
+            while True:
+                if self.iters >= _MAX_ITERS:
+                    raise SolverError("iteration limit exceeded")
+                if len(self.etas) >= _REFACTOR_EVERY:
+                    self._refactor()
+                    z = self._reduced_costs(cost)
+                infeas = self._primal_infeasibility()
+                rows = infeas > 0.0
+                if not rows.any():
+                    return True
+                if bland:
+                    cands = np.nonzero(rows)[0]
+                    r = int(cands[np.argmin(self.basis[cands])])
+                else:
+                    gap = infeas + self.tol
+                    r = int(np.argmax(np.where(rows, gap * gap / weight, -1.0)))
+                leaving = int(self.basis[r])
+                to_lower = self.x[leaving] < self.lo[leaving]
+                sign = 1.0 if to_lower else -1.0
 
-            # Moving the duals along row r changes z_j by sign * t * alpha_rj;
-            # the leaving column's own reduced cost becomes sign * t.
-            rho = np.zeros(self.m)
-            rho[r] = 1.0
-            alpha_row = self.AT @ self._btran(rho)
-            sa = sign * alpha_row
-            st = self.status
-            up_block = ((st == _AT_LOWER) | (st == _FREE)) & (sa < -_PIVOT_TOL)
-            dn_block = ((st == _AT_UPPER) | (st == _FREE)) & (sa > _PIVOT_TOL)
-            blocking = up_block | dn_block
-            if not blocking.any():
-                return False
-            slack = np.maximum(np.where(up_block, z, -z), 0.0)
-            aabs = np.abs(alpha_row)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                ratio = np.where(blocking, slack / aabs, np.inf)
-            if bland:
-                q = int(np.nonzero(ratio <= ratio.min() + 1e-12)[0][0])
-            else:
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    relaxed = np.where(blocking, (slack + 1e-9) / aabs, np.inf)
-                cands = np.nonzero(ratio <= relaxed.min())[0]
-                q = int(cands[np.lexsort((cands, -aabs[cands]))[0]])
-            step = ratio[q]
-
-            d = self._ftran(self._column(q))
-            pivot = d[r]
-            if abs(pivot) < _PIVOT_TOL or pivot * alpha_row[q] <= 0.0:
-                if not self.etas:
+                # Moving the duals along row r changes z_j by sign * t * alpha_rj;
+                # the leaving column's own reduced cost becomes sign * t.
+                rho = np.zeros(self.m)
+                rho[r] = 1.0
+                alpha_row = self.AT @ self._btran(rho)
+                sa = sign * alpha_row
+                st = self.status
+                up_block = ((st == _AT_LOWER) | (st == _FREE)) & (sa < -_PIVOT_TOL)
+                dn_block = ((st == _AT_UPPER) | (st == _FREE)) & (sa > _PIVOT_TOL)
+                blocking = up_block | dn_block
+                if not blocking.any():
                     return False
-                self._refactor()  # row and column disagree: shed the etas
-                z = self._reduced_costs(cost)
-                continue
+                slack = np.maximum(np.where(up_block, z, -z), 0.0)
+                aabs = np.abs(alpha_row)
+                ratio = np.where(blocking, slack / aabs, np.inf)
+                if bland:
+                    q = int(np.nonzero(ratio <= ratio.min() + 1e-12)[0][0])
+                else:
+                    relaxed = np.where(blocking, (slack + 1e-9) / aabs, np.inf)
+                    cands = np.nonzero(ratio <= relaxed.min())[0]
+                    q = int(cands[np.lexsort((cands, -aabs[cands]))[0]])
+                step = ratio[q]
 
-            target = self.lo[leaving] if to_lower else self.hi[leaving]
-            theta = (self.x[leaving] - target) / pivot
-            self.x[self.basis] -= theta * d
-            self.x[leaving] = target
-            self.x[q] += theta
-            if self.lo[leaving] == self.hi[leaving]:
-                self.status[leaving] = _FIXED
-            else:
-                self.status[leaving] = _AT_LOWER if to_lower else _AT_UPPER
+                d = self._ftran(self._column(q))
+                pivot = d[r]
+                if abs(pivot) < _PIVOT_TOL or pivot * alpha_row[q] <= 0.0:
+                    if not self.etas:
+                        return False
+                    self._refactor()  # row and column disagree: shed the etas
+                    z = self._reduced_costs(cost)
+                    continue
 
-            w_leave = weight[r]
-            np.maximum(weight, (d / pivot) ** 2 * w_leave, out=weight)
-            weight[r] = max(w_leave / (pivot * pivot), 1.0)
-            if weight.max() > 1e8:
-                weight[:] = 1.0  # reset the reference framework
-            z += (sign * step) * alpha_row
-            z[q] = 0.0
-            z[leaving] = sign * step
+                target = self.lo[leaving] if to_lower else self.hi[leaving]
+                theta = (self.x[leaving] - target) / pivot
+                self.x[self.basis] -= theta * d
+                self.x[leaving] = target
+                self.x[q] += theta
+                if self.lo[leaving] == self.hi[leaving]:
+                    self.status[leaving] = _FIXED
+                else:
+                    self.status[leaving] = _AT_LOWER if to_lower else _AT_UPPER
 
-            self.status[q] = _BASIC
-            self.basis[r] = q
-            self.etas.append((r, d, pivot))
-            self.iters += 1
+                w_leave = weight[r]
+                np.maximum(weight, (d / pivot) ** 2 * w_leave, out=weight)
+                weight[r] = max(w_leave / (pivot * pivot), 1.0)
+                if weight.max() > 1e8:
+                    weight[:] = 1.0  # reset the reference framework
+                z += (sign * step) * alpha_row
+                z[q] = 0.0
+                z[leaving] = sign * step
 
-            if step <= 1e-12:
-                stall += 1
-                if stall > stall_limit:
-                    bland = True
-            else:
-                stall = 0
-                bland = False
+                self.status[q] = _BASIC
+                self.basis[r] = q
+                self.etas.append((r, d, pivot))
+                self.iters += 1
+
+                if step <= 1e-12:
+                    stall += 1
+                    if stall > stall_limit:
+                        bland = True
+                else:
+                    stall = 0
+                    bland = False
 
     # -- driver -----------------------------------------------------------------
 
