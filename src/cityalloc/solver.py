@@ -263,6 +263,15 @@ class Master:
         self.AT = self.A_ext.T  # CSR over the same arrays
         self.n_ext = self.A_ext.shape[1]
 
+    def _drop_artificials(self):
+        """Forget the last cold start's artificials once none is basic, so
+        later edits stop re-stacking them."""
+        if self.art is None or (self.basis >= self.n_core).any():
+            return
+        for name in ("lo", "hi", "cost", "x", "status"):
+            setattr(self, name, getattr(self, name)[: self.n_core])
+        self._extend(None)
+
     # -- in-place edits ----------------------------------------------------------
 
     def append_columns(self, cols, cost):
@@ -799,6 +808,7 @@ class Master:
         if self._optimize(self.cost) == "unbounded":
             self.basis = None
             return _failed("unbounded", self.n, self.iters)
+        self._drop_artificials()
 
         if self.etas or self.flipped:
             self._refactor()
