@@ -1,8 +1,11 @@
 """Deterministic LP and integer-program solving.
 
 The LP path is a bounded-variable revised simplex: the basis is held as
-a sparse LU factorization (SuperLU) refreshed every few dozen pivots,
-with product-form eta updates in between.  The starting basis comes
+a sparse LU factorization (SuperLU) refreshed every few dozen pivots.
+The pivots in between form a dense block (their entering columns, pivot
+rows and a small lower-triangular matrix), so a solve with the basis is
+one LU solve, one triangular solve and one dense product, with no loop
+over the pivots (Bisschop & Meeraus 1977).  The starting basis comes
 from a singleton-column crash extended by a greedy triangular pass, so
 slack-rich and network-like problems begin without artificial
 variables.  Pricing is devex (reference-weight steepest-edge estimates)
@@ -29,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.blas import dtrsv
 from scipy.sparse.linalg import splu
 
 LE = "<="
@@ -194,11 +198,13 @@ class Master:
     """A scaled LP whose simplex state lives on between solves.
 
     It keeps the row-scaled CSC matrix [A | slacks] (plus the last cold
-    start's artificials), bounds, costs, the basis, x and the LU/eta
-    factors.  ``solve_lp(master, tolerance)`` resumes from the basis the
-    previous solve left; ``append_columns``, ``drop_columns`` (nonbasic
-    at zero) and ``set_bounds`` edit it in place and keep basis and
-    factors valid.  Each row is scaled once, to unit max-norm: by ``row_norm``
+    start's artificials while one is basic), bounds, costs, the basis, x
+    and its factors: the LU of the last refactorized basis and the dense
+    eta block of the pivots since then (see ``_ftran``).
+    ``solve_lp(master, tolerance)`` resumes from the basis the previous
+    solve left; ``append_columns``, ``drop_columns`` (nonbasic at zero)
+    and ``set_bounds`` edit it in place and keep basis and factors
+    valid.  Each row is scaled once, to unit max-norm: by ``row_norm``
     when given (the largest |a_ij| the row will ever hold, appended
     columns included), else by the rows of ``lp``.  Rows with no
     coefficients are constant assertions, checked at solve time and
@@ -241,6 +247,11 @@ class Master:
         self.status = np.full(self.lo.size, _AT_LOWER, dtype=np.int8)
         self.basis = None  # none kept: the next solve starts cold
         self.iters = self.refactors = 0
+        # the eta file since the last refactorization (see _ftran)
+        self.eta_d = np.zeros((_REFACTOR_EVERY, self.m))
+        self.eta_r = np.zeros(_REFACTOR_EVERY, dtype=np.int64)
+        self.eta_l = np.zeros((_REFACTOR_EVERY, _REFACTOR_EVERY))
+        self.n_eta = 0
         self._extend(None)
 
     @property
@@ -349,7 +360,7 @@ class Master:
         except RuntimeError as exc:  # singular basis: numerical breakdown
             raise SolverError(f"basis factorization failed: {exc}") from None
         self.refactors += 1
-        self.etas = []
+        self.n_eta = 0
         self.flipped = False  # a bound flip moves x without adding an eta
         # Recompute basic values from scratch to shed accumulated drift.
         self._recompute_basics()
@@ -362,18 +373,43 @@ class Master:
         vals[self.basis] = 0.0
         self.x[self.basis] = self._ftran(self.b - self.A_ext @ vals)
 
+    def _push_eta(self, r: int, d: np.ndarray):
+        """Record a pivot on row r whose entering column is d = B^-1 a_q."""
+        k = self.n_eta
+        self.eta_d[k] = d
+        self.eta_d[k, r] -= 1.0
+        self.eta_l[k, :k] = self.eta_d[:k, r]
+        self.eta_l[k, k] = d[r]
+        self.eta_r[k] = r
+        self.n_eta = k + 1
+
     def _ftran(self, v: np.ndarray) -> np.ndarray:
+        """B^-1 v for the current basis B = B0 E_1 ... E_k.
+
+        Eta j is E_j = I + w_j e_(r_j)^T, where d_j = B_(j-1)^-1 a_q is
+        its entering column and w_j = d_j - e_(r_j) is row j of D
+        (``eta_d``); ``eta_r`` holds the pivot rows r_j.  Applying
+        E_1^-1, ..., E_k^-1 in turn to y = B0^-1 v subtracts s_j w_j,
+        where s solves the lower-triangular system L s = y[r] with
+        L[j, i] = w_i[r_j] for i < j and L[j, j] = d_j[r_j] (``eta_l``).
+        So B^-1 = (I - D^T L^-1 P) B0^-1, with P picking the pivot rows;
+        ``_btran`` applies its transpose.
+        """
         x = self.lu.solve(v)
-        for r, d, dr in self.etas:
-            xr = x[r] / dr
-            x -= d * xr
-            x[r] = xr
+        k = self.n_eta
+        if k:
+            s = dtrsv(self.eta_l[:k, :k], x[self.eta_r[:k]], lower=1)
+            x -= s @ self.eta_d[:k]
         return x
 
     def _btran(self, c: np.ndarray) -> np.ndarray:
+        """B^-T c; see _ftran.  A row may pivot twice, so the pivot rows'
+        updates are summed with subtract.at."""
         u = c.astype(np.float64, copy=True)
-        for r, d, dr in reversed(self.etas):
-            u[r] = (u[r] - d @ u + d[r] * u[r]) / dr
+        k = self.n_eta
+        if k:
+            s = dtrsv(self.eta_l[:k, :k], self.eta_d[:k] @ u, lower=1, trans=1)
+            np.subtract.at(u, self.eta_r[:k], s)
         return self.lu.solve(u, trans="T")
 
     def _column(self, j: int) -> np.ndarray:
@@ -559,13 +595,13 @@ class Master:
         stall = 0
         stall_limit = self._stall_limit()
         z = self._reduced_costs(cost)
-        z_fresh = len(self.etas) == 0
+        z_fresh = self.n_eta == 0
         weight = np.ones(self.n_ext)  # devex reference weights
         with np.errstate(invalid="ignore"):  # ratios over non-blocking entries
             while True:
                 if self.iters >= _MAX_ITERS:
                     raise SolverError("iteration limit exceeded")
-                if len(self.etas) >= _REFACTOR_EVERY:
+                if self.n_eta >= _REFACTOR_EVERY:
                     self._refactor()
                     z = self._reduced_costs(cost)
                     z_fresh = True
@@ -663,7 +699,7 @@ class Master:
 
                 self.status[q] = _BASIC
                 self.basis[r] = q
-                self.etas.append((r, d, d[r]))
+                self._push_eta(r, d)
                 self.iters += 1
 
                 if step <= 1e-12:
@@ -710,7 +746,7 @@ class Master:
             while True:
                 if self.iters >= _MAX_ITERS:
                     raise SolverError("iteration limit exceeded")
-                if len(self.etas) >= _REFACTOR_EVERY:
+                if self.n_eta >= _REFACTOR_EVERY:
                     self._refactor()
                     z = self._reduced_costs(cost)
                 infeas = self._primal_infeasibility()
@@ -753,7 +789,7 @@ class Master:
                 d = self._ftran(self._column(q))
                 pivot = d[r]
                 if abs(pivot) < _PIVOT_TOL or pivot * alpha_row[q] <= 0.0:
-                    if not self.etas:
+                    if not self.n_eta:
                         return False
                     self._refactor()  # row and column disagree: shed the etas
                     z = self._reduced_costs(cost)
@@ -780,7 +816,7 @@ class Master:
 
                 self.status[q] = _BASIC
                 self.basis[r] = q
-                self.etas.append((r, d, pivot))
+                self._push_eta(r, d)
                 self.iters += 1
 
                 if step <= 1e-12:
@@ -810,7 +846,7 @@ class Master:
             return _failed("unbounded", self.n, self.iters)
         self._drop_artificials()
 
-        if self.etas or self.flipped:
+        if self.n_eta or self.flipped:
             self._refactor()
         x = self.x[: self.n].copy()
         lo, hi = self.lo[: self.n], self.hi[: self.n]
