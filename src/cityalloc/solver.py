@@ -170,7 +170,8 @@ class SolveResult:
     ``warm_started`` is True when the solve began from a Master's kept
     basis (directly or through a dual re-entry) rather than from a cold
     crash.  ``iteration_count`` and ``refactorizations`` count this
-    solve's own pivots and basis factorizations.
+    solve's own pivots and basis factorizations; ``dual_iterations`` is
+    the part of ``iteration_count`` spent in the dual simplex re-entry.
     """
 
     status: str  # "optimal" | "infeasible" | "unbounded"
@@ -182,6 +183,7 @@ class SolveResult:
     row_status: np.ndarray | None = None
     warm_started: bool = False
     refactorizations: int = 0
+    dual_iterations: int = 0
 
     def __post_init__(self):
         self.primal_values.setflags(write=False)
@@ -190,8 +192,8 @@ class SolveResult:
                 arr.setflags(write=False)
 
 
-def _failed(status: str, n: int, iters: int) -> SolveResult:
-    return SolveResult(status, np.full(n, np.nan), np.nan, iters)
+def _failed(status: str, n: int, iters: int, dual_iters: int = 0) -> SolveResult:
+    return SolveResult(status, np.full(n, np.nan), np.nan, iters, dual_iterations=dual_iters)
 
 
 class Master:
@@ -838,12 +840,13 @@ class Master:
         if self.m == 0:
             return self._solve_unconstrained()
         warm = self.basis is not None and self._reenter()
+        dual_iters = self.iters  # kept when the re-entry gave up for a cold start
         if not warm and not self._cold_start():
             self.basis = None
-            return _failed("infeasible", self.n, self.iters)
+            return _failed("infeasible", self.n, self.iters, dual_iters)
         if self._optimize(self.cost) == "unbounded":
             self.basis = None
-            return _failed("unbounded", self.n, self.iters)
+            return _failed("unbounded", self.n, self.iters, dual_iters)
         self._drop_artificials()
 
         if self.n_eta or self.flipped:
@@ -866,7 +869,7 @@ class Master:
         row_stat = np.full(self.n_rows_orig, _AT_LOWER, dtype=np.int8)
         row_stat[np.nonzero(self.keep)[0][self.ineq_rows]] = slack_stat
         return SolveResult("optimal", x, objective, self.iters, duals, col_stat, row_stat,
-                           warm, self.refactors)
+                           warm, self.refactors, dual_iters)
 
     def _verify(self, x: np.ndarray):
         resid = self.A_ext[:, : self.n] @ x - self.b

@@ -513,3 +513,97 @@ def test_roundoff_reduced_costs_do_not_pivot(monkeypatch):
     cold = solve_lp(lp)
     assert warm.status == cold.status == "optimal" and warm.warm_started
     assert abs(warm.objective_value - cold.objective_value) <= 1e-9 * abs(cold.objective_value)
+
+
+def eta_master(rng, m=30, n=40):
+    """A Master over a random sparse LE system whose basis starts as the
+    slacks and then takes `m` random pivots before a refactorization, so
+    B0 is a random sparse basis."""
+    a = sp.random(m, n, density=0.2, random_state=rng, data_rvs=lambda k: rng.normal(0.0, 1.0, k))
+    master = Master(LinearProgram("max", np.ones(n), a.tocsr(), [LE] * m, np.ones(m)))
+    master.basis = np.arange(n, n + m)
+    master._refactor()
+    for _ in range(m):
+        eta_pivot(master, rng)
+    master._refactor()
+    return master
+
+
+def eta_pivot(master, rng, row=None):
+    """Pivot a random nonbasic column into `row` (default: the row of its
+    largest entry, for a well-conditioned basis), as the simplex loops
+    do; returns the pivot row."""
+    nonbasic = np.setdiff1d(np.arange(master.n_ext), master.basis)
+    for q in rng.permutation(nonbasic):
+        d = master._ftran(master._column(int(q)))
+        r = int(np.argmax(np.abs(d))) if row is None else row
+        if abs(d[r]) >= 0.5 * np.abs(d).max() > 1e-3:
+            master._push_eta(r, d)
+            master.basis[r] = q
+            return r
+    raise AssertionError("no usable entering column")
+
+
+def check_inverse(master, rng):
+    """_ftran and _btran against a dense inverse of the current basis."""
+    binv = np.linalg.inv(master.A_ext[:, master.basis].toarray())
+    for _ in range(3):
+        v = rng.normal(0.0, 1.0, master.m)
+        for got, want in ((master._ftran(v), binv @ v), (master._btran(v), binv.T @ v)):
+            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
+def test_eta_block_matches_dense_inverse():
+    # 0, 1 and _REFACTOR_EVERY - 1 etas on random sparse bases, a row that
+    # pivots twice, and the state right after a refactorization
+    rng = np.random.default_rng(83)
+    for _ in range(5):
+        master = eta_master(rng)
+        assert master.n_eta == 0
+        check_inverse(master, rng)
+        rows = [eta_pivot(master, rng)]
+        check_inverse(master, rng)
+        rows.append(eta_pivot(master, rng, row=rows[0]))
+        check_inverse(master, rng)
+        while master.n_eta < cityalloc.solver._REFACTOR_EVERY - 1:
+            rows.append(eta_pivot(master, rng))
+            if master.n_eta % 8 == 0:
+                check_inverse(master, rng)
+        check_inverse(master, rng)
+        assert rows[0] == rows[1]
+        master._refactor()
+        assert master.n_eta == 0
+        check_inverse(master, rng)
+
+
+def test_primal_and_dual_loops_run_past_the_eta_buffer():
+    # more pivots than the eta buffer holds, in the primal loop (a cold
+    # solve) and in the dual loop (a re-entry after tighter upper bounds):
+    # both refactorize before the buffer fills
+    limit = cityalloc.solver._REFACTOR_EVERY
+    rng = np.random.default_rng(0)
+    lp, (c, a, b, _, _) = anchored_lp(rng, 150, 200)
+    master = Master(lp)
+    cold = solve_lp(master)
+    assert cold.iteration_count > limit and cold.dual_iterations == 0
+    upper = rng.uniform(2.0, 2.2, 150)  # the anchor stays feasible
+    master.set_bounds(np.arange(150), 0.0, upper)
+    warm = solve_lp(master)
+    assert warm.warm_started and warm.dual_iterations > limit
+    for res, hi in ((cold, np.full(150, 4.0)), (warm, upper)):
+        _, ref, _ = scipy_lp(c, a, b, bounds=[(0.0, u) for u in hi])
+        assert res.status == "optimal"
+        assert abs(res.objective_value - ref) <= 1e-9 * abs(ref)
+
+
+def test_dual_iterations_count_the_reentry():
+    # a set_bounds re-entry reports its dual pivots as part of its
+    # iteration count; a cold solve and an unchanged re-solve report none
+    rng = np.random.default_rng(89)
+    for master, (c, a, b, upper) in shifted_bound_reentries(rng, 5):
+        warm = solve_lp(master)
+        assert warm.warm_started
+        assert 0 < warm.dual_iterations <= warm.iteration_count
+        assert solve_lp(master).dual_iterations == 0
+        cold = solve_lp(LinearProgram("max", c, a, [LE] * len(b), b, upper=upper))
+        assert cold.dual_iterations == 0
