@@ -180,14 +180,3 @@ def truth_to_json(truth: GroundTruth, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def truth_from_json(path) -> GroundTruth:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    return GroundTruth(
-        years=np.asarray(payload["years"], dtype=np.int64),
-        endowments={k: float(v) for k, v in payload["endowments"].items()},
-        actual_output=np.asarray(payload["actual_output"], dtype=float),
-        efficient_output=float(payload["efficient_output"]),
-        true_gain=np.asarray(payload["true_gain"], dtype=float))
