@@ -165,6 +165,76 @@ def test_validate_rejects_unknown_manifest_key(run_dir, tmp_path, capsys):
     assert "unknown key 'freeze_deciles'" in capsys.readouterr().err
 
 
+def _edit_rows(path, edit):
+    """Rewrite the CSV at `path` after `edit(rows)` changed its rows in place."""
+    rows = _rows(path)
+    edit(rows)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+
+
+def _over_budget(rows):
+    # one city takes the whole year's capital on top of its own
+    year = [r for r in rows if r["year"] == rows[0]["year"]]
+    year[0]["k"] = repr(sum(float(r["k"]) for r in year) + float(year[0]["k"]))
+
+
+def _decile_over_tenth(rows):
+    # decile 1 hands its capital to decile 2: the total stays in budget
+    year = [r for r in rows if r["year"] == rows[0]["year"]]
+    first = [r for r in year if r["decile"] == "1"]
+    second = next(r for r in year if r["decile"] == "2")
+    second["k"] = repr(float(second["k"]) + sum(float(r["k"]) for r in first))
+    for r in first:
+        r["k"] = "0.0"
+
+
+def _idle_city_holds(rows):
+    held = next(r for r in rows if float(r["l"]) > 0.0)
+    held["b"] = "0"
+
+
+def _gain_off(rows):
+    rows[0]["gain"] = repr(float(rows[0]["gain"]) * 1.01)
+
+
+def _band_misses(payload):
+    point = payload["series"][0]["points"][0]
+    point["ci_low"], point["ci_high"] = point["gain"] + 0.1, point["gain"] + 0.2
+
+
+@pytest.mark.parametrize("artifact, edit, check, message", [
+    ("allocations_perfect.csv", _over_budget, "resource-rows", "factor K over budget"),
+    ("allocations_local.csv", _decile_over_tenth, "resource-rows",
+     "decile 2 over its tenth of K"),
+    ("allocations_entry_exit.csv", _idle_city_holds, "resource-rows",
+     "inactive city holds resources"),
+    ("gains.csv", _gain_off, "gain-arithmetic", "gain != Y_e / Y"),
+    ("plot_gains.json", _band_misses, "plot-data", "band misses point"),
+])
+def test_validate_fails_the_named_check(run_dir, tmp_path, capsys,
+                                        artifact, edit, check, message):
+    copy = str(tmp_path / "run")
+    shutil.copytree(run_dir, copy)
+    path = os.path.join(copy, artifact)
+    if artifact.endswith(".json"):
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+        edit(payload)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+    else:
+        _edit_rows(path, edit)
+    capsys.readouterr()
+    assert cli.main(["validate", "--input", copy]) == cli.EXIT_VALIDATION
+    report = capsys.readouterr().out
+    status = next(line for line in report.splitlines() if line.startswith(check))
+    assert status.split()[-1] == "FAIL"
+    assert message in report
+
+
 @pytest.fixture(scope="module")
 def small_panel(tmp_path_factory):
     out = str(tmp_path_factory.mktemp("small"))
