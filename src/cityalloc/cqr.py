@@ -13,10 +13,9 @@ runs on the LP dual with delayed generation: start from the cross rows
 between each observation and its nearest neighbours (Lee, Johnson,
 Moreno-Centeno & Kuosmanen 2013), append the columns of the most
 violated cross rows in batches to one persistent master, and re-solve
-it from its kept basis until no violation exceeds 1e-6. Slack nonbasic
-columns are dropped while the working set is large; dropping switches
-off for good once progress stalls, after which the working set only
-grows and termination is guaranteed.
+it from its kept basis until no violation exceeds 1e-6. Generated
+columns are never dropped: the working set only grows, so generation
+ends within the N(N-1) cross rows.
 
 A grid of taus is fitted in ascending order on that one master, each
 fit carrying the previous one's working set and final basis (Koenker &
@@ -33,7 +32,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .solver import (
-    BASIS_BASIC,
     EQ,
     LE,
     LinearProgram,
@@ -192,70 +190,43 @@ class _Carry:
 def _generate(x, y, tau, weights, crs, tolerance, carry=None):
     """Delayed cross-row generation; returns (alpha, beta, objective).
 
-    With a ``carry`` holding an earlier fit's master, this fit moves the
-    u bounds to its tau and resumes from the master's basis; the carry
-    then receives the master for the next tau, with the seed pairs it
-    lacks appended.
+    Each round appends the most violated cross rows to the master and
+    none ever leaves it. With a ``carry`` holding an earlier fit's
+    master, this fit moves the u bounds to its tau and resumes from the
+    master's basis and working set, which already holds the seed pairs;
+    the carry then receives the master for the next tau.
     """
     n, d = x.shape
     base = 0 if crs else n
     cap = 5 * n
     per_obs = 3
-    seed = _neighbour_pairs(x)
     if carry is not None and carry.master is not None:
         master, pairs = carry.master, carry.pairs
         master.set_bounds(np.arange(n), -(1.0 - tau) * weights, tau * weights)
     else:
-        master, pairs = _dual_master(x, y, tau, weights, seed, crs), seed
-    dropping = True
-    stall = 0
-    prev_obj = -np.inf
-    hist = []
+        pairs = _neighbour_pairs(x)
+        master = _dual_master(x, y, tau, weights, pairs, crs)
 
     def planes(res):
         alpha = np.zeros(n) if crs else res.dual_values[:n]
         return alpha, res.dual_values[base:].reshape(n, d)
 
     def price(res):
-        nonlocal pairs, dropping, stall, prev_obj
+        nonlocal pairs
         alpha, beta = planes(res)
         fit_at = alpha[None, :] + x @ beta.T
-        own = fit_at.diagonal()
-        viol = own[:, None] - fit_at
+        viol = fit_at.diagonal()[:, None] - fit_at
         np.fill_diagonal(viol, 0.0)
-        open_ = viol.copy()
         if len(pairs):
-            open_[pairs[:, 0], pairs[:, 1]] = -np.inf
-        nviol = int((open_ > _VIOL_TOL).sum())
-        if nviol == 0:
+            viol[pairs[:, 0], pairs[:, 1]] = -np.inf
+        if not (viol > _VIOL_TOL).any():
             if carry is not None:
-                # seed pairs whose cross rows hold to within the solver
-                # tolerance price dual feasible at zero, and a new tau
-                # moves only the u bounds: the master stays dual feasible
-                have = pairs[:, 0] * n + pairs[:, 1]
-                fresh = ~np.isin(seed[:, 0] * n + seed[:, 1], have)
-                extra = seed[fresh & (viol[seed[:, 0], seed[:, 1]] <= tolerance)]
-                _add_pairs(master, x, extra, crs)
-                carry.pairs, carry.master = np.vstack([pairs, extra]), master
+                carry.pairs, carry.master = pairs, master
             return True
-        # Two stall signals disable dropping permanently: the objective
-        # creeping below 1e-7 relative for 3 rounds, or the violation
-        # count failing to fall 25% over a 20-round window. Either one
-        # means drop/re-add churn; with dropping off the working set
-        # grows strictly and the loop must terminate.
-        hist.append(nviol)
-        if dropping:
-            if res.objective_value - prev_obj <= 1e-7 * (1 + abs(res.objective_value)):
-                stall += 1
-            else:
-                stall = 0
-            if stall >= 3 or (len(hist) > 20 and nviol > 0.75 * hist[-21]):
-                dropping = False
-        prev_obj = res.objective_value
         batch = []
         seen = set()
         for i in range(n):
-            vi = open_[i]
+            vi = viol[i]
             k = min(per_obs, n - 1)
             if k == 0:
                 continue
@@ -269,18 +240,10 @@ def _generate(x, y, tau, weights, crs, tolerance, carry=None):
                     batch.append((i, h))
                 # cross rows tend to bind in groups sharing a plane, so
                 # pull in the violated reverse pair as well
-                if open_[h, i] > _VIOL_TOL and (h, i) not in seen:
+                if viol[h, i] > _VIOL_TOL and (h, i) not in seen:
                     seen.add((h, i))
                     batch.append((h, i))
         batch = np.asarray(batch[:cap], dtype=np.int64).reshape(-1, 2)
-        if dropping and len(pairs) > 4 * n:
-            # only nonbasic strictly-slack columns leave: the surviving
-            # basis stays optimal, so master objectives never regress
-            slack = -viol[pairs[:, 0], pairs[:, 1]]
-            keep = (res.column_status[n:] == BASIS_BASIC) \
-                | (slack <= 1e-7 * (1 + np.abs(own).mean()))
-            master.drop_columns(np.concatenate([np.ones(n, dtype=bool), keep]))
-            pairs = pairs[keep]
         _add_pairs(master, x, batch, crs)
         pairs = np.vstack([pairs, batch])
         return False
@@ -345,8 +308,7 @@ def fit_all_quantiles(x, y, quantile_grid=None, crs=False, year=0,
     The fits run in ascending tau on one master. The first starts cold
     from the nearest-neighbour seed; each later one moves the u bounds
     to its tau and resumes from the previous fit's final working set
-    (plus the seed pairs it lacks) and basis, which the solver re-enters
-    through the dual simplex.
+    and basis, which the solver re-enters through the dual simplex.
     """
     grid = _as_grid(quantile_grid)
     carry = _Carry()

@@ -15,8 +15,8 @@ which rules out cycling, and every remaining tie is broken by lowest
 column index, so repeated solves of the same problem are bit-identical.
 The ratio test is a two-pass bound-relaxation test that prefers large
 pivot elements.  A Master keeps the scaled problem, the basis and its
-factors between solves, so delayed column generation appends columns,
-drops them or moves bounds in place and re-solves without a rebuild.
+factors between solves, so delayed column generation appends columns
+or moves bounds in place and re-solves without a rebuild.
 A kept basis that is primal infeasible but dual feasible (an optimal
 basis after its bounds moved) re-enters through a bounded dual simplex,
 with dual devex row pricing, a Harris ratio test and a small
@@ -192,8 +192,10 @@ class SolveResult:
                 arr.setflags(write=False)
 
 
-def _failed(status: str, n: int, iters: int, dual_iters: int = 0) -> SolveResult:
-    return SolveResult(status, np.full(n, np.nan), np.nan, iters, dual_iterations=dual_iters)
+def _failed(status: str, n: int, iters: int, dual_iters: int = 0,
+            refactors: int = 0) -> SolveResult:
+    return SolveResult(status, np.full(n, np.nan), np.nan, iters,
+                       refactorizations=refactors, dual_iterations=dual_iters)
 
 
 class Master:
@@ -204,9 +206,8 @@ class Master:
     and its factors: the LU of the last refactorized basis and the dense
     eta block of the pivots since then (see ``_ftran``).
     ``solve_lp(master, tolerance)`` resumes from the basis the previous
-    solve left; ``append_columns``, ``drop_columns`` (nonbasic at zero)
-    and ``set_bounds`` edit it in place and keep basis and factors
-    valid.  Each row is scaled once, to unit max-norm: by ``row_norm``
+    solve left; ``append_columns`` and ``set_bounds`` edit it in place
+    and keep basis and factors valid.  Each row is scaled once, to unit max-norm: by ``row_norm``
     when given (the largest |a_ij| the row will ever hold, appended
     columns included), else by the rows of ``lp``.  Rows with no
     coefficients are constant assertions, checked at solve time and
@@ -309,25 +310,6 @@ class Master:
         self._extend(self.art)
         if self.basis is not None:
             self.basis[self.basis >= at] += k
-
-    def drop_columns(self, keep):
-        """Remove the structural columns where ``keep`` is False.  They
-        must be nonbasic at zero; the kept basis, its values and its
-        factors stay valid."""
-        keep = np.asarray(keep, dtype=bool)
-        if keep.shape != (self.n,):
-            raise ValueError("drop mask must have one entry per column")
-        full = np.ones(self.n_ext, dtype=bool)
-        full[: self.n] = keep
-        if self.basis is not None:
-            if not full[self.basis].all() or np.any(self.x[: self.n][~keep] != 0.0):
-                raise ValueError("only nonbasic columns at zero can be dropped")
-            self.basis = (np.cumsum(full) - 1)[self.basis]
-        self.core = self.core[:, np.nonzero(full[: self.n_core])[0]]
-        for name in ("lo", "hi", "cost", "x", "status"):
-            setattr(self, name, getattr(self, name)[full])
-        self.n = int(keep.sum())
-        self._extend(self.art)
 
     def set_bounds(self, cols, lower, upper):
         """New bounds on structural columns ``cols``.  Nonbasic ones move
@@ -843,10 +825,10 @@ class Master:
         dual_iters = self.iters  # kept when the re-entry gave up for a cold start
         if not warm and not self._cold_start():
             self.basis = None
-            return _failed("infeasible", self.n, self.iters, dual_iters)
+            return _failed("infeasible", self.n, self.iters, dual_iters, self.refactors)
         if self._optimize(self.cost) == "unbounded":
             self.basis = None
-            return _failed("unbounded", self.n, self.iters, dual_iters)
+            return _failed("unbounded", self.n, self.iters, dual_iters, self.refactors)
         self._drop_artificials()
 
         if self.n_eta or self.flipped:

@@ -154,6 +154,31 @@ def test_grid_sweep_makes_one_cold_master_solve(monkeypatch):
     assert len(built) == 1
 
 
+def test_grid_sweep_working_set_only_grows(monkeypatch):
+    # no generated cross row ever leaves the master: its column count never
+    # falls from one round to the next, and every tau resumes from a
+    # working set that still holds every seed pair
+    x, y = cobb_douglas_year(np.random.default_rng(179), 40)
+    n = len(y)
+    seed = {tuple(p) for p in cityalloc.cqr._neighbour_pairs(x).tolist()}
+    sizes, missing = [], []
+    original = cityalloc.cqr.solve_lp
+
+    def recording(master, tolerance=1e-7):
+        # a w column (i, h) holds -1 on alpha row i and +1 on alpha row h
+        w = master.core[:n, n:master.n].toarray()
+        pairs = set(zip(w.argmin(axis=0).tolist(), w.argmax(axis=0).tolist()))
+        sizes.append(master.n)
+        missing.append(len(seed - pairs))
+        return original(master, tolerance)
+
+    monkeypatch.setattr("cityalloc.cqr.solve_lp", recording)
+    fit_all_quantiles(x, y)
+    assert len(sizes) > len(DEFAULT_QUANTILES)
+    assert np.all(np.diff(sizes) >= 0)
+    assert missing == [0] * len(sizes)
+
+
 def test_fit_out_of_rounds_raises(monkeypatch):
     # 40 observations need more than the seeded first master
     monkeypatch.setattr(cityalloc.cqr, "_MAX_ROUNDS", 1)

@@ -383,16 +383,6 @@ def test_master_edits_match_one_shot_and_oracle():
         master.append_columns(a[:, 6:], c[6:])
         master.set_bounds(np.arange(6, 12), 0.0, upper[6:])
         cols = np.arange(12)
-        res = check()
-        assert res.warm_started
-        basic = res.column_status == BASIS_BASIC
-        with pytest.raises(ValueError):
-            master.drop_columns(~basic)
-        idle = ~basic & (res.primal_values == 0.0)
-        assert idle.sum() >= 3
-        keep = ~idle | (np.cumsum(idle) > 3)  # three nonbasic columns at zero go
-        master.drop_columns(keep)
-        cols = cols[keep]
         assert check().warm_started
         upper[cols] = rng.uniform(0.5, 4.0, cols.size)
         master.set_bounds(np.arange(cols.size), 0.0, upper[cols])
@@ -607,3 +597,16 @@ def test_dual_iterations_count_the_reentry():
         assert solve_lp(master).dual_iterations == 0
         cold = solve_lp(LinearProgram("max", c, a, [LE] * len(b), b, upper=upper))
         assert cold.dual_iterations == 0
+
+
+def test_failed_solve_reports_its_refactorizations():
+    # shrinking the upper bounds of a solved master makes it infeasible;
+    # the failed re-solve still reports the factorizations it did
+    rng = np.random.default_rng(0)
+    lp, _ = anchored_lp(rng, 60, 80)
+    master = Master(lp)
+    assert solve_lp(master).status == "optimal"
+    master.set_bounds(np.arange(60), 0.0, rng.uniform(0.5, 2.0, 60))
+    res = solve_lp(master)
+    assert res.status == "infeasible"
+    assert res.refactorizations == master.refactors > 0
