@@ -35,7 +35,7 @@ from .gains import (
     run_pipeline,
 )
 from .panel import CAPITAL_VARIANTS, CapitalRule, load_panel, panel_to_csv
-from .planner import allocations_to_csv, summary_to_csv
+from .planner import ENTRY_MODES, LOCAL_MODES, allocations_to_csv, summary_to_csv
 from .solver import SolverError
 from .synth import SyntheticSpec, generate, rows_to_csv, truth_to_json
 
@@ -45,7 +45,6 @@ EXIT_SOLVER = 3
 EXIT_IO = 4
 
 _STAGE = {"ingest": 0, "estimate": 1, "allocate": 2, "gain": 3, "run": 4}
-_ENTRY_MODES = ("entry_exit", "local_entry_exit")
 _REFERENCE_REPLICATES = 1000
 _SYNTHETIC_PANEL = "synthetic_panel.csv"
 
@@ -141,7 +140,7 @@ def scenario_templates(config: RunConfig) -> list:
                 raise ValueError(f"scenario {item!r} reallocates unknown factor {bad[0]!r}")
             if set(factors) == set(config.inputs):
                 factors = None
-        if mode in _ENTRY_MODES and factors is not None:
+        if mode in ENTRY_MODES and factors is not None:
             raise ValueError(f"{mode} requires every factor to be reallocated")
         frictions = {"iceberg": config.iceberg, "depletion": config.depletion} \
             if mode == "imperfect" else {}
@@ -624,8 +623,8 @@ def cmd_validate(config: RunConfig) -> int:
             for r in rows:
                 by_year.setdefault(int(r["year"]), []).append(r)
             realloc = t.reallocated_factors or tuple(input_names)
-            local = t.mode in ("local", "local_entry_exit")
-            entry = t.mode in _ENTRY_MODES
+            local = t.mode in LOCAL_MODES
+            entry = t.mode in ENTRY_MODES
             for year, sub in by_year.items():
                 x_obs, _, _ = unit_block(year)
                 for f in input_names:

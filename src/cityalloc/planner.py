@@ -14,16 +14,16 @@ outputs and inputs.  Four exact solution strategies split the work:
 
 * full reallocation collapses each decile to a single aggregate city
   (pseudo-cities within a decile are identical, so an equal split is
-  optimal by concavity) and solves a tiny LP;
+  optimal by concavity) and solves the per-city LP below at one city
+  per decile;
 * a single reallocated factor makes the problem separable and concave
   in one dimension per city, solved by filling the steepest envelope
   segments first;
 * entry/exit solves a small MILP over per-decile aggregates with an
   integral count of active pseudo-cities per decile, exact at any size
   by concavity;
-* everything else runs the per-city LP through its dual, pricing
-  technology planes in as columns of one persistent master; a new
-  column enters at zero, so each round resumes from the kept basis.
+* everything else runs the per-city LP through its dual, built whole
+  (one column per city and plane) and solved once.
 
 All four land on the same post-solve certificate: outputs on or under
 the envelope, resource rows honored, inactive cities at rest.
@@ -38,20 +38,18 @@ import numpy as np
 import scipy.sparse as sp
 
 from .cqr import QuantileFit, dedup_hyperplanes
-from .solver import EQ, GE, LinearProgram, Master, _delayed_generation, solve_integer, solve_lp
+from .solver import EQ, GE, LinearProgram, solve_integer, solve_lp
 # unused here: perfbench/trace.py patches cityalloc.planner.solve_milp, so the
 # import (and solver.solve_milp) can go once the benchmark drops that site
 from .solver import solve_milp  # noqa: F401
 
 MODES = ("perfect", "imperfect", "entry_exit", "local", "local_entry_exit")
+ENTRY_MODES = ("entry_exit", "local_entry_exit")
+LOCAL_MODES = ("local", "local_entry_exit")
 
-_ENTRY_MODES = ("entry_exit", "local_entry_exit")
-_LOCAL_MODES = ("local", "local_entry_exit")
 _LOCAL_SHARES = 10  # local caps are literal tenths of each total
 
 _ENVELOPE_TOL = 1e-6   # post-solve certificate slack, relative to the data
-_GEN_TOL = 1e-7        # violation cutoff for lazy row generation
-_MAX_GEN_ROUNDS = 500
 
 
 class PlannerError(ValueError):
@@ -173,7 +171,7 @@ class PlannerScenario:
             raise PlannerError("frictions must be finite and nonnegative")
         if mode == "perfect" and (iceberg or depletion):
             raise PlannerError("perfect mode is frictionless; use mode='imperfect'")
-        if mode in _ENTRY_MODES and len(realloc) != len(names):
+        if mode in ENTRY_MODES and len(realloc) != len(names):
             raise PlannerError("entry/exit requires every factor to be reallocated")
 
         totals = {}
@@ -219,16 +217,12 @@ class PlannerScenario:
             object.__setattr__(self, name, value)
 
     @property
-    def n_pseudo_cities(self) -> int:
-        return sum(t.pseudo_city_count for t in self.technologies)
-
-    @property
     def is_entry_exit(self) -> bool:
-        return self.mode in _ENTRY_MODES
+        return self.mode in ENTRY_MODES
 
     @property
     def is_local(self) -> bool:
-        return self.mode in _LOCAL_MODES
+        return self.mode in LOCAL_MODES
 
     def friction(self, factor: str) -> float:
         # iceberg rides the capital row, depletion the labor row
@@ -345,105 +339,44 @@ def _build_solution(scn, geo, y, x, b, objective) -> AllocationSolution:
         efficient_output=float(objective))
 
 
-class _DualMaster:
-    """The dual of one per-city LP, kept as a Master across its rounds.
+def _solve_rows(scn, geo, tolerance):
+    """Per-city LP through its dual, built whole and solved once.
 
     The LP is max sum_i y_i over planes y_i - beta_h . x_i <= alpha_eff[i, h]
     and resource rows sum_i w_r x_ir <= T_r (T_r / 10 per decile when
     local), x >= 0.  Its dual: min sum alpha_eff lambda + sum T mu over
     lambda, mu >= 0, with rows sum_h lambda_ih = 1 (dual of y_i) and
-    sum w_r mu_r - sum_h beta_hr lambda_ih >= 0 (dual of x_ir).  Each
-    generated plane appends a lambda column, which enters at zero, so
-    the last optimal basis stays feasible; y and x are the row duals.
-    Rows are scaled by the largest coefficient they can ever hold: 1 on
-    the y rows, max(w_r, max_h beta_hr over the city's decile) on x row
-    (i, r).
+    sum w_r mu_r - sum_h beta_hr lambda_ih >= 0 (dual of x_ir), one
+    lambda column per (pseudo-city, plane); y and x are the row duals.
     """
-
-    def __init__(self, scn: PlannerScenario, geo: _Geo):
-        self.geo = geo
-        self.n = n = int(geo.counts.sum())
-        self.nr = nr = geo.rcols.size
-        self.added = [np.zeros((geo.counts[d], t.n_planes), dtype=bool)
-                      for d, t in enumerate(scn.technologies)]
-        # one mu column per resource row, per decile when local
-        spans = list(zip(geo.starts[:-1], geo.starts[1:])) if scn.is_local else [(0, n)]
-        rows, cols, cost = [], [], []
-        for r in range(nr):
-            for lo, hi in spans:
-                rows.append(n + np.arange(lo, hi) * nr + r)
-                cols.append(np.full(hi - lo, len(cost)))
-                cost.append(geo.totals[r] / (_LOCAL_SHARES if scn.is_local else 1))
-        vals = np.repeat(geo.weights, n)
-        m = n * (1 + nr)
-        mat = sp.csr_matrix((vals, (np.concatenate(rows), np.concatenate(cols))),
-                            shape=(m, len(cost)))
-        norm = np.concatenate([np.ones(n)] + [
-            np.tile(np.maximum(geo.weights, geo.beta_r[d].max(axis=0)), geo.counts[d])
-            for d in range(len(geo.counts))])
-        self.master = Master(LinearProgram(
-            "min", cost, mat, [EQ] * n + [GE] * (m - n),
-            np.concatenate([np.ones(n), np.zeros(m - n)])), row_norm=norm)
-
-    def add_planes(self, planes):
-        """Append one lambda column per (decile, city, plane) triple."""
-        geo, n, nr = self.geo, self.n, self.nr
-        i = np.array([geo.starts[d] + local_i for d, local_i, _ in planes])
-        beta = np.array([geo.beta_r[d][h] for d, _, h in planes]).reshape(-1, nr)
-        cost = [geo.alpha_eff[d][local_i, h] for d, local_i, h in planes]
-        rows = np.column_stack([i, n + i[:, None] * nr + np.arange(nr)])
-        vals = np.column_stack([np.ones(len(i)), -beta])
-        cols = np.repeat(np.arange(len(i)), 1 + nr)
-        self.master.append_columns(
-            sp.csc_matrix((vals.ravel(), (rows.ravel(), cols)), shape=(n * (1 + nr), len(i))),
-            cost)
-        for d, local_i, h in planes:
-            self.added[d][local_i, h] = True
-
-    def seed(self):
-        # one plane per pseudo-city: the binding one at an equal share
-        geo = self.geo
-        share = geo.totals / max(self.n, 1)
-        self.add_planes([(d, local_i, int(h)) for d in range(len(geo.counts))
-                         for local_i, h in enumerate(np.argmin(
-                             geo.alpha_eff[d] + (geo.beta_r[d] @ share)[None, :], axis=1))])
-
-    def split(self, duals):
-        y = duals[:self.n]
-        x = np.maximum(duals[self.n:].reshape(self.n, self.nr), 0.0)
-        return y, x
-
-    def violations(self, y, x, tol):
-        """New (decile, city, plane) rows violated at the current point,
-        at most three per pseudo-city, worst first."""
-        geo = self.geo
-        out = []
-        for d in range(len(geo.counts)):
-            lo, hi = geo.starts[d], geo.starts[d + 1]
-            gap = y[lo:hi, None] - (geo.alpha_eff[d] + x[lo:hi] @ geo.beta_r[d].T)
-            gap[self.added[d]] = -np.inf
-            for local_i in np.nonzero(gap.max(axis=1) > tol)[0]:
-                row = gap[local_i]
-                top = np.argsort(row)[::-1][:3]
-                out.extend((d, int(local_i), int(h)) for h in top if row[h] > tol)
-        return out
-
-
-def _solve_rows(scn, geo, tolerance):
-    """Per-city LP by plane generation on its dual master."""
-    dual = _DualMaster(scn, geo)
-    dual.seed()
-
-    def price(res):
-        new = dual.violations(*dual.split(res.dual_values), _GEN_TOL)
-        if new:
-            dual.add_planes(new)
-        return not new
-
-    res = _delayed_generation(dual.master, solve_lp, tolerance, price,
-                              _MAX_GEN_ROUNDS, PlannerError)
-    y, x = dual.split(res.dual_values)
-    return y, x, np.ones(dual.n), res.objective_value
+    n, nr = int(geo.counts.sum()), geo.rcols.size
+    # one mu column per resource row, per decile when local
+    spans = list(zip(geo.starts[:-1], geo.starts[1:])) if scn.is_local else [(0, n)]
+    rows, cols, cost = [], [], []
+    for r in range(nr):
+        for lo, hi in spans:
+            rows.append(n + np.arange(lo, hi) * nr + r)
+            cols.append(np.full(hi - lo, len(cost)))
+            cost.append(geo.totals[r] / (_LOCAL_SHARES if scn.is_local else 1))
+    vals = [np.repeat(geo.weights, n)]
+    city = np.concatenate([np.repeat(np.arange(geo.starts[d], geo.starts[d + 1]),
+                                     a.shape[1]) for d, a in enumerate(geo.alpha_eff)])
+    beta = np.concatenate([np.tile(b, (c, 1)) for b, c in zip(geo.beta_r, geo.counts)])
+    lam = len(cost) + np.arange(city.size)
+    rows += [city, (n + city[:, None] * nr + np.arange(nr)).ravel()]
+    cols += [lam, np.repeat(lam, nr)]
+    vals += [np.ones(city.size), -beta.ravel()]
+    cost = np.concatenate([cost] + [a.ravel() for a in geo.alpha_eff])
+    m = n * (1 + nr)
+    mat = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                        shape=(m, cost.size))
+    res = solve_lp(LinearProgram("min", cost, mat, [EQ] * n + [GE] * (m - n),
+                                 np.concatenate([np.ones(n), np.zeros(m - n)])), tolerance)
+    if res.status != "optimal":
+        raise PlannerError(f"scenario solve failed with status {res.status!r}")
+    y = res.dual_values[:n]
+    x = np.maximum(res.dual_values[n:].reshape(n, nr), 0.0)
+    return y, x, np.ones(n), res.objective_value
 
 
 def _solve_entry_counts(scn: PlannerScenario, geo: _Geo, tolerance):
@@ -515,25 +448,6 @@ def _solve_entry_counts(scn: PlannerScenario, geo: _Geo, tolerance):
         x[lo:lo + m[d]] = agg_x[d] / m[d]
         b[lo:lo + m[d]] = 1.0
     return y, x, b, res.objective_value
-
-
-def _solve_aggregated(scn: PlannerScenario, tolerance: float):
-    """Full reallocation without entry/exit: pseudo-cities in a decile are
-    interchangeable, so solve one aggregate city per decile (output rows
-    scale the intercepts by the city count) and split its allocation
-    evenly.  Exact by concavity of the envelopes."""
-    reduced_techs = [DecileTechnology(t.decile, t.tau,
-                                      t.pseudo_city_count * t.alpha, t.beta, 1)
-                     for t in scn.technologies]
-    reduced = PlannerScenario(scn.year, scn.mode, reduced_techs,
-                              scn.factor_names, scn.aggregate_resources,
-                              iceberg=scn.iceberg, depletion=scn.depletion)
-    agg = _solve(reduced, tolerance)
-    counts = np.array([t.pseudo_city_count for t in scn.technologies])
-    x_cols = [scn.factor_names.index(f) for f in scn.reallocated_factors]
-    x = np.repeat(agg.inputs[:, x_cols] / counts[:, None], counts, axis=0)
-    y = np.repeat(agg.output / counts, counts)
-    return y, x, np.ones(int(counts.sum())), agg.efficient_output
 
 
 def _hull_1d(a, b):
@@ -609,8 +523,16 @@ def _solve(scn: PlannerScenario, tolerance: float) -> AllocationSolution:
     geo = _geometry(scn)
     if scn.is_entry_exit:
         y, x, b, obj = _solve_entry_counts(scn, geo, tolerance)
-    elif not scn.fixed_input_values and scn.n_pseudo_cities > len(scn.technologies):
-        y, x, b, obj = _solve_aggregated(scn, tolerance)
+    elif not scn.fixed_input_values:
+        # pseudo-cities in a decile are interchangeable: solve one city per
+        # decile with its intercepts scaled by the count, then split evenly
+        k = len(geo.counts)
+        one = geo._replace(counts=np.ones(k, dtype=np.int64), starts=np.arange(k + 1),
+                           alpha_eff=[c * a[:1] for c, a in zip(geo.counts, geo.alpha_eff)])
+        y, x, b, obj = _solve_rows(scn, one, tolerance)
+        y = np.repeat(y / geo.counts, geo.counts)
+        x = np.repeat(x / geo.counts[:, None], geo.counts, axis=0)
+        b = np.repeat(b, geo.counts)
     elif geo.rcols.size == 1:
         y, x, b, obj = _solve_separable(scn, geo)
     else:

@@ -146,7 +146,7 @@ def test_imperfect_matches_scipy_weights():
 
 def observed_inputs(rng, scn):
     """A feasible 'observed' allocation exhausting each total."""
-    n = scn.n_pseudo_cities
+    n = sum(t.pseudo_city_count for t in scn.technologies)
     out = {}
     for f in scn.factor_names:
         shares = rng.dirichlet(np.ones(n))
@@ -492,7 +492,7 @@ def test_csv_exports(tmp_path):
     summary_to_csv(sols, summary)
     lines = alloc.read_text().strip().split("\n")
     assert lines[0] == "year,scenario,decile,pseudo_city,b,k,l,y"
-    assert len(lines) == 1 + 2 * scn.n_pseudo_cities
+    assert len(lines) == 1 + 2 * sum(t.pseudo_city_count for t in scn.technologies)
     first = lines[1].split(",")
     assert first[0] == "2015" and first[1] == "perfect"
     assert float(first[4]) == 1.0
@@ -543,47 +543,44 @@ def test_fixed_factor_rows_match_scipy():
         assert abs(got - want) < 1e-6 * (1.0 + abs(want)), mode
 
 
-def test_fixed_factor_generation_rounds_all_warm_start(monkeypatch):
-    # one master per scenario: each generation round is one call through
-    # planner.solve_lp on it, every one after the first warm, and no round
-    # builds a LinearProgram
-    calls, rounds, built = [], [], []
-    generate = cityalloc.planner._delayed_generation
+def test_every_lp_regime_builds_and_solves_one_lp(monkeypatch):
+    # the pinned per-city LP and the decile-level LP of a pin-free
+    # scenario are each one LinearProgram and one call through
+    # planner.solve_lp, with no further rounds
+    calls, built = [], []
     program = cityalloc.planner.LinearProgram
 
-    def recording(master, tolerance=1e-7):
-        res = solve_lp(master, tolerance)
-        calls.append((master, res.warm_started))
-        return res
-
-    def counting(master, solve, tolerance, price, *args):
-        def priced(res):
-            rounds.append(res)
-            return price(res)
-        return generate(master, solve, tolerance, priced, *args)
+    def recording(problem, tolerance=1e-7):
+        calls.append(problem)
+        return solve_lp(problem, tolerance)
 
     def building(*args, **kwargs):
         built.append(1)
         return program(*args, **kwargs)
 
     monkeypatch.setattr("cityalloc.planner.solve_lp", recording)
-    monkeypatch.setattr("cityalloc.planner._delayed_generation", counting)
     monkeypatch.setattr("cityalloc.planner.LinearProgram", building)
-    scn = fixed_factor_scenario(np.random.default_rng(223), "imperfect",
-                                n_planes=12, counts=(10, 10, 10),
-                                iceberg=0.05, depletion=0.05)
-    solve_scenario(scn)
-    assert len(calls) == len(rounds) >= 3
-    assert [warm for _, warm in calls] == [False] + [True] * (len(calls) - 1)
-    assert all(master is calls[0][0] for master, _ in calls)
-    assert len(built) == 1
-
-
-def test_fixed_factor_generation_out_of_rounds_raises(monkeypatch):
-    # the same scenario takes at least three rounds above
-    monkeypatch.setattr("cityalloc.planner._MAX_GEN_ROUNDS", 1)
-    scn = fixed_factor_scenario(np.random.default_rng(223), "imperfect",
-                                n_planes=12, counts=(10, 10, 10),
-                                iceberg=0.05, depletion=0.05)
-    with pytest.raises(PlannerError, match="did not converge"):
-        solve_scenario(scn)
+    pinned = fixed_factor_scenario(np.random.default_rng(223), "imperfect",
+                                   n_planes=12, counts=(10, 10, 10),
+                                   iceberg=0.05, depletion=0.05)
+    rng = np.random.default_rng(227)
+    techs = [DecileTechnology(d + 1, (2 * d + 1) / 20, *random_tech(rng), cnt)
+             for d, cnt in enumerate((1, 4, 7))]
+    free = PlannerScenario(2015, "perfect", techs, ("K", "L"), {"K": 5.0, "L": 3.0})
+    for scn in (pinned, free, remodel(free, "local")):
+        calls.clear()
+        built.clear()
+        got = solve_scenario(scn).efficient_output
+        assert len(calls) == len(built) == 1, scn.mode
+        totals = [scn.aggregate_resources["K"], scn.aggregate_resources["L"]]
+        weights = [1.0 + scn.iceberg, 1.0 + scn.depletion]
+        fixed = None
+        if scn.fixed_input_values:
+            totals.append(np.inf)
+            weights.append(1.0)
+            fixed = {2: scn.fixed_input_values["H"]}
+        want = oracles.planner_lp(
+            [(t.alpha, t.beta) for t in scn.technologies],
+            [t.pseudo_city_count for t in scn.technologies],
+            totals, weights=weights, local=scn.is_local, fixed=fixed)
+        assert abs(got - want) < 1e-6 * (1.0 + abs(want)), scn.mode
