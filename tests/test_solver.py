@@ -491,7 +491,7 @@ def test_failed_reentry_falls_back_to_cold(monkeypatch):
 
 
 def test_roundoff_reduced_costs_do_not_pivot(monkeypatch):
-    # the aggregated planner master of a panel in large units (outputs
+    # the decile-level planner LP of a panel in large units (outputs
     # near 1e9), with an optimal start: its reduced costs are roundoff
     # near -1e-7, and pivoting on them alternated between two bases
     # until the iteration limit
