@@ -179,6 +179,29 @@ def _add_pairs(master, x, pairs, crs):
         np.zeros(len(i)))
 
 
+def _violated_pairs(viol, per_obs, cap):
+    """The next cross rows (i, h) to add, at most ``cap`` of them.
+
+    ``viol[i, h]`` is by how much row (i, h) is violated. Observation by
+    observation, its ``per_obs`` most violated rows beyond _VIOL_TOL enter
+    by falling violation (ties in argpartition's order), each followed by
+    its reverse (h, i) when that is violated too: cross rows tend to bind
+    in groups sharing a plane. A pair enters once, where it first appears.
+    """
+    n = viol.shape[1]
+    k = min(per_obs, n - 1)
+    top = np.argpartition(viol, -k, axis=1)[:, n - k:]
+    order = np.argsort(-np.take_along_axis(viol, top, axis=1), axis=1, kind="stable")
+    h = np.take_along_axis(top, order, axis=1)
+    i = np.broadcast_to(np.arange(len(viol))[:, None], h.shape)
+    fwd = viol[i, h] > _VIOL_TOL
+    keep = np.stack([fwd, fwd & (viol[h, i] > _VIOL_TOL)], axis=2).ravel()
+    cand = np.stack([np.stack([i, h], axis=2), np.stack([h, i], axis=2)], axis=2)
+    cand = cand.reshape(-1, 2)[keep]
+    first = np.unique(cand[:, 0] * n + cand[:, 1], return_index=True)[1]
+    return cand[np.sort(first)[:cap]]
+
+
 @dataclass(eq=False)
 class _Carry:
     """The master and working set that the previous fit of a tau sweep left."""
@@ -198,8 +221,6 @@ def _generate(x, y, tau, weights, crs, tolerance, carry=None):
     """
     n, d = x.shape
     base = 0 if crs else n
-    cap = 5 * n
-    per_obs = 3
     if carry is not None and carry.master is not None:
         master, pairs = carry.master, carry.pairs
         master.set_bounds(np.arange(n), -(1.0 - tau) * weights, tau * weights)
@@ -223,27 +244,7 @@ def _generate(x, y, tau, weights, crs, tolerance, carry=None):
             if carry is not None:
                 carry.pairs, carry.master = pairs, master
             return True
-        batch = []
-        seen = set()
-        for i in range(n):
-            vi = viol[i]
-            k = min(per_obs, n - 1)
-            if k == 0:
-                continue
-            idx = np.argpartition(vi, -k)[-k:]
-            idx = idx[vi[idx] > _VIOL_TOL]
-            idx = idx[np.argsort(-vi[idx], kind="stable")]
-            for h in idx:
-                h = int(h)
-                if (i, h) not in seen:
-                    seen.add((i, h))
-                    batch.append((i, h))
-                # cross rows tend to bind in groups sharing a plane, so
-                # pull in the violated reverse pair as well
-                if viol[h, i] > _VIOL_TOL and (h, i) not in seen:
-                    seen.add((h, i))
-                    batch.append((h, i))
-        batch = np.asarray(batch[:cap], dtype=np.int64).reshape(-1, 2)
+        batch = _violated_pairs(viol, 3, 5 * n)
         _add_pairs(master, x, batch, crs)
         pairs = np.vstack([pairs, batch])
         return False

@@ -14,9 +14,12 @@ the objective stalls on degenerate pivots the rule switches to Bland's,
 which rules out cycling, and every remaining tie is broken by lowest
 column index, so repeated solves of the same problem are bit-identical.
 The ratio test is a two-pass bound-relaxation test that prefers large
-pivot elements.  A Master keeps the scaled problem, the basis and its
-factors between solves, so delayed column generation appends columns
-or moves bounds in place and re-solves without a rebuild.
+pivot elements.  Pricing and the ratio tests run over candidate sets
+only (the improving columns, the blocking rows or columns), drawn from
+masks of the columns free to rise or fall that the loops keep pivot by
+pivot.  A Master keeps the scaled problem, the basis and its factors
+between solves, so delayed column generation appends columns or moves
+bounds in place and re-solves without a rebuild.
 A kept basis that is primal infeasible but dual feasible (an optimal
 basis after its bounds moved) re-enters through a bounded dual simplex,
 with dual devex row pricing, a Harris ratio test and a small
@@ -396,6 +399,17 @@ class Master:
             np.subtract.at(u, self.eta_r[:k], s)
         return self.lu.solve(u, trans="T")
 
+    def _btran_unit(self, r: int) -> np.ndarray:
+        """B^-T e_r, the pivot row's multipliers: _btran of e_r, whose eta
+        product D e_r is exactly column r of D."""
+        u = np.zeros(self.m)
+        u[r] = 1.0
+        k = self.n_eta
+        if k:
+            s = dtrsv(self.eta_l[:k, :k], self.eta_d[:k, r], lower=1, trans=1)
+            np.subtract.at(u, self.eta_r[:k], s)
+        return self.lu.solve(u, trans="T")
+
     def _column(self, j: int) -> np.ndarray:
         col = np.zeros(self.m)
         a, bb = self.A_ext.indptr[j], self.A_ext.indptr[j + 1]
@@ -506,11 +520,10 @@ class Master:
         pass.  A cold start keeps the iterations spent, so an exhausted
         iteration limit still raises.
         """
-        if not (self._primal_infeasibility() > 0.0).any():
+        if not self._infeasible_rows()[0].size:
             return True
         z = self._reduced_costs(self.cost)
-        can_up, can_dn = self._improving(z, self.cost)
-        if can_up.any() or can_dn.any():
+        if self._movers(z, *self._movable(), self._dual_tol(self.cost)).size:
             return False
         try:
             return self._dual_optimize(self.cost, z)
@@ -560,144 +573,159 @@ class Master:
         loop alike switch to their lowest-index rule."""
         return max(_STALL_MIN, self.m)
 
-    def _improving(self, z: np.ndarray, cost: np.ndarray):
-        """Nonbasic columns whose reduced cost is dual infeasible, split by
-        the direction in which they would enter (up, down).
+    def _dual_tol(self, cost: np.ndarray) -> float:
+        """Reduced costs within this of zero count as zero.
 
-        The threshold is tol, or the roundoff floor of the costs when that
-        is larger: with costs near 1e9 a reduced cost of 1e-7 is noise, and
-        pivoting on noise can alternate between two bases for ever.
+        It is tol, or the roundoff floor of the costs when that is larger:
+        with costs near 1e9 a reduced cost of 1e-7 is noise, and pivoting
+        on noise can alternate between two bases for ever.
         """
-        dtol = max(self.tol, _COST_ROUNDOFF * float(np.abs(cost).max(initial=0.0)))
+        return max(self.tol, _COST_ROUNDOFF * float(np.abs(cost).max(initial=0.0)))
+
+    def _movable(self):
+        """Masks of the columns that may rise (at lower or free) and that
+        may fall (at upper or free); the loops keep them in step."""
         st = self.status
-        can_up = ((st == _AT_LOWER) | (st == _FREE)) & (z < -dtol)
-        can_dn = ((st == _AT_UPPER) | (st == _FREE)) & (z > dtol)
-        return can_up, can_dn
+        return (st == _AT_LOWER) | (st == _FREE), (st == _AT_UPPER) | (st == _FREE)
+
+    @staticmethod
+    def _movers(v: np.ndarray, rise, fall, tol: float) -> np.ndarray:
+        """Sorted indices j that may rise with v_j < -tol or may fall with
+        v_j > tol: with v = z the dual infeasible (improving) columns,
+        with v = ±(pivot row) the ones that block a dual step."""
+        return ((rise & (v < -tol)) | (fall & (v > tol))).nonzero()[0]
+
+    def _infeasible_rows(self):
+        """Basic rows whose value lies more than tol outside its bounds,
+        and by how much more."""
+        xb = self.x[self.basis]
+        infeas = np.maximum(self.lo[self.basis] - xb, xb - self.hi[self.basis]) - self.tol
+        rows = (infeas > 0.0).nonzero()[0]
+        return rows, infeas[rows]
+
+    def _lowest_basic(self, rows: np.ndarray) -> int:
+        """Position in ``rows`` of the row whose basic column has the lowest index."""
+        return int(self.basis[rows].argmin())
+
+    def _set_status(self, j: int, s: int, rise, fall):
+        """Set column j's status; the loop's masks follow."""
+        self.status[j] = s
+        rise[j] = s == _AT_LOWER or s == _FREE
+        fall[j] = s == _AT_UPPER or s == _FREE
+
+    def _leave(self, j: int, lower: bool, rise, fall):
+        """Basic column j leaves at its lower bound, else its upper one."""
+        self.x[j] = self.lo[j] if lower else self.hi[j]
+        s = _AT_LOWER if lower else _AT_UPPER
+        self._set_status(j, _FIXED if self.lo[j] == self.hi[j] else s, rise, fall)
 
     def _optimize(self, cost: np.ndarray) -> str:
         bland = False
         stall = 0
         stall_limit = self._stall_limit()
+        dtol = self._dual_tol(cost)
+        rise, fall = self._movable()
         z = self._reduced_costs(cost)
         z_fresh = self.n_eta == 0
         weight = np.ones(self.n_ext)  # devex reference weights
-        with np.errstate(invalid="ignore"):  # ratios over non-blocking entries
-            while True:
-                if self.iters >= _MAX_ITERS:
-                    raise SolverError("iteration limit exceeded")
-                if self.n_eta >= _REFACTOR_EVERY:
-                    self._refactor()
-                    z = self._reduced_costs(cost)
-                    z_fresh = True
-                if bland:
-                    # Bland's rule needs reduced costs consistent with the
-                    # current basis, so skip the incremental shortcut here.
-                    z = self._reduced_costs(cost)
+        while True:
+            if self.iters >= _MAX_ITERS:
+                raise SolverError("iteration limit exceeded")
+            if self.n_eta >= _REFACTOR_EVERY:
+                self._refactor()
+                z = self._reduced_costs(cost)
+                z_fresh = True
+            if bland:
+                # Bland's rule needs reduced costs consistent with the
+                # current basis, so skip the incremental shortcut here.
+                z = self._reduced_costs(cost)
 
-                can_up, can_dn = self._improving(z, cost)
-                eligible = can_up | can_dn
-                if not eligible.any():
-                    if z_fresh or bland:
-                        return "optimal"
-                    # Optimality seen on incrementally updated costs: refactor,
-                    # reprice exactly, and only then trust the verdict.
-                    self._refactor()
-                    z = self._reduced_costs(cost)
-                    z_fresh = True
-                    continue
+            cols = self._movers(z, rise, fall, dtol)
+            if not cols.size:
+                if z_fresh or bland:
+                    return "optimal"
+                # Optimality seen on incrementally updated costs: refactor,
+                # reprice exactly, and only then trust the verdict.
+                self._refactor()
+                z = self._reduced_costs(cost)
+                z_fresh = True
+                continue
 
-                if bland:
-                    q = int(np.nonzero(eligible)[0][0])
-                else:
-                    score = np.where(eligible, z * z / weight, -1.0)
-                    q = int(np.argmax(score))
-                delta = 1.0 if can_up[q] else -1.0
+            if bland:
+                q = int(cols[0])
+            else:
+                zc = z[cols]
+                q = int(cols[(zc * zc / weight[cols]).argmax()])
+            delta = 1.0 if z[q] < 0.0 else -1.0
 
-                d = self._ftran(self._column(q))
-                eff = delta * d
-                xB = self.x[self.basis]
-                loB = self.lo[self.basis]
-                hiB = self.hi[self.basis]
-                pos = eff > _PIVOT_TOL
-                neg = eff < -_PIVOT_TOL
-                blocking = pos | neg
-                dist = np.full(self.m, np.inf)
-                dist[pos] = xB[pos] - loB[pos]
-                dist[neg] = hiB[neg] - xB[neg]
-                np.maximum(dist, 0.0, out=dist)
-                aeff = np.abs(eff)
-                theta_exact = np.where(blocking, dist / aeff, np.inf)
-                theta_basic = theta_exact.min() if self.m else np.inf
-                flip_range = self.hi[q] - self.lo[q]
+            # Ratio test over the rows the step moves.
+            d = self._ftran(self._column(q))
+            eff = delta * d
+            xB = self.x[self.basis]
+            blk = (np.abs(eff) > _PIVOT_TOL).nonzero()[0]
+            e, xb, bb = eff[blk], xB[blk], self.basis[blk]
+            dist = np.maximum(np.where(e > 0.0, xb - self.lo[bb], self.hi[bb] - xb), 0.0)
+            aeff = np.abs(e)
+            theta = dist / aeff
+            theta_basic = theta.min(initial=np.inf)
+            flip_range = self.hi[q] - self.lo[q]
 
-                if not np.isfinite(min(theta_basic, flip_range)):
-                    return "unbounded"
+            if not np.isfinite(min(theta_basic, flip_range)):
+                return "unbounded"
 
-                if flip_range <= theta_basic + 1e-12:
-                    # Bound flip: the entering variable crosses its own range
-                    # first.  No basis change, so costs and weights stand.
-                    self.x[self.basis] = xB - flip_range * eff
-                    self.x[q] = self.hi[q] if delta > 0 else self.lo[q]
-                    self.status[q] = _AT_UPPER if delta > 0 else _AT_LOWER
-                    self.flipped = True
-                    self.iters += 1
-                    continue
-
-                if bland:
-                    cands = np.nonzero(theta_exact <= theta_basic + 1e-12)[0]
-                    r = int(cands[np.argmin(self.basis[cands])])
-                else:
-                    # Two-pass ratio test: relax each blocking bound by a hair,
-                    # then take the largest pivot element among the survivors.
-                    relaxed = np.where(blocking, (dist + 1e-9) / aeff, np.inf)
-                    tmax = relaxed.min()
-                    cands = np.nonzero(theta_exact <= tmax)[0]
-                    order = np.lexsort((self.basis[cands], -aeff[cands]))
-                    r = int(cands[order[0]])
-                leaving = int(self.basis[r])
-
-                step = theta_exact[r]
-                self.x[self.basis] = xB - step * eff
-                bound = loB[r] if eff[r] > 0 else hiB[r]
-                self.x[leaving] = bound
-                if self.lo[leaving] == self.hi[leaving]:
-                    self.status[leaving] = _FIXED
-                else:
-                    self.status[leaving] = _AT_LOWER if eff[r] > 0 else _AT_UPPER
-                self.x[q] = self.x[q] + delta * step
-
-                # Pivot row through the current basis inverse, shared by the
-                # devex weight update and the incremental reduced-cost update.
-                rho = np.zeros(self.m)
-                rho[r] = 1.0
-                alpha_row = self.AT @ self._btran(rho)
-                pivot = d[r]
-                w_enter = weight[q]
-                np.maximum(weight, (alpha_row / pivot) ** 2 * w_enter, out=weight)
-                weight[leaving] = max(w_enter / (pivot * pivot), 1.0)
-                if weight.max() > 1e8:
-                    weight[:] = 1.0  # reset the reference framework
-                z -= (z[q] / pivot) * alpha_row
-                z[q] = 0.0
-                z_fresh = False
-
-                self.status[q] = _BASIC
-                self.basis[r] = q
-                self._push_eta(r, d)
+            if flip_range <= theta_basic + 1e-12:
+                # Bound flip: the entering variable crosses its own range
+                # first.  No basis change, so costs and weights stand.
+                self.x[self.basis] = xB - flip_range * eff
+                self.x[q] = self.hi[q] if delta > 0 else self.lo[q]
+                self._set_status(q, _AT_UPPER if delta > 0 else _AT_LOWER, rise, fall)
+                self.flipped = True
                 self.iters += 1
+                continue
 
-                if step <= 1e-12:
-                    stall += 1
-                    if stall > stall_limit:
-                        bland = True
-                else:
-                    stall = 0
-                    bland = False
+            if bland:
+                sel = (theta <= theta_basic + 1e-12).nonzero()[0]
+                i = int(sel[self._lowest_basic(blk[sel])])
+            else:
+                # Two-pass ratio test: relax each blocking bound by a hair,
+                # then take the largest pivot element among the survivors.
+                sel = (theta <= ((dist + 1e-9) / aeff).min()).nonzero()[0]
+                i = int(sel[np.lexsort((bb[sel], -aeff[sel]))[0]])
+            r, leaving, step = int(blk[i]), int(bb[i]), theta[i]
 
-    def _primal_infeasibility(self) -> np.ndarray:
-        """Per basic row, how far its value lies outside its bounds (<= 0 inside)."""
-        xb = self.x[self.basis]
-        return np.maximum(self.lo[self.basis] - xb, xb - self.hi[self.basis]) - self.tol
+            self.x[self.basis] = xB - step * eff
+            self._leave(leaving, e[i] > 0.0, rise, fall)
+            self.x[q] = self.x[q] + delta * step
+
+            # Pivot row through the current basis inverse, shared by the
+            # devex weight update and the incremental reduced-cost update.
+            alpha_row = self.AT @ self._btran_unit(r)
+            pivot = d[r]
+            w_enter = weight[q]
+            grow = alpha_row / pivot
+            np.square(grow, out=grow)
+            grow *= w_enter
+            np.maximum(weight, grow, out=weight)
+            weight[leaving] = max(w_enter / (pivot * pivot), 1.0)
+            if weight.max() > 1e8:
+                weight[:] = 1.0  # reset the reference framework
+            alpha_row *= z[q] / pivot
+            z -= alpha_row
+            z[q] = 0.0
+            z_fresh = False
+
+            self._set_status(q, _BASIC, rise, fall)
+            self.basis[r] = q
+            self._push_eta(r, d)
+            self.iters += 1
+
+            if step <= 1e-12:
+                stall += 1
+                if stall > stall_limit:
+                    bland = True
+            else:
+                stall = 0
+                bland = False
 
     def _dual_optimize(self, cost: np.ndarray, z: np.ndarray) -> bool:
         """Bounded dual simplex from a dual feasible basis to a primal feasible one.
@@ -725,91 +753,84 @@ class Master:
         bland = False
         stall = 0
         stall_limit = self._stall_limit()
+        rise, fall = self._movable()
         weight = np.ones(self.m)  # dual devex reference weights, one per row
-        with np.errstate(invalid="ignore", divide="ignore"):  # ratios over non-blocking entries
-            while True:
-                if self.iters >= _MAX_ITERS:
-                    raise SolverError("iteration limit exceeded")
-                if self.n_eta >= _REFACTOR_EVERY:
-                    self._refactor()
-                    z = self._reduced_costs(cost)
-                infeas = self._primal_infeasibility()
-                rows = infeas > 0.0
-                if not rows.any():
-                    return True
-                if bland:
-                    cands = np.nonzero(rows)[0]
-                    r = int(cands[np.argmin(self.basis[cands])])
-                else:
-                    gap = infeas + self.tol
-                    r = int(np.argmax(np.where(rows, gap * gap / weight, -1.0)))
-                leaving = int(self.basis[r])
-                to_lower = self.x[leaving] < self.lo[leaving]
-                sign = 1.0 if to_lower else -1.0
+        while True:
+            if self.iters >= _MAX_ITERS:
+                raise SolverError("iteration limit exceeded")
+            if self.n_eta >= _REFACTOR_EVERY:
+                self._refactor()
+                z = self._reduced_costs(cost)
+            rows, infeas = self._infeasible_rows()
+            if not rows.size:
+                return True
+            if bland:
+                r = int(rows[self._lowest_basic(rows)])
+            else:
+                gap = infeas + self.tol
+                r = int(rows[(gap * gap / weight[rows]).argmax()])
+            leaving = int(self.basis[r])
+            to_lower = self.x[leaving] < self.lo[leaving]
+            sign = 1.0 if to_lower else -1.0
 
-                # Moving the duals along row r changes z_j by sign * t * alpha_rj;
-                # the leaving column's own reduced cost becomes sign * t.
-                rho = np.zeros(self.m)
-                rho[r] = 1.0
-                alpha_row = self.AT @ self._btran(rho)
-                sa = sign * alpha_row
-                st = self.status
-                up_block = ((st == _AT_LOWER) | (st == _FREE)) & (sa < -_PIVOT_TOL)
-                dn_block = ((st == _AT_UPPER) | (st == _FREE)) & (sa > _PIVOT_TOL)
-                blocking = up_block | dn_block
-                if not blocking.any():
+            # Moving the duals along row r changes z_j by sign * t * alpha_rj;
+            # the leaving column's own reduced cost becomes sign * t.
+            alpha_row = self.AT @ self._btran_unit(r)
+            sa = sign * alpha_row
+            cols = self._movers(sa, rise, fall, _PIVOT_TOL)
+            if not cols.size:
+                return False
+            zc = z[cols]
+            slack = np.maximum(np.where(sa[cols] < 0.0, zc, -zc), 0.0)
+            aabs = np.abs(alpha_row[cols])
+            ratio = slack / aabs
+            if bland:
+                i = int((ratio <= ratio.min() + 1e-12).argmax())
+            else:
+                sel = (ratio <= ((slack + 1e-9) / aabs).min()).nonzero()[0]
+                i = int(sel[np.lexsort((cols[sel], -aabs[sel]))[0]])
+            q, step = int(cols[i]), ratio[i]
+
+            d = self._ftran(self._column(q))
+            pivot = d[r]
+            if abs(pivot) < _PIVOT_TOL or pivot * alpha_row[q] <= 0.0:
+                if not self.n_eta:
                     return False
-                slack = np.maximum(np.where(up_block, z, -z), 0.0)
-                aabs = np.abs(alpha_row)
-                ratio = np.where(blocking, slack / aabs, np.inf)
-                if bland:
-                    q = int(np.nonzero(ratio <= ratio.min() + 1e-12)[0][0])
-                else:
-                    relaxed = np.where(blocking, (slack + 1e-9) / aabs, np.inf)
-                    cands = np.nonzero(ratio <= relaxed.min())[0]
-                    q = int(cands[np.lexsort((cands, -aabs[cands]))[0]])
-                step = ratio[q]
+                self._refactor()  # row and column disagree: shed the etas
+                z = self._reduced_costs(cost)
+                continue
 
-                d = self._ftran(self._column(q))
-                pivot = d[r]
-                if abs(pivot) < _PIVOT_TOL or pivot * alpha_row[q] <= 0.0:
-                    if not self.n_eta:
-                        return False
-                    self._refactor()  # row and column disagree: shed the etas
-                    z = self._reduced_costs(cost)
-                    continue
+            target = self.lo[leaving] if to_lower else self.hi[leaving]
+            theta = (self.x[leaving] - target) / pivot
+            self.x[self.basis] -= theta * d
+            self._leave(leaving, to_lower, rise, fall)
+            self.x[q] += theta
 
-                target = self.lo[leaving] if to_lower else self.hi[leaving]
-                theta = (self.x[leaving] - target) / pivot
-                self.x[self.basis] -= theta * d
-                self.x[leaving] = target
-                self.x[q] += theta
-                if self.lo[leaving] == self.hi[leaving]:
-                    self.status[leaving] = _FIXED
-                else:
-                    self.status[leaving] = _AT_LOWER if to_lower else _AT_UPPER
+            w_leave = weight[r]
+            grow = d / pivot
+            np.square(grow, out=grow)
+            grow *= w_leave
+            np.maximum(weight, grow, out=weight)
+            weight[r] = max(w_leave / (pivot * pivot), 1.0)
+            if weight.max() > 1e8:
+                weight[:] = 1.0  # reset the reference framework
+            alpha_row *= sign * step
+            z += alpha_row
+            z[q] = 0.0
+            z[leaving] = sign * step
 
-                w_leave = weight[r]
-                np.maximum(weight, (d / pivot) ** 2 * w_leave, out=weight)
-                weight[r] = max(w_leave / (pivot * pivot), 1.0)
-                if weight.max() > 1e8:
-                    weight[:] = 1.0  # reset the reference framework
-                z += (sign * step) * alpha_row
-                z[q] = 0.0
-                z[leaving] = sign * step
+            self._set_status(q, _BASIC, rise, fall)
+            self.basis[r] = q
+            self._push_eta(r, d)
+            self.iters += 1
 
-                self.status[q] = _BASIC
-                self.basis[r] = q
-                self._push_eta(r, d)
-                self.iters += 1
-
-                if step <= 1e-12:
-                    stall += 1
-                    if stall > stall_limit:
-                        bland = True
-                else:
-                    stall = 0
-                    bland = False
+            if step <= 1e-12:
+                stall += 1
+                if stall > stall_limit:
+                    bland = True
+            else:
+                stall = 0
+                bland = False
 
     # -- driver -----------------------------------------------------------------
 

@@ -179,6 +179,48 @@ def test_grid_sweep_working_set_only_grows(monkeypatch):
     assert missing == [0] * len(sizes)
 
 
+def violated_pairs_loop(viol, per_obs, cap):
+    """The per-observation loop that cqr._violated_pairs replaces, kept
+    as its reference."""
+    tol = cityalloc.cqr._VIOL_TOL
+    n = len(viol)
+    batch = []
+    seen = set()
+    for i in range(n):
+        vi = viol[i]
+        k = min(per_obs, n - 1)
+        if k == 0:
+            continue
+        idx = np.argpartition(vi, -k)[-k:]
+        idx = idx[vi[idx] > tol]
+        idx = idx[np.argsort(-vi[idx], kind="stable")]
+        for h in idx:
+            h = int(h)
+            if (i, h) not in seen:
+                seen.add((i, h))
+                batch.append((i, h))
+            if viol[h, i] > tol and (h, i) not in seen:
+                seen.add((h, i))
+                batch.append((h, i))
+    return np.asarray(batch[:cap], dtype=np.int64).reshape(-1, 2)
+
+
+def test_violated_pairs_match_the_loop():
+    # violations drawn from a few values, so rows tie at, above and below
+    # the tolerance and on known pairs (-inf); every n from 1 (k = 0) up
+    tol = cityalloc.cqr._VIOL_TOL
+    levels = np.array([-np.inf, -1.0, 0.0, tol / 2, tol, 2 * tol, 3 * tol, 1.0])
+    rng = np.random.default_rng(191)
+    for n in (1, 2, 3, 4, 5, 8, 30):
+        for _ in range(40):
+            viol = rng.choice(levels, size=(n, n))
+            np.fill_diagonal(viol, 0.0)
+            for cap in (5 * n, 3):
+                got = cityalloc.cqr._violated_pairs(viol, 3, cap)
+                want = violated_pairs_loop(viol, 3, cap)
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 def test_fit_out_of_rounds_raises(monkeypatch):
     # 40 observations need more than the seeded first master
     monkeypatch.setattr(cityalloc.cqr, "_MAX_ROUNDS", 1)

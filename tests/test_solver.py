@@ -451,6 +451,49 @@ def test_dual_reentry_under_lowest_index_rule(monkeypatch):
         check_reentry(master, data)
 
 
+def test_primal_lowest_index_ratio_test(monkeypatch):
+    # rows through the origin make the first pivots degenerate; with no
+    # stall allowance the primal loop switches to the lowest-index ratio
+    # test at once, and ties on theta reach its choice of row
+    monkeypatch.setattr(cityalloc.solver.Master, "_stall_limit", lambda self: 0)
+    ties = []
+    lowest = Master._lowest_basic
+    monkeypatch.setattr(Master, "_lowest_basic",
+                        lambda self, rows: ties.append(rows.size) or lowest(self, rows))
+    rng = np.random.default_rng(0)
+    for _ in range(10):
+        a = rng.normal(0.0, 1.0, (7, 4))
+        b = np.concatenate([np.zeros(4), rng.uniform(0.5, 1.5, 3)])
+        c, hi = rng.normal(0.0, 1.0, 4), np.full(4, 3.0)
+        res = solve_lp(LinearProgram("max", c, a, [LE] * 7, b, upper=hi))
+        status, ref, _ = vertex_enumerate(c, a, b, np.zeros(4), hi)
+        assert res.status == status == "optimal"
+        assert abs(res.objective_value - ref) <= 1e-9 * (1 + abs(ref))
+    assert len(ties) >= 5 and max(ties) > 1
+
+
+def test_dual_ratio_test_enters_a_free_column(monkeypatch):
+    # f (column 3) is free with zero cost and stays nonbasic at the
+    # optimum; raising x3's lower bound breaks rows 2 and 3, and the dual
+    # ratio test takes f (zero reduced cost, so a zero ratio) to mend them
+    c = [1.0, 1.0, -1.0, 0.0]
+    a = [[1.0, 2.0, 0.0, 0.0], [3.0, 1.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0], [1.0, -1.0, 1.0, 1.0]]
+    b = [4.0, 6.0, 10.0, 10.0]
+    master = Master(LinearProgram("max", c, a, [LE] * 4, b, lower=[0.0, 0.0, 0.0, -np.inf],
+                                  upper=[5.0, 5.0, 30.0, np.inf]))
+    assert solve_lp(master).column_status[3] == cityalloc.BASIS_FREE
+    master.set_bounds([2], 20.0, 30.0)
+    entering = []
+    column = Master._column
+    monkeypatch.setattr(Master, "_column",
+                        lambda self, j: entering.append(self.status[j]) or column(self, j))
+    res = solve_lp(master)
+    assert res.warm_started and res.dual_iterations == res.iteration_count == 1
+    assert entering == [cityalloc.BASIS_FREE]
+    _, ref, _ = scipy_lp(c, a, b, bounds=[(0.0, 5.0), (0.0, 5.0), (20.0, 30.0), (None, None)])
+    assert res.status == "optimal" and abs(res.objective_value - ref) <= 1e-9 * abs(ref)
+
+
 def test_bad_warm_starts_degrade_to_cold():
     rng = np.random.default_rng(59)
     lp, (c, a, b, _, hi) = anchored_lp(rng, 5, 7)
@@ -535,12 +578,17 @@ def eta_pivot(master, rng, row=None):
 
 
 def check_inverse(master, rng):
-    """_ftran and _btran against a dense inverse of the current basis."""
+    """_ftran, _btran and _btran_unit against a dense inverse of the
+    current basis; _btran_unit(r) is also exactly _btran(e_r)."""
     binv = np.linalg.inv(master.A_ext[:, master.basis].toarray())
     for _ in range(3):
         v = rng.normal(0.0, 1.0, master.m)
         for got, want in ((master._ftran(v), binv @ v), (master._btran(v), binv.T @ v)):
             assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+    for r in (0, int(rng.integers(master.m)), master.m - 1):
+        got, want = master._btran_unit(r), binv.T[:, r]
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+        assert np.array_equal(got, master._btran(np.eye(master.m)[r]))
 
 
 def test_eta_block_matches_dense_inverse():
