@@ -658,7 +658,6 @@ class Master:
                 q = int(cols[(zc * zc / weight[cols]).argmax()])
             delta = 1.0 if z[q] < 0.0 else -1.0
 
-            # Ratio test over the rows the step moves.
             d = self._ftran(self._column(q))
             eff = delta * d
             xB = self.x[self.basis]
