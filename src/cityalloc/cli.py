@@ -13,6 +13,7 @@ no partial outputs.
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import json
 import os
@@ -24,18 +25,24 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import __version__
-from .cqr import DEFAULT_QUANTILES, fits_from_csv, fits_to_csv
+from .cqr import DEFAULT_QUANTILES, DecileAssignment, fits_from_csv, fits_to_csv
 from .gains import (
     BootstrapConfig,
+    GainError,
+    GainResult,
     ScenarioTemplate,
     bootstrap_gain,
     estimate_panel,
+    estimation_units,
+    gains_plot_payload,
     gains_to_csv,
     gains_to_plot_json,
     run_pipeline,
+    unit_scenario,
 )
-from .panel import CAPITAL_VARIANTS, CapitalRule, load_panel, panel_to_csv
-from .planner import ENTRY_MODES, LOCAL_MODES, allocations_to_csv, summary_to_csv
+from .panel import CAPITAL_VARIANTS, CapitalRule, Panel, load_panel, panel_to_csv
+from .planner import (ENTRY_MODES, allocations_to_csv, certify, summary_to_csv,
+                      technology_from_fit)
 from .solver import SolverError
 from .synth import SyntheticSpec, generate, rows_to_csv, truth_to_json
 
@@ -54,8 +61,6 @@ _FIXTURE = SyntheticSpec(city_count=284, year_count=17, scale=1.0,
                          noise_sigma=0.1, seed=7)
 
 _AFRIAT_TOL = 1e-6  # floor of the concavity slack, 1e-12 of max|y| above it
-_RESOURCE_TOL = 1e-6
-_GAIN_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -516,49 +521,37 @@ def _read_csv_rows(path) -> list:
         return list(_csv.DictReader(fh))
 
 
-def _panel_arrays(run_dir, input_names):
-    """Rebuild per-year observation blocks from the panel echo."""
+def _read_panel(run_dir) -> Panel:
+    """The constructed panel, rebuilt bit for bit from its echo."""
     rows = _read_csv_rows(os.path.join(run_dir, "panel.csv"))
+    cities = list(dict.fromkeys(r["city_id"] for r in rows))
     years = sorted({int(r["year"]) for r in rows})
-    data = {}
-    for year in years:
-        sub = [r for r in rows if int(r["year"]) == year]
-        x = np.array([[float(r[f]) for f in input_names] for r in sub])
-        y = np.array([float(r["y"]) for r in sub])
-        data[year] = (x, y, [r["city_id"] for r in sub])
-    return data
+    if [(r["city_id"], int(r["year"])) for r in rows] \
+            != [(c, yr) for c in cities for yr in years]:
+        raise ValueError("panel.csv is not one row per city and year, city-major")
+
+    def block(col):
+        return np.array([float(r[col]) for r in rows]).reshape(len(cities), len(years))
+
+    return Panel(np.array(cities, dtype=object), np.array(years), block("y"),
+                 {f: block(f) for f in rows[0] if f not in ("city_id", "year", "y")})
 
 
-def _pooled_unit(data):
-    """Pooled cross-section from the yearly blocks (city time-means)."""
-    years = sorted(data)
-    xs = np.mean([data[y][0] for y in years], axis=0)
-    ys = np.mean([data[y][1] for y in years], axis=0)
-    return xs, ys, data[years[0]][2]
-
-
-class _Validator:
-    def __init__(self, run_dir):
-        self.run_dir = run_dir
-        self.results = []
-
-    def check(self, name, fn):
+def _report(checks) -> int:
+    """Run (name, check) pairs, printing PASS or FAIL and the first
+    problems of each; a check that raises on a broken artifact fails."""
+    width = max(len(name) for name, _ in checks)
+    failed = False
+    for name, check in checks:
         try:
-            problems = fn()
+            problems = check()
         except Exception as exc:  # a broken artifact is a failed check
             problems = [f"{type(exc).__name__}: {exc}"]
-        self.results.append((name, problems))
-
-    def report(self) -> int:
-        width = max(len(name) for name, _ in self.results)
-        failed = False
-        for name, problems in self.results:
-            status = "PASS" if not problems else "FAIL"
-            print(f"{name.ljust(width)}  {status}")
-            for p in problems[:5]:
-                print(f"{' ' * width}  - {p}")
-            failed = failed or bool(problems)
-        return EXIT_VALIDATION if failed else EXIT_OK
+        print(f"{name.ljust(width)}  {'FAIL' if problems else 'PASS'}")
+        for p in problems[:5]:
+            print(f"{' ' * width}  - {p}")
+        failed = failed or bool(problems)
+    return EXIT_VALIDATION if failed else EXIT_OK
 
 
 def cmd_validate(config: RunConfig) -> int:
@@ -576,9 +569,37 @@ def cmd_validate(config: RunConfig) -> int:
             echo[key] = tuple(value)
     run_config = RunConfig(**echo)
     templates = scenario_templates(run_config)
-    input_names = list(run_config.inputs)
-    data = _panel_arrays(run_dir, input_names)
-    v = _Validator(run_dir)
+
+    # artifacts that several checks read are read once; a broken one
+    # fails each check that reads it
+    @functools.cache
+    def units():
+        return estimation_units(_read_panel(run_dir), run_config.fixed_effects)
+
+    @functools.cache
+    def fits():
+        return fits_from_csv(os.path.join(run_dir, "fits.csv"))
+
+    @functools.cache
+    def gain_results():
+        # gains.csv rows as GainResults, and the problems of rows that make none
+        blocks = units()[1]
+        summary = {(int(r["year"]), r["scenario"]): float(r["Y_e"])
+                   for r in _read_csv_rows(os.path.join(run_dir, "summary.csv"))}
+        results, problems = [], []
+        for r in _read_csv_rows(os.path.join(run_dir, "gains.csv")):
+            year, label = int(r["year"]), r["scenario"]
+            if year not in blocks or (year, label) not in summary:
+                problems.append(f"{label} {year}: no matching unit or summary row")
+                continue
+            spread = [float(r[k]) if r[k] else None for k in ("se", "ci_low", "ci_high")]
+            try:
+                results.append(GainResult(year, label, float(r["gain"]),
+                                          float(blocks[year][1].sum()),
+                                          summary[year, label], *spread))
+            except GainError as exc:
+                problems.append(f"{label} {year}: {exc}")
+        return results, problems
 
     def check_hashes():
         problems = []
@@ -590,16 +611,11 @@ def cmd_validate(config: RunConfig) -> int:
                 problems.append(f"hash mismatch for {name}")
         return problems
 
-    def unit_block(year):
-        if year in data:
-            return data[year]
-        return _pooled_unit(data)
-
     def check_afriat():
         problems = []
-        fits = fits_from_csv(os.path.join(run_dir, "fits.csv"))
-        for fit in fits:
-            x, y, _ = unit_block(fit.year)
+        blocks = units()[1]
+        for fit in fits():
+            x, y, _ = blocks[fit.year]
             if fit.n_obs != len(y):
                 problems.append(f"fit {fit.year}/{fit.tau}: row count mismatch")
                 continue
@@ -616,92 +632,49 @@ def cmd_validate(config: RunConfig) -> int:
         return problems
 
     def check_resources():
+        # each unit's scenarios rebuilt as the pipeline built them, then
+        # the planner's own certificate on every written allocation
+        names, blocks = units()
+        grid = set(run_config.quantiles)
+        ranks = _read_csv_rows(os.path.join(run_dir, "deciles.csv"))
+        written = {t.label: _read_csv_rows(os.path.join(run_dir, f"allocations_{t.label}.csv"))
+                   for t in templates}
         problems = []
-        for t in templates:
-            rows = _read_csv_rows(os.path.join(run_dir, f"allocations_{t.label}.csv"))
-            by_year = {}
-            for r in rows:
-                by_year.setdefault(int(r["year"]), []).append(r)
-            realloc = t.reallocated_factors or tuple(input_names)
-            local = t.mode in LOCAL_MODES
-            entry = t.mode in ENTRY_MODES
-            for year, sub in by_year.items():
-                x_obs, _, _ = unit_block(year)
-                for f in input_names:
-                    col = np.array([float(r[f.lower()]) for r in sub])
-                    total = float(x_obs[:, input_names.index(f)].sum())
-                    cap = total * (1.0 + _RESOURCE_TOL)
-                    if f not in realloc:
-                        if abs(col.sum() - total) > _RESOURCE_TOL * (1.0 + total):
-                            problems.append(
-                                f"{t.label} {year}: fixed factor {f} total moved")
-                        continue
-                    rate = {"K": t.iceberg, "L": t.depletion}.get(f, 0.0)
-                    charged = col.sum() * (1.0 + rate)
-                    if charged > cap:
-                        problems.append(f"{t.label} {year}: factor {f} over budget")
-                    if local:
-                        deciles = np.array([int(r["decile"]) for r in sub])
-                        for d in range(1, 11):
-                            share = col[deciles == d].sum() * (1.0 + rate)
-                            if share > cap / 10.0 + _RESOURCE_TOL:
-                                problems.append(
-                                    f"{t.label} {year}: decile {d} over its tenth of {f}")
-                if entry:
-                    for r in sub:
-                        if r["b"] == "0":
-                            vals = [float(r[f.lower()]) for f in input_names]
-                            if any(abs(vv) > 1e-9 for vv in vals) or abs(float(r["y"])) > 1e-9:
-                                problems.append(
-                                    f"{t.label} {year}: inactive city holds resources")
-        return problems
-
-    def check_gains():
-        problems = []
-        gains = _read_csv_rows(os.path.join(run_dir, "gains.csv"))
-        summary = {(int(r["year"]), r["scenario"]): float(r["Y_e"])
-                   for r in _read_csv_rows(os.path.join(run_dir, "summary.csv"))}
-        actual = {year: float(block[1].sum()) for year, block in data.items()}
-        pooled = float(np.mean(list(actual.values())))
-        for r in gains:
-            year, label = int(r["year"]), r["scenario"]
-            base = actual.get(year, pooled)
-            key = (year, label)
-            if key not in summary:
-                problems.append(f"{label} {year}: no matching summary row")
-                continue
-            want = summary[key] / base
-            gain = float(r["gain"])
-            if abs(gain - want) > _GAIN_TOL * max(1.0, abs(want)):
-                problems.append(f"{label} {year}: gain != Y_e / Y")
-            if r["ci_low"]:
-                if not float(r["ci_low"]) <= gain <= float(r["ci_high"]):
-                    problems.append(f"{label} {year}: interval misses the estimate")
+        for year, (x, _, _) in blocks.items():
+            rank = [r for r in ranks if int(r["year"]) == year]
+            assignment = DecileAssignment(
+                year, np.array([r["city_id"] for r in rank], dtype=object),
+                np.array([int(r["decile"]) for r in rank]),
+                np.array([float(r["score"]) for r in rank]))
+            techs = tuple(technology_from_fit(f, d, int(assignment.sizes[d - 1]))
+                          for d, f in enumerate((f for f in fits()
+                                                 if f.year == year and f.tau in grid), start=1))
+            for t in templates:
+                rows = [r for r in written[t.label] if int(r["year"]) == year]
+                found = certify(unit_scenario(t, year, techs, names, x, assignment),
+                                [[float(r[f.lower()]) for f in names] for r in rows],
+                                [float(r["y"]) for r in rows],
+                                [int(r["b"]) for r in rows])
+                problems += [f"{t.label} {year}: {p}" for p in found]
         return problems
 
     def check_plots():
-        problems = []
-        path = os.path.join(run_dir, "plot_gains.json")
-        with open(path, encoding="utf-8") as fh:
+        with open(os.path.join(run_dir, "plot_gains.json"), encoding="utf-8") as fh:
             payload = json.load(fh)
-        gains = _read_csv_rows(os.path.join(run_dir, "gains.csv"))
-        n_years = len({r["year"] for r in gains})
-        for series in payload["series"]:
-            if len(series["points"]) != n_years:
-                problems.append(f"series {series['scenario']}: wrong length")
-            for p in series["points"]:
-                if "ci_low" in p and not p["ci_low"] <= p["gain"] <= p["ci_high"]:
-                    problems.append(f"series {series['scenario']}: band misses point")
-        return problems
+        want = gains_plot_payload(gain_results()[0])
+        if payload == want:
+            return []
+        return [f"series {s['scenario']}: differs from gains.csv"
+                for s in payload["series"] if s not in want["series"]] \
+            or ["plot_gains.json differs from gains.csv"]
 
-    v.check("artifact-hashes", check_hashes)
-    v.check("afriat-rows", check_afriat)
-    v.check("resource-rows", check_resources)
+    checks = [("artifact-hashes", check_hashes), ("afriat-rows", check_afriat),
+              ("resource-rows", check_resources)]
     if os.path.exists(os.path.join(run_dir, "gains.csv")):
-        v.check("gain-arithmetic", check_gains)
+        checks.append(("gain-arithmetic", lambda: gain_results()[1]))
     if os.path.exists(os.path.join(run_dir, "plot_gains.json")):
-        v.check("plot-data", check_plots)
-    return v.report()
+        checks.append(("plot-data", check_plots))
+    return _report(checks)
 
 
 def _classify(exc) -> int:

@@ -356,10 +356,14 @@ def dedup_hyperplanes(alpha, beta):
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
     coef = np.column_stack([alpha, beta])
-    keep = []
-    for i, row in enumerate(coef):
-        if not any(np.max(np.abs(row - coef[j])) <= _DEDUP_TOL for j in keep):
-            keep.append(i)
+    # close[i, j]: within tolerance in every coefficient, one column at a time
+    close = np.ones((len(coef), len(coef)), dtype=bool)
+    for col in coef.T:
+        close &= np.abs(col[:, None] - col[None, :]) <= _DEDUP_TOL
+    keep, alive = [], np.ones(len(coef), dtype=bool)
+    while alive.any():
+        keep.append(int(alive.argmax()))
+        alive &= ~close[keep[-1]]
     return alpha[keep], beta[keep].reshape(len(keep), -1)
 
 

@@ -210,6 +210,23 @@ def _expand(fit, back):
                    eps_plus=fit.eps_plus[back], eps_minus=fit.eps_minus[back])
 
 
+def unit_scenario(template, year, technologies, names, x, assignment):
+    """The planner scenario of one template on one estimation unit.
+
+    Totals are the observed input sums. Factors the template does not
+    reallocate stay pinned at each city's observed value, pseudo-cities
+    in decile order: deciles ascending, members in rank order inside.
+    """
+    moved = template.reallocated_factors or names
+    order = np.concatenate([assignment.members(d) for d in range(1, _N_DECILES + 1)])
+    fixed = {f: x[order, names.index(f)] for f in names if f not in moved} or None
+    return PlannerScenario(
+        year, template.mode, technologies, names,
+        {f: float(x[:, names.index(f)].sum()) for f in moved},
+        reallocated_factors=template.reallocated_factors, iceberg=template.iceberg,
+        depletion=template.depletion, fixed_input_values=fixed)
+
+
 def _run_unit(x, y, city_id, year, names, templates, quantile_grid, crs,
               tolerance):
     """Estimate and solve one cross-section; returns (gains, audit).
@@ -255,23 +272,10 @@ def _run_unit(x, y, city_id, year, names, templates, quantile_grid, crs,
         raise PipelineError(f"year {year}: technology build failed: {exc}",
                             stage="technology", year=year) from exc
 
-    # pseudo-city order: deciles ascending, members in rank order inside
-    order = np.concatenate([assignment.members(d)
-                            for d in range(1, _N_DECILES + 1)])
-    x_ord = x[order]
-
     gains, solutions = [], {}
     for t in templates:
-        realloc = t.reallocated_factors
-        active = names if realloc is None else realloc
         try:
-            totals = {f: float(x[:, names.index(f)].sum()) for f in active}
-            fixed = {f: x_ord[:, names.index(f)]
-                     for f in names if f not in active} or None
-            scenario = PlannerScenario(
-                year, t.mode, techs, names, totals,
-                reallocated_factors=realloc, iceberg=t.iceberg,
-                depletion=t.depletion, fixed_input_values=fixed)
+            scenario = unit_scenario(t, year, techs, names, x, assignment)
             solution = solve_scenario(scenario, tolerance)
             gains.append(compute_gain(solution, y, label=t.label))
         except PipelineError:
@@ -300,16 +304,19 @@ def _fan_out(fn, payloads, jobs):
                              chunksize=max(1, len(payloads) // (4 * jobs))))
 
 
-def _fan_units(panel, templates, fixed_effects, quantile_grid, crs,
-               tolerance, jobs):
+def estimation_units(panel: Panel, fixed_effects: bool):
+    """(input names, {year: (x, y, city_id)}) of the units a pipeline run
+    estimates: one per year, or the pooled one under year 0."""
     if fixed_effects:
         panel = fixed_effect_inputs(panel)
-    names = list(panel.input_names)
-    payloads = []
-    for year in (int(v) for v in panel.years):
-        x, y, city_id = panel.year_slice(year)
-        payloads.append((x, y, city_id, year, names, templates, quantile_grid,
-                         crs, tolerance))
+    return list(panel.input_names), {int(yr): panel.year_slice(yr) for yr in panel.years}
+
+
+def _fan_units(panel, templates, fixed_effects, quantile_grid, crs,
+               tolerance, jobs):
+    names, units = estimation_units(panel, fixed_effects)
+    payloads = [(x, y, city_id, year, names, templates, quantile_grid, crs, tolerance)
+                for year, (x, y, city_id) in units.items()]
     return _fan_out(_unit_entry, payloads, jobs)
 
 
@@ -415,8 +422,8 @@ def gains_to_csv(results, path) -> None:
             ])
 
 
-def gains_to_plot_json(results, path) -> None:
-    """Plot-data JSON: one series per scenario with an optional CI band."""
+def gains_plot_payload(results) -> dict:
+    """Plot data: one series per scenario with an optional CI band."""
     series = {}
     for g in results:
         point = {"year": g.year, "gain": g.gain}
@@ -426,8 +433,12 @@ def gains_to_plot_json(results, path) -> None:
             point["ci_low"] = g.ci_low
             point["ci_high"] = g.ci_high
         series.setdefault(g.scenario, []).append(point)
-    payload = {"series": [{"scenario": label, "points": points}
-                          for label, points in series.items()]}
+    return {"series": [{"scenario": label, "points": points}
+                       for label, points in series.items()]}
+
+
+def gains_to_plot_json(results, path) -> None:
+    """Write gains_plot_payload(results) as JSON."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(gains_plot_payload(results), fh, indent=2, sort_keys=True)
         fh.write("\n")

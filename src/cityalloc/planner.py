@@ -25,8 +25,9 @@ outputs and inputs.  Four exact solution strategies split the work:
 * everything else runs the per-city LP through its dual, built whole
   (one column per city and plane) and solved once.
 
-All four land on the same post-solve certificate: outputs on or under
-the envelope, resource rows honored, inactive cities at rest.
+All four land on one post-solve certificate, ``certify``, which
+``cityalloc validate`` also runs on every written allocation (envelope,
+resource rows, pinned factors, idle cities at rest).
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ LOCAL_MODES = ("local", "local_entry_exit")
 _LOCAL_SHARES = 10  # local caps are literal tenths of each total
 
 _ENVELOPE_TOL = 1e-6   # post-solve certificate slack, relative to the data
+_IDLE_TOL = 1e-9       # an inactive pseudo-city's allocation is an exact zero
 
 
 class PlannerError(ValueError):
@@ -260,7 +262,7 @@ class AllocationSolution:
 
 
 class _Geo(NamedTuple):
-    """Per-solve geometry shared by builders and the certificate."""
+    """Per-solve geometry shared by the builders."""
 
     counts: np.ndarray     # pseudo-cities per decile
     starts: np.ndarray     # decile offsets into the city axis
@@ -291,35 +293,41 @@ def _geometry(scn: PlannerScenario) -> _Geo:
     return _Geo(counts, starts, rcols, weights, totals, alpha_eff, beta_r)
 
 
-def _certify(scn, geo, y, x, b):
-    """Feasibility certificate on the final point; raises on violation.
+def certify(scenario: PlannerScenario, inputs, output, active) -> list:
+    """Problems with an allocation of ``scenario``; empty when it holds.
 
-    Slacks scale with the values compared, so the verdict does not
-    depend on the units of output or inputs."""
-    active = b > 0.5
+    ``inputs`` is laid out as AllocationSolution.inputs. Active outputs
+    lie on or under their decile's envelope, each reallocated factor
+    within its (1+friction)-weighted total (its tenth per decile when
+    local), pinned factors exactly at ``fixed_input_values`` and idle
+    pseudo-cities at zero. Slacks scale with the values compared.
+    """
+    names = scenario.factor_names
+    x = np.asarray(inputs, dtype=np.float64)
+    y = np.asarray(output, dtype=np.float64)
+    on = np.asarray(active) > 0.5
+    starts = np.cumsum([0] + [t.pseudo_city_count for t in scenario.technologies])
+    n = int(starts[-1])
+    if x.shape != (n, len(names)) or y.shape != (n,) or on.shape != (n,):
+        return [f"allocation does not have {n} pseudo-cities by {len(names)} factors"]
+    deciles = [(t, slice(lo, hi)) for t, lo, hi
+               in zip(scenario.technologies, starts[:-1], starts[1:])]
     env_tol = _ENVELOPE_TOL * (1.0 + np.abs(y).max(initial=0.0))
-    for d, t in enumerate(scn.technologies):
-        lo, hi = geo.starts[d], geo.starts[d + 1]
-        env = (geo.alpha_eff[d] + x[lo:hi] @ geo.beta_r[d].T).min(axis=1)
-        act = active[lo:hi]
-        if np.any(y[lo:hi][act] > env[act] + env_tol):
-            raise PlannerError(f"decile {t.decile}: output above the envelope")
-    if scn.is_entry_exit:
-        idle = ~active
-        if (np.abs(y[idle]).max(initial=0.0) > _ENVELOPE_TOL
-                or np.abs(x[idle]).max(initial=0.0) > _ENVELOPE_TOL):
-            raise PlannerError("inactive pseudo-city with nonzero allocation")
-    for r in range(geo.rcols.size):
-        loads = geo.weights[r] * x[:, r]
-        row_tol = _ENVELOPE_TOL * (1.0 + geo.totals[r])
-        if scn.is_local:
-            cap = geo.totals[r] / _LOCAL_SHARES
-            for d in range(len(geo.counts)):
-                lo, hi = geo.starts[d], geo.starts[d + 1]
-                if loads[lo:hi].sum() > cap + row_tol:
-                    raise PlannerError("local resource row violated")
-        elif loads.sum() > geo.totals[r] + row_tol:
-            raise PlannerError("resource row violated")
+    problems = [f"decile {t.decile} output above its envelope" for t, rows in deciles
+                if np.any(y[rows][on[rows]] > t.envelope(x[rows][on[rows]]) + env_tol)]
+    for f in scenario.reallocated_factors:
+        loads = (1.0 + scenario.friction(f)) * x[:, names.index(f)]
+        total = scenario.aggregate_resources[f]
+        if scenario.is_local:
+            problems += [f"decile {t.decile} over its tenth of {f}" for t, rows in deciles
+                         if loads[rows].sum() > total / _LOCAL_SHARES * (1.0 + _ENVELOPE_TOL)]
+        elif loads.sum() > total * (1.0 + _ENVELOPE_TOL):
+            problems.append(f"factor {f} over budget")
+    problems += [f"pinned factor {f} moved" for f, pinned in scenario.fixed_input_values.items()
+                 if not np.array_equal(x[:, names.index(f)], pinned)]
+    if max(np.abs(x[~on]).max(initial=0.0), np.abs(y[~on]).max(initial=0.0)) > _IDLE_TOL:
+        problems.append("inactive city holds resources")
+    return problems
 
 
 def _build_solution(scn, geo, y, x, b, objective) -> AllocationSolution:
@@ -537,8 +545,11 @@ def _solve(scn: PlannerScenario, tolerance: float) -> AllocationSolution:
         y, x, b, obj = _solve_separable(scn, geo)
     else:
         y, x, b, obj = _solve_rows(scn, geo, tolerance)
-    _certify(scn, geo, y, x, b)
-    return _build_solution(scn, geo, y, x, b, obj)
+    solution = _build_solution(scn, geo, y, x, b, obj)
+    problems = certify(scn, solution.inputs, solution.output, solution.active)
+    if problems:
+        raise PlannerError(problems[0])
+    return solution
 
 
 def solve_scenario(scenario: PlannerScenario, tolerance: float = 1e-7) -> AllocationSolution:

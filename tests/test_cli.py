@@ -26,8 +26,9 @@ def run_dir(tmp_path_factory):
     assert cli.main(["synth", "--cities", "20", "--years", "2",
                      "--out", synth_out]) == cli.EXIT_OK
     panel = os.path.join(synth_out, "synthetic_panel.csv")
-    assert cli.main(["run", "--input", panel, "--out", run_out,
-                     "--jobs", "1"]) == cli.EXIT_OK
+    assert cli.main(["run", "--input", panel, "--out", run_out, "--jobs", "1",
+                     "--scenarios", "perfect,imperfect,entry_exit,local,perfect:K"]
+                    ) == cli.EXIT_OK
     return run_out
 
 
@@ -83,11 +84,9 @@ def test_validate_rejects_a_unit_scale_cross_row_miss(run_dir, tmp_path, capsys)
     # one cross row misses by 1e-5 fails, with the residual split intact
     copy = str(tmp_path / "run")
     shutil.copytree(run_dir, copy)
-    with open(os.path.join(copy, "manifest.json"), encoding="utf-8") as fh:
-        inputs = json.load(fh)["config"]["inputs"]
     fits = fits_from_csv(os.path.join(copy, "fits.csv"))
     fit = fits[0]
-    x = cli._panel_arrays(copy, inputs)[fit.year][0]
+    x = cli._read_panel(copy).year_slice(fit.year)[0]
     planes = fit.alpha[None, :] + x @ fit.beta.T
     gap = planes - planes.diagonal()[:, None]  # cross-row slack, row i, plane h
     np.fill_diagonal(gap, np.inf)
@@ -196,6 +195,17 @@ def _idle_city_holds(rows):
     held["b"] = "0"
 
 
+def _output_above_envelope(rows):
+    # the first pseudo-city of decile 1 sits on its envelope at the optimum
+    rows[0]["y"] = repr(float(rows[0]["y"]) * 1.01)
+
+
+def _pinned_swapped(rows):
+    # two pseudo-cities trade their pinned L: the L total stays put
+    year = [r for r in rows if r["year"] == rows[0]["year"]]
+    year[0]["l"], year[-1]["l"] = year[-1]["l"], year[0]["l"]
+
+
 def _gain_off(rows):
     rows[0]["gain"] = repr(float(rows[0]["gain"]) * 1.01)
 
@@ -211,8 +221,14 @@ def _band_misses(payload):
      "decile 2 over its tenth of K"),
     ("allocations_entry_exit.csv", _idle_city_holds, "resource-rows",
      "inactive city holds resources"),
-    ("gains.csv", _gain_off, "gain-arithmetic", "gain != Y_e / Y"),
-    ("plot_gains.json", _band_misses, "plot-data", "band misses point"),
+    ("allocations_perfect.csv", _output_above_envelope, "resource-rows",
+     "decile 1 output above its envelope"),
+    ("allocations_perfect_K.csv", _pinned_swapped, "resource-rows",
+     "pinned factor L moved"),
+    ("gains.csv", _gain_off, "gain-arithmetic",
+     "gain must equal efficient_output / actual_output"),
+    ("plot_gains.json", _band_misses, "plot-data",
+     "series perfect: differs from gains.csv"),
 ])
 def test_validate_fails_the_named_check(run_dir, tmp_path, capsys,
                                         artifact, edit, check, message):
@@ -235,6 +251,25 @@ def test_validate_fails_the_named_check(run_dir, tmp_path, capsys,
     assert message in report
 
 
+@pytest.mark.parametrize("artifact, check", [
+    ("panel.csv", "afriat-rows"),
+    ("fits.csv", "resource-rows"),
+    ("deciles.csv", "resource-rows"),
+    ("summary.csv", "gain-arithmetic"),
+])
+def test_validate_missing_artifact_fails_its_check(run_dir, tmp_path, capsys,
+                                                   artifact, check):
+    copy = str(tmp_path / "run")
+    shutil.copytree(run_dir, copy)
+    os.remove(os.path.join(copy, artifact))
+    capsys.readouterr()
+    assert cli.main(["validate", "--input", copy]) == cli.EXIT_VALIDATION
+    report = capsys.readouterr().out
+    status = next(line for line in report.splitlines() if line.startswith(check))
+    assert status.split()[-1] == "FAIL"
+    assert f"missing artifact {artifact}" in report
+
+
 @pytest.fixture(scope="module")
 def small_panel(tmp_path_factory):
     out = str(tmp_path_factory.mktemp("small"))
@@ -245,10 +280,13 @@ def small_panel(tmp_path_factory):
 
 @pytest.mark.parametrize("argv", [
     ["estimate"],
+    ["allocate"],
+    ["gain"],
     ["run", "--bootstrap", "2"],
     ["run", "--fixed-effects"],
     ["run", "--scenarios", "perfect,local:L,imperfect:K"],
-], ids=["estimate", "bootstrap", "fixed_effects", "single_factor"])
+], ids=["estimate", "allocate", "gain", "bootstrap", "fixed_effects",
+        "single_factor"])
 def test_command_paths_complete_and_validate(small_panel, tmp_path, argv):
     out = str(tmp_path / "out")
     assert cli.main(argv + ["--input", small_panel, "--out", out,
@@ -256,6 +294,13 @@ def test_command_paths_complete_and_validate(small_panel, tmp_path, argv):
     written = set(os.listdir(out))
     if argv[0] == "estimate":
         assert {"fits.csv", "deciles.csv"} <= written
+        return
+    if argv[0] in ("allocate", "gain"):
+        labels = [t.label for t in cli.scenario_templates(cli.RunConfig())]
+        assert {f"allocations_{label}.csv" for label in labels} | {"summary.csv"} \
+            <= written
+        assert ("gains.csv" in written) == (argv[0] == "gain")
+        assert "manifest.json" not in written
         return
     if "--scenarios" in argv:
         assert "plot_single_factor.json" in written

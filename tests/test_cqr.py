@@ -372,6 +372,37 @@ def test_dedup_collapses_only_true_duplicates():
     assert b.shape == (3, 2)
 
 
+def dedup_hyperplanes_loop(alpha, beta):
+    """The pairwise loop that cqr.dedup_hyperplanes replaces, kept as its
+    reference."""
+    alpha = np.asarray(alpha, dtype=float)
+    beta = np.asarray(beta, dtype=float)
+    coef = np.column_stack([alpha, beta])
+    keep = []
+    for i, row in enumerate(coef):
+        if not any(np.max(np.abs(row - coef[j])) <= cityalloc.cqr._DEDUP_TOL
+                   for j in keep):
+            keep.append(i)
+    return alpha[keep], beta[keep].reshape(len(keep), -1)
+
+
+def test_dedup_matches_the_loop():
+    # copies of a few base planes, each coefficient nudged by a multiple of
+    # 3e-7 or by 2e-6 (tolerance 1e-6): in chains of close neighbours such
+    # as 0 ~ 6e-7 ~ 1.2e-6 only the greedy order decides what is kept
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 3, 8, 40, 120):
+        for d in (1, 2, 3):
+            base = rng.uniform(-2.0, 2.0, size=(max(1, n // 4), d + 1))
+            coef = base[rng.integers(0, len(base), n)]
+            coef = coef + rng.choice([0.0, 3e-7, 6e-7, 9e-7, 1.2e-6, 2e-6], size=coef.shape)
+            want = dedup_hyperplanes_loop(coef[:, 0], coef[:, 1:])
+            got = dedup_hyperplanes(coef[:, 0], coef[:, 1:])
+            for g, w in zip(got, want):
+                assert g.shape == w.shape and g.dtype == w.dtype
+                np.testing.assert_array_equal(g, w)
+
+
 def test_fit_csv_round_trip(tmp_path):
     rng = np.random.default_rng(149)
     x, y = cobb_douglas_year(rng, 12)

@@ -13,6 +13,7 @@ from cityalloc.planner import (
     PlannerError,
     PlannerScenario,
     allocations_to_csv,
+    certify,
     solve_scenario,
     summary_to_csv,
     technology_from_fit,
@@ -584,3 +585,48 @@ def test_every_lp_regime_builds_and_solves_one_lp(monkeypatch):
             [t.pseudo_city_count for t in scn.technologies],
             totals, weights=weights, local=scn.is_local, fixed=fixed)
         assert abs(got - want) < 1e-6 * (1.0 + abs(want)), scn.mode
+
+
+def test_certify_names_each_broken_rule():
+    # clean on every solver path's answer, one named problem per fault
+    rng = np.random.default_rng(229)
+    free = random_scenario(rng, "perfect", n_deciles=3, max_cities=3)
+    pinned = fixed_factor_scenario(rng, "perfect")
+    good = DecileTechnology(1, 0.5, [0.0, 8.0], [[3.0, 1.0], [0.0, 0.0]], 2)
+    bad = DecileTechnology(2, 0.5, [-5.0, 2.0], [[1.0, 1.0], [0.0, 0.0]], 1)
+    entry = PlannerScenario(2015, "entry_exit", [good, bad], ("K", "L"),
+                            {"K": 3.0, "L": 3.0})
+    tenth = free.aggregate_resources["K"] / 10
+    second = free.technologies[0].pseudo_city_count  # first city of decile 2
+
+    def above(x, y, b):
+        y[0] += 1.0
+
+    def over_budget(x, y, b):
+        x[0, 0] += free.aggregate_resources["K"]
+
+    def over_tenth(x, y, b):
+        x[second, 0] += 2 * tenth
+
+    def pin_moved(x, y, b):
+        x[0, 2] *= 2.0
+
+    def idle_holds(x, y, b):
+        b[0] = 0
+
+    cases = [
+        (free, above, "decile 1 output above its envelope"),
+        (free, over_budget, "factor K over budget"),
+        (remodel(free, "local"), over_tenth, "decile 2 over its tenth of K"),
+        (pinned, pin_moved, "pinned factor H moved"),
+        (entry, idle_holds, "inactive city holds resources"),
+    ]
+    for scn, fault, message in cases:
+        sol = solve_scenario(scn)
+        x, y, b = sol.inputs.copy(), sol.output.copy(), sol.active.copy()
+        assert certify(scn, x, y, b) == [], scn.mode
+        fault(x, y, b)
+        assert certify(scn, x, y, b) == [message]
+    n = sol.output.size
+    assert certify(entry, sol.inputs[1:], sol.output[1:], sol.active[1:]) == [
+        f"allocation does not have {n} pseudo-cities by 2 factors"]
