@@ -39,10 +39,10 @@ from .gains import (
     gains_to_plot_json,
     run_pipeline,
     unit_scenario,
+    unit_technologies,
 )
 from .panel import CAPITAL_VARIANTS, CapitalRule, Panel, load_panel, panel_to_csv
-from .planner import (ENTRY_MODES, allocations_to_csv, certify, summary_to_csv,
-                      technology_from_fit)
+from .planner import ENTRY_MODES, allocations_to_csv, certify, summary_to_csv
 from .solver import SolverError
 from .synth import SyntheticSpec, generate, rows_to_csv, truth_to_json
 
@@ -341,12 +341,9 @@ def _write_solutions(audits, templates, staging):
         sols = [a.solutions[t.label] for a in audits]
         allocations_to_csv(sols, os.path.join(staging, f"allocations_{t.label}.csv"),
                            labels=[t.label] * len(sols))
-    sols, labels = [], []
-    for a in audits:
-        for t in templates:
-            sols.append(a.solutions[t.label])
-            labels.append(t.label)
-    summary_to_csv(sols, os.path.join(staging, "summary.csv"), labels=labels)
+    summary_to_csv([a.solutions[t.label] for a in audits for t in templates],
+                   os.path.join(staging, "summary.csv"),
+                   labels=[t.label for _ in audits for t in templates])
 
 
 def _delta_rows(gains):
@@ -369,34 +366,27 @@ def _delta_rows(gains):
     return rows
 
 
+def _write_json(path, payload):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _write_plots(gains, templates, staging):
-    written = []
     gains_to_plot_json(gains, os.path.join(staging, "plot_gains.json"))
-    written.append("plot_gains.json")
 
     restricted = [t.label for t in templates if t.reallocated_factors is not None]
     if restricted:
         full = [t.label for t in templates if t.reallocated_factors is None]
-        payload = {
-            "series": [{"scenario": lab,
-                        "points": [{"year": g.year, "gain": g.gain}
-                                   for g in gains if g.scenario == lab]}
-                       for lab in restricted],
-            "reference": [{"scenario": lab,
-                           "points": [{"year": g.year, "gain": g.gain}
-                                      for g in gains if g.scenario == lab]}
-                          for lab in full],
-        }
-        with open(os.path.join(staging, "plot_single_factor.json"), "w",
-                  encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        written.append("plot_single_factor.json")
+        _write_json(os.path.join(staging, "plot_single_factor.json"), {
+            key: [{"scenario": lab, "points": [{"year": g.year, "gain": g.gain}
+                                               for g in gains if g.scenario == lab]}
+                  for lab in labels]
+            for key, labels in (("series", restricted), ("reference", full))})
 
     rows = _delta_rows(gains)
     if rows:
-        names = ["delta1", "delta2"]
-        present = [n for n in names if any(n in r for r in rows)]
+        present = [n for n in ("delta1", "delta2") if any(n in r for r in rows)]
         lines = ["year," + ",".join(present)]
         for r in rows:
             cells = [str(r["year"])]
@@ -404,16 +394,10 @@ def _write_plots(gains, templates, staging):
             lines.append(",".join(cells))
         with open(os.path.join(staging, "deltas.csv"), "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
-        payload = {"series": [{"name": n,
-                               "points": [{"year": r["year"], "delta": r[n]}
-                                          for r in rows if n in r]}
-                              for n in present]}
-        with open(os.path.join(staging, "plot_deltas.json"), "w",
-                  encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        written += ["deltas.csv", "plot_deltas.json"]
-    return written
+        _write_json(os.path.join(staging, "plot_deltas.json"), {
+            "series": [{"name": n, "points": [{"year": r["year"], "delta": r[n]}
+                                              for r in rows if n in r]}
+                       for n in present]})
 
 
 def _config_echo(config) -> dict:
@@ -490,10 +474,7 @@ def cmd_pipeline(config: RunConfig, stage: int) -> int:
                           "sha256": _sha256(input_path)},
                 "artifacts": artifacts,
             }
-            with open(os.path.join(staging, "manifest.json"), "w",
-                      encoding="utf-8") as fh:
-                json.dump(manifest, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            _write_json(os.path.join(staging, "manifest.json"), manifest)
         for g in gains if stage >= _STAGE["gain"] else []:
             print(f"{g.year} {g.scenario}: gain {g.gain:.4f}")
         print(f"wrote {out_dir}")
@@ -646,9 +627,8 @@ def cmd_validate(config: RunConfig) -> int:
                 year, np.array([r["city_id"] for r in rank], dtype=object),
                 np.array([int(r["decile"]) for r in rank]),
                 np.array([float(r["score"]) for r in rank]))
-            techs = tuple(technology_from_fit(f, d, int(assignment.sizes[d - 1]))
-                          for d, f in enumerate((f for f in fits()
-                                                 if f.year == year and f.tau in grid), start=1))
+            techs = unit_technologies([f for f in fits() if f.year == year and f.tau in grid],
+                                      assignment)
             for t in templates:
                 rows = [r for r in written[t.label] if int(r["year"]) == year]
                 found = certify(unit_scenario(t, year, techs, names, x, assignment),

@@ -360,6 +360,7 @@ def dedup_hyperplanes(alpha, beta):
     close = np.ones((len(coef), len(coef)), dtype=bool)
     for col in coef.T:
         close &= np.abs(col[:, None] - col[None, :]) <= _DEDUP_TOL
+    np.fill_diagonal(close, True)  # a NaN plane is close to nothing else
     keep, alive = [], np.ones(len(coef), dtype=bool)
     while alive.any():
         keep.append(int(alive.argmax()))

@@ -210,6 +210,13 @@ def _expand(fit, back):
                    eps_plus=fit.eps_plus[back], eps_minus=fit.eps_minus[back])
 
 
+def unit_technologies(fits, assignment):
+    """One unit's decile technologies: decile d from the d-th grid fit
+    (tau ascending), with as many pseudo-cities as cities it ranks."""
+    return tuple(technology_from_fit(f, d, int(assignment.sizes[d - 1]))
+                 for d, f in enumerate(fits, start=1))
+
+
 def unit_scenario(template, year, technologies, names, x, assignment):
     """The planner scenario of one template on one estimation unit.
 
@@ -263,11 +270,9 @@ def _run_unit(x, y, city_id, year, names, templates, quantile_grid, crs,
     except Exception as exc:
         raise PipelineError(f"year {year}: decile ranking failed: {exc}",
                             stage="deciles", year=year) from exc
-    sizes = assignment.sizes
 
     try:
-        techs = tuple(technology_from_fit(f, d, int(sizes[d - 1]))
-                      for d, f in enumerate(fits, start=1))
+        techs = unit_technologies(fits, assignment)
     except Exception as exc:
         raise PipelineError(f"year {year}: technology build failed: {exc}",
                             stage="technology", year=year) from exc

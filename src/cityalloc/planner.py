@@ -293,14 +293,17 @@ def _geometry(scn: PlannerScenario) -> _Geo:
     return _Geo(counts, starts, rcols, weights, totals, alpha_eff, beta_r)
 
 
-def certify(scenario: PlannerScenario, inputs, output, active) -> list:
+def certify(scenario: PlannerScenario, inputs, output, active,
+            tolerance: float = 0.0) -> list:
     """Problems with an allocation of ``scenario``; empty when it holds.
 
     ``inputs`` is laid out as AllocationSolution.inputs. Active outputs
     lie on or under their decile's envelope, each reallocated factor
     within its (1+friction)-weighted total (its tenth per decile when
     local), pinned factors exactly at ``fixed_input_values`` and idle
-    pseudo-cities at zero. Slacks scale with the values compared.
+    pseudo-cities at zero. Slacks scale with the values compared, but a
+    resource row's never falls below what the solver's ``tolerance``
+    (zero for a written allocation) may leave over.
     """
     names = scenario.factor_names
     x = np.asarray(inputs, dtype=np.float64)
@@ -316,13 +319,15 @@ def certify(scenario: PlannerScenario, inputs, output, active) -> list:
     problems = [f"decile {t.decile} output above its envelope" for t, rows in deciles
                 if np.any(y[rows][on[rows]] > t.envelope(x[rows][on[rows]]) + env_tol)]
     for f in scenario.reallocated_factors:
-        loads = (1.0 + scenario.friction(f)) * x[:, names.index(f)]
-        total = scenario.aggregate_resources[f]
-        if scenario.is_local:
-            problems += [f"decile {t.decile} over its tenth of {f}" for t, rows in deciles
-                         if loads[rows].sum() > total / _LOCAL_SHARES * (1.0 + _ENVELOPE_TOL)]
-        elif loads.sum() > total * (1.0 + _ENVELOPE_TOL):
-            problems.append(f"factor {f} over budget")
+        w = 1.0 + scenario.friction(f)
+        loads = w * x[:, names.index(f)]
+        cap = scenario.aggregate_resources[f] / (_LOCAL_SHARES if scenario.is_local else 1)
+        spans = [(f"decile {t.decile} over its tenth of {f}", rows) for t, rows in deciles] \
+            if scenario.is_local else [(f"factor {f} over budget", slice(None))]
+        # the solver may leave a row over by its tolerance, and by that
+        # again per city whose row dual just below zero became a zero input
+        problems += [msg for msg, rows in spans if loads[rows].sum() > cap + max(
+            cap * _ENVELOPE_TOL, tolerance * (1.0 + w * loads[rows].size))]
     problems += [f"pinned factor {f} moved" for f, pinned in scenario.fixed_input_values.items()
                  if not np.array_equal(x[:, names.index(f)], pinned)]
     if max(np.abs(x[~on]).max(initial=0.0), np.abs(y[~on]).max(initial=0.0)) > _IDLE_TOL:
@@ -546,7 +551,7 @@ def _solve(scn: PlannerScenario, tolerance: float) -> AllocationSolution:
     else:
         y, x, b, obj = _solve_rows(scn, geo, tolerance)
     solution = _build_solution(scn, geo, y, x, b, obj)
-    problems = certify(scn, solution.inputs, solution.output, solution.active)
+    problems = certify(scn, solution.inputs, solution.output, solution.active, tolerance)
     if problems:
         raise PlannerError(problems[0])
     return solution

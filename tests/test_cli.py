@@ -206,6 +206,11 @@ def _pinned_swapped(rows):
     year[0]["l"], year[-1]["l"] = year[-1]["l"], year[0]["l"]
 
 
+def _blank_fit_cell(rows):
+    # genfromtxt reads a blank cell as NaN; the decile 1 fit comes first
+    rows[0]["alpha"] = ""
+
+
 def _gain_off(rows):
     rows[0]["gain"] = repr(float(rows[0]["gain"]) * 1.01)
 
@@ -225,6 +230,8 @@ def _band_misses(payload):
      "decile 1 output above its envelope"),
     ("allocations_perfect_K.csv", _pinned_swapped, "resource-rows",
      "pinned factor L moved"),
+    ("fits.csv", _blank_fit_cell, "resource-rows",
+     "hyperplane coefficients must be finite"),
     ("gains.csv", _gain_off, "gain-arithmetic",
      "gain must equal efficient_output / actual_output"),
     ("plot_gains.json", _band_misses, "plot-data",

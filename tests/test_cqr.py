@@ -401,6 +401,14 @@ def test_dedup_matches_the_loop():
             for g, w in zip(got, want):
                 assert g.shape == w.shape and g.dtype == w.dtype
                 np.testing.assert_array_equal(g, w)
+            # a NaN coefficient (a blank fits.csv cell) makes a plane close
+            # to nothing: the loop keeps it, and so must the vector pass
+            coef[rng.integers(0, n), rng.integers(0, d + 1)] = np.nan
+            want = dedup_hyperplanes_loop(coef[:, 0], coef[:, 1:])
+            got = dedup_hyperplanes(coef[:, 0], coef[:, 1:])
+            for g, w in zip(got, want):
+                assert g.shape == w.shape
+                np.testing.assert_array_equal(g, w)
 
 
 def test_fit_csv_round_trip(tmp_path):

@@ -411,6 +411,28 @@ def test_objective_scales_with_technology():
     assert abs(scaled - c * base) < 1e-9 * (1.0 + abs(c * base))
 
 
+def test_small_units_solve():
+    # inputs and output in units a million times larger, so each total
+    # is near 1e-5: the solver's absolute tolerance then exceeds the
+    # certificate's relative slack, which must not reject its answer
+    # (the answer is then only as exact as that absolute tolerance)
+    rng = np.random.default_rng(173)
+    s = 1e-6
+    for _ in range(30):
+        for scn in (fixed_factor_scenario(rng, "perfect"),
+                    fixed_factor_scenario(rng, "local"),
+                    random_scenario(rng, "imperfect", iceberg=0.1, depletion=0.05)):
+            small = PlannerScenario(
+                scn.year, scn.mode,
+                [DecileTechnology(t.decile, t.tau, s * t.alpha, t.beta, t.pseudo_city_count)
+                 for t in scn.technologies],
+                scn.factor_names, {f: s * v for f, v in scn.aggregate_resources.items()},
+                reallocated_factors=scn.reallocated_factors, iceberg=scn.iceberg,
+                depletion=scn.depletion,
+                fixed_input_values={f: s * v for f, v in scn.fixed_input_values.items()} or None)
+            solve_scenario(small)  # raises on a problem the certificate finds
+
+
 def test_rows_bind_or_marginal_value_is_zero():
     rng = np.random.default_rng(181)
     for _ in range(25):
