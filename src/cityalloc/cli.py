@@ -20,7 +20,7 @@ import os
 import shutil
 import sys
 import tempfile
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -36,7 +36,6 @@ from .gains import (
     estimation_units,
     gains_plot_payload,
     gains_to_csv,
-    gains_to_plot_json,
     run_pipeline,
     unit_scenario,
     unit_technologies,
@@ -55,10 +54,12 @@ _STAGE = {"ingest": 0, "estimate": 1, "allocate": 2, "gain": 3, "run": 4}
 _REFERENCE_REPLICATES = 1000
 _SYNTHETIC_PANEL = "synthetic_panel.csv"
 
-# --synthetic default and the synth command defaults are the same economy
+# --synthetic default and the synth command defaults are the same economy;
+# --synthetic small is that economy at 30 cities x 2 years, for smoke runs
 _FIXTURE = SyntheticSpec(city_count=284, year_count=17, scale=1.0,
                          exponents=(0.35, 0.45), wedge_sigma=0.5,
                          noise_sigma=0.1, seed=7)
+_PRESETS = {"default": _FIXTURE, "small": replace(_FIXTURE, city_count=30, year_count=2)}
 
 _AFRIAT_TOL = 1e-6  # floor of the concavity slack, 1e-12 of max|y| above it
 
@@ -211,7 +212,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pipeline = argparse.ArgumentParser(add_help=False)
     pipeline.add_argument("--synthetic", metavar="PRESET",
-                          help="generate the input panel ('default' = synth defaults)")
+                          help="generate the input panel ('default' = synth defaults, "
+                               "'small' = the same economy at 30 cities x 2 years)")
     pipeline.add_argument("--base-year", type=int)
     pipeline.add_argument("--capital-rule", choices=sorted(CAPITAL_VARIANTS))
     pipeline.add_argument("--quantiles", type=_FIELD_PARSERS["quantiles"],
@@ -306,7 +308,7 @@ def _staged_outputs(out_dir):
 def _resolve_input(config):
     """The --input path, or None when the panel is the synthetic preset."""
     if config.synthetic is not None:
-        if config.synthetic != "default":
+        if config.synthetic not in _PRESETS:
             raise ValueError(f"unknown synthetic preset {config.synthetic!r}")
         if config.input:
             raise ValueError("--input and --synthetic are mutually exclusive")
@@ -372,18 +374,18 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _write_plots(gains, templates, staging):
-    gains_to_plot_json(gains, os.path.join(staging, "plot_gains.json"))
-
+def plot_payloads(gains, templates) -> dict:
+    """A run's plot artifacts, by file name, built from its GainResults:
+    the JSON payload of each .json file and the text of deltas.csv."""
+    payloads = {"plot_gains.json": gains_plot_payload(gains)}
     restricted = [t.label for t in templates if t.reallocated_factors is not None]
     if restricted:
         full = [t.label for t in templates if t.reallocated_factors is None]
-        _write_json(os.path.join(staging, "plot_single_factor.json"), {
+        payloads["plot_single_factor.json"] = {
             key: [{"scenario": lab, "points": [{"year": g.year, "gain": g.gain}
                                                for g in gains if g.scenario == lab]}
                   for lab in labels]
-            for key, labels in (("series", restricted), ("reference", full))})
-
+            for key, labels in (("series", restricted), ("reference", full))}
     rows = _delta_rows(gains)
     if rows:
         present = [n for n in ("delta1", "delta2") if any(n in r for r in rows)]
@@ -392,12 +394,22 @@ def _write_plots(gains, templates, staging):
             cells = [str(r["year"])]
             cells += ["" if n not in r else repr(r[n]) for n in present]
             lines.append(",".join(cells))
-        with open(os.path.join(staging, "deltas.csv"), "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-        _write_json(os.path.join(staging, "plot_deltas.json"), {
+        payloads["deltas.csv"] = "\n".join(lines) + "\n"
+        payloads["plot_deltas.json"] = {
             "series": [{"name": n, "points": [{"year": r["year"], "delta": r[n]}
                                               for r in rows if n in r]}
-                       for n in present]})
+                       for n in present]}
+    return payloads
+
+
+def _write_plots(gains, templates, staging):
+    for name, payload in plot_payloads(gains, templates).items():
+        path = os.path.join(staging, name)
+        if isinstance(payload, str):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        else:
+            _write_json(path, payload)
 
 
 def _config_echo(config) -> dict:
@@ -418,7 +430,7 @@ def cmd_pipeline(config: RunConfig, stage: int) -> int:
             # staged like any artifact: the manifest names its home in --out
             input_path = os.path.join(staging, _SYNTHETIC_PANEL)
             recorded = os.path.join(out_dir, _SYNTHETIC_PANEL)
-            rows_to_csv(generate(_FIXTURE)[0], input_path)
+            rows_to_csv(generate(_PRESETS[config.synthetic])[0], input_path)
         rule = CapitalRule(config.capital_rule)
         panel = load_panel(input_path, base_year=config.base_year,
                            capital_rule=rule,
@@ -639,14 +651,22 @@ def cmd_validate(config: RunConfig) -> int:
         return problems
 
     def check_plots():
-        with open(os.path.join(run_dir, "plot_gains.json"), encoding="utf-8") as fh:
-            payload = json.load(fh)
-        want = gains_plot_payload(gain_results()[0])
-        if payload == want:
-            return []
-        return [f"series {s['scenario']}: differs from gains.csv"
-                for s in payload["series"] if s not in want["series"]] \
-            or ["plot_gains.json differs from gains.csv"]
+        # every plot artifact equals what the writer builds from gains.csv
+        problems = []
+        for name, want in plot_payloads(gain_results()[0], templates).items():
+            path = os.path.join(run_dir, name)
+            if not os.path.exists(path):
+                problems.append(f"missing artifact {name}")
+                continue
+            with open(path, encoding="utf-8") as fh:
+                got = fh.read() if isinstance(want, str) else json.load(fh)
+            if got != want:
+                series = got.get("series", []) if isinstance(got, dict) else []
+                problems += [f"{name} series {s.get('scenario', s.get('name'))}: "
+                             "differs from gains.csv"
+                             for s in series if s not in want["series"]] \
+                    or [f"{name} differs from gains.csv"]
+        return problems
 
     checks = [("artifact-hashes", check_hashes), ("afriat-rows", check_afriat),
               ("resource-rows", check_resources)]

@@ -25,6 +25,7 @@ place, so the old basis stays dual feasible and the solver re-enters it
 through the dual simplex; only the first tau of a grid starts cold.
 """
 
+import csv
 import math
 from dataclasses import dataclass
 
@@ -399,29 +400,35 @@ def fits_from_csv(path):
 
     The table does not carry the returns-to-scale flag; reloaded fits
     report crs=False. Objectives are rebuilt from the residual columns.
+    A blank cell reads as NaN.
     """
-    data = np.genfromtxt(path, delimiter=",", names=True)
-    data = np.atleast_1d(data)
-    names = data.dtype.names
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        names = [nm.strip() for nm in next(reader, [])]
+        table = np.array([[float(c) if c.strip() else math.nan for c in row]
+                          for row in reader if row], dtype=float).reshape(-1, len(names))
+    col = {nm: table[:, k] for k, nm in enumerate(names)}
     d = sum(1 for nm in names if nm.startswith("beta_"))
     if d == 0:
         raise ValueError("no beta columns found")
+    # rows grouped by (year, tau), each group in observation order
+    order = np.lexsort((col["obs_index"], col["tau"], col["year"]))
+    col = {nm: v[order] for nm, v in col.items()}
+    year, tau = col["year"], col["tau"]
+    first = np.ones(year.size, dtype=bool)
+    first[1:] = (year[1:] != year[:-1]) | (tau[1:] != tau[:-1])
+    starts = np.flatnonzero(first)
     fits = []
-    keys = np.unique(np.column_stack([data["year"], data["tau"]]), axis=0)
-    for yr, tau in keys:
-        sel = data[(data["year"] == yr) & (data["tau"] == tau)]
-        sel = sel[np.argsort(sel["obs_index"])]
-        beta = np.column_stack([sel[f"beta_{f + 1}"] for f in range(d)])
-        ep, em = sel["eps_plus"], sel["eps_minus"]
+    for a, b in zip(starts, np.r_[starts[1:], year.size]):
+        ep, em = col["eps_plus"][a:b], col["eps_minus"][a:b]
         fits.append(QuantileFit(
-            year=int(yr),
-            tau=float(tau),
-            alpha=np.asarray(sel["alpha"], dtype=float),
-            beta=beta,
-            eps_plus=np.asarray(ep, dtype=float),
-            eps_minus=np.asarray(em, dtype=float),
+            year=int(year[a]),
+            tau=float(tau[a]),
+            alpha=col["alpha"][a:b],
+            beta=np.column_stack([col[f"beta_{f + 1}"][a:b] for f in range(d)]),
+            eps_plus=ep,
+            eps_minus=em,
             crs=False,
-            objective=float(tau * ep.sum() + (1 - tau) * em.sum()),
+            objective=float(tau[a] * ep.sum() + (1 - tau[a]) * em.sum()),
         ))
-    fits.sort(key=lambda f: (f.year, f.tau))
     return fits

@@ -8,11 +8,15 @@ one LU solve, one triangular solve and one dense product, with no loop
 over the pivots (Bisschop & Meeraus 1977).  The starting basis comes
 from a singleton-column crash extended by a greedy triangular pass, so
 slack-rich and network-like problems begin without artificial
-variables.  Pricing is devex (reference-weight steepest-edge estimates)
-with reduced costs updated incrementally from the pivot row; whenever
-the objective stalls on degenerate pivots the rule switches to Bland's,
-which rules out cycling, and every remaining tie is broken by lowest
-column index, so repeated solves of the same problem are bit-identical.
+variables.  The triangular pass takes each row's cheapest candidate, so
+a crash whose values leave their bounds usually prices dual feasible:
+it re-enters through the dual simplex below instead of being dropped
+for a phase-1 start with artificials (Bixby 1992).  Pricing is devex
+(reference-weight steepest-edge estimates) with reduced costs updated
+incrementally from the pivot row; whenever the objective stalls on
+degenerate pivots the rule switches to Bland's, which rules out
+cycling, and every remaining tie is broken by lowest column index, so
+repeated solves of the same problem are bit-identical.
 The ratio test is a two-pass bound-relaxation test that prefers large
 pivot elements.  Pricing and the ratio tests run over candidate sets
 only (the improving columns, the blocking rows or columns), drawn from
@@ -20,11 +24,11 @@ masks of the columns free to rise or fall that the loops keep pivot by
 pivot.  A Master keeps the scaled problem, the basis and its factors
 between solves, so delayed column generation appends columns or moves
 bounds in place and re-solves without a rebuild.
-A kept basis that is primal infeasible but dual feasible (an optimal
-basis after its bounds moved) re-enters through a bounded dual simplex,
-with dual devex row pricing, a Harris ratio test and a small
-deterministic cost perturbation against degeneracy, until it is primal
-feasible; the primal loop then finishes on the true costs.
+A kept or crashed basis that is primal infeasible but dual feasible
+(an optimal basis after its bounds moved, say) re-enters through a
+bounded dual simplex, with dual devex row pricing, a Harris ratio test
+and a small deterministic cost perturbation against degeneracy, until
+it is primal feasible; the primal loop then finishes on the true costs.
 Integer programs run depth-first branch and bound on top of the LP,
 bounding with the relaxation objective.
 """
@@ -174,7 +178,9 @@ class SolveResult:
     basis (directly or through a dual re-entry) rather than from a cold
     crash.  ``iteration_count`` and ``refactorizations`` count this
     solve's own pivots and basis factorizations; ``dual_iterations`` is
-    the part of ``iteration_count`` spent in the dual simplex re-entry.
+    the part of ``iteration_count`` spent in the dual simplex, whether
+    it re-entered from a kept basis or from a cold crash (which leaves
+    ``warm_started`` False), a re-entry that gave up included.
     """
 
     status: str  # "optimal" | "infeasible" | "unbounded"
@@ -252,7 +258,7 @@ class Master:
         self.x = np.zeros(self.lo.size)
         self.status = np.full(self.lo.size, _AT_LOWER, dtype=np.int8)
         self.basis = None  # none kept: the next solve starts cold
-        self.iters = self.refactors = 0
+        self.iters = self.dual_iters = self.refactors = 0
         # the eta file since the last refactorization (see _ftran)
         self.eta_d = np.zeros((_REFACTOR_EVERY, self.m))
         self.eta_r = np.zeros(_REFACTOR_EVERY, dtype=np.int64)
@@ -474,10 +480,12 @@ class Master:
 
         A column qualifies once it has exactly one nonzero left in
         uncovered rows; taking it keeps the basis permuted-triangular,
-        so LU factorization is cheap and exact.  Values are not assigned
-        here: the refactor pass solves for all basics jointly, and the
-        caller falls back to a singleton-plus-artificial start if any
-        basic lands outside its bounds.
+        so LU factorization is cheap and exact.  The cheapest qualifying
+        column goes first, ties to the lowest index, so a row that many
+        columns could cover takes its cheapest one and the basis tends
+        to price dual feasible.  Values are not assigned here: the
+        refactor pass solves for all basics jointly, and the caller
+        deals with any basic that lands outside its bounds.
         """
         covered = basis >= 0
         mask = ~covered[core.indices]
@@ -486,10 +494,11 @@ class Master:
         core_csr = core.tocsr()
 
         usable = (status != _BASIC) & (status != _FIXED)
-        heap = [int(j) for j in np.nonzero((uncov == 1) & usable)[0]]
+        cost = self.cost
+        heap = [(cost[j], int(j)) for j in np.nonzero((uncov == 1) & usable)[0]]
         heapq.heapify(heap)
         while heap:
-            j = heapq.heappop(heap)
+            j = heapq.heappop(heap)[1]
             if uncov[j] != 1 or not usable[j]:
                 continue
             a0, a1 = core.indptr[j], core.indptr[j + 1]
@@ -507,14 +516,15 @@ class Master:
             for j2 in core_csr.indices[b0:b1]:
                 uncov[j2] -= 1
                 if uncov[j2] == 1 and usable[j2]:
-                    heapq.heappush(heap, int(j2))
+                    heapq.heappush(heap, (cost[j2], int(j2)))
 
     def _reenter(self) -> bool:
-        """Resume from the kept basis; False means start cold instead.
+        """Resume from the current basis, kept or crashed; False means
+        start cold (from the fallback crash) instead.
 
         A basis whose values lie inside their bounds is taken as it is.
         One outside them that prices dual feasible (the old optimal basis
-        after a bound change, say) re-enters through the bounded dual
+        after a bound change, or a cheapest-candidate crash) re-enters through the bounded dual
         simplex until it is primal feasible; one that is neither, or that
         goes singular on the way, is dropped, at the cost of a pricing
         pass.  A cold start keeps the iterations spent, so an exhausted
@@ -532,19 +542,24 @@ class Master:
 
     def _cold_start(self) -> bool:
         """Crash a basis and drive its artificials out; False means the LP
-        is infeasible."""
-        # Triangular crash first; it assigns basic values only via the
-        # factorization, so fall back to the always-feasible singleton
-        # start if any basic lands outside its bounds (or the basis is bad).
+        is infeasible.
+
+        The triangular crash comes first.  It assigns basic values only
+        through the factorization, so some may land outside their
+        bounds.  A crash with no artificials then re-enters through the
+        dual simplex when it prices dual feasible, as a kept basis
+        does; its dual pivots count in ``dual_iterations``.  A crash
+        that is singular, or out of bounds with artificials, or neither
+        primal nor dual feasible, or whose re-entry gives up, falls back
+        to the always-feasible singleton-plus-artificial start.
+        """
         self._crash(triangular=True)
         try:
             self._refactor()
-            xb = self.x[self.basis]
-            bad = np.any(xb < self.lo[self.basis] - self.tol) \
-                or np.any(xb > self.hi[self.basis] + self.tol)
+            bad = self._infeasible_rows()[0].size > 0
         except SolverError:
             bad = True
-        if bad:
+        if bad and not (self.n_ext == self.n_core and self._reenter()):
             self._crash(triangular=False)
             self._refactor()
         if self.n_ext == self.n_core:
@@ -822,6 +837,7 @@ class Master:
             self.basis[r] = q
             self._push_eta(r, d)
             self.iters += 1
+            self.dual_iters += 1
 
             if step <= 1e-12:
                 stall += 1
@@ -836,19 +852,18 @@ class Master:
     def solve(self, tolerance: float) -> SolveResult:
         """One solve, from the kept basis when there is one."""
         self.tol = float(tolerance)
-        self.iters = self.refactors = 0
+        self.iters = self.dual_iters = self.refactors = 0
         if self.empty_violation > self.tol:
             return _failed("infeasible", self.n, 0)
         if self.m == 0:
             return self._solve_unconstrained()
         warm = self.basis is not None and self._reenter()
-        dual_iters = self.iters  # kept when the re-entry gave up for a cold start
         if not warm and not self._cold_start():
             self.basis = None
-            return _failed("infeasible", self.n, self.iters, dual_iters, self.refactors)
+            return _failed("infeasible", self.n, self.iters, self.dual_iters, self.refactors)
         if self._optimize(self.cost) == "unbounded":
             self.basis = None
-            return _failed("unbounded", self.n, self.iters, dual_iters, self.refactors)
+            return _failed("unbounded", self.n, self.iters, self.dual_iters, self.refactors)
         self._drop_artificials()
 
         if self.n_eta or self.flipped:
@@ -871,7 +886,7 @@ class Master:
         row_stat = np.full(self.n_rows_orig, _AT_LOWER, dtype=np.int8)
         row_stat[np.nonzero(self.keep)[0][self.ineq_rows]] = slack_stat
         return SolveResult("optimal", x, objective, self.iters, duals, col_stat, row_stat,
-                           warm, self.refactors, dual_iters)
+                           warm, self.refactors, self.dual_iters)
 
     def _verify(self, x: np.ndarray):
         resid = self.A_ext[:, : self.n] @ x - self.b

@@ -207,7 +207,7 @@ def _pinned_swapped(rows):
 
 
 def _blank_fit_cell(rows):
-    # genfromtxt reads a blank cell as NaN; the decile 1 fit comes first
+    # fits_from_csv reads a blank cell as NaN; the decile 1 fit comes first
     rows[0]["alpha"] = ""
 
 
@@ -256,6 +256,72 @@ def test_validate_fails_the_named_check(run_dir, tmp_path, capsys,
     status = next(line for line in report.splitlines() if line.startswith(check))
     assert status.split()[-1] == "FAIL"
     assert message in report
+
+
+def _raise_plot_delta(payload):
+    payload["series"][0]["points"][0]["delta"] += 0.5
+
+
+def _raise_csv_delta(text):
+    header, first, *rest = text.splitlines()
+    year, delta, *others = first.split(",")
+    return "\n".join([header, ",".join([year, repr(float(delta) + 0.5), *others]), *rest]) + "\n"
+
+
+def _raise_single_factor_gain(payload):
+    payload["series"][0]["points"][0]["gain"] += 0.5
+
+
+@pytest.mark.parametrize("artifact, edit", [
+    ("plot_deltas.json", _raise_plot_delta),
+    ("deltas.csv", _raise_csv_delta),
+    ("plot_single_factor.json", _raise_single_factor_gain),
+])
+def test_validate_checks_the_derived_plots(run_dir, tmp_path, capsys, artifact, edit):
+    # an edited plot artifact whose manifest hash was rewritten to match
+    # still fails: validate rebuilds each plot from gains.csv
+    copy = str(tmp_path / "run")
+    shutil.copytree(run_dir, copy)
+    path = os.path.join(copy, artifact)
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    if artifact.endswith(".json"):
+        payload = json.loads(text)
+        edit(payload)
+        text = json.dumps(payload)
+    else:
+        text = edit(text)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    manifest_path = os.path.join(copy, "manifest.json")
+    with open(manifest_path, encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    manifest["artifacts"][artifact] = cli._sha256(path)
+    with open(manifest_path, "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh)
+    capsys.readouterr()
+    assert cli.main(["validate", "--input", copy]) == cli.EXIT_VALIDATION
+    report = capsys.readouterr().out
+    assert next(line for line in report.splitlines()
+                if line.startswith("artifact-hashes")).split()[-1] == "PASS"
+    status = next(line for line in report.splitlines() if line.startswith("plot-data"))
+    assert status.split()[-1] == "FAIL"
+    assert f"{artifact}" in report and "differs from gains.csv" in report
+
+
+def test_synthetic_small_preset_bootstraps_and_validates(tmp_path):
+    # the CI smoke run: the fixture economy at 30 cities x 2 years,
+    # bootstrapped end to end
+    out = str(tmp_path / "out")
+    assert cli.main(["run", "--synthetic", "small", "--bootstrap", "2", "--jobs", "1",
+                     "--out", out]) == cli.EXIT_OK
+    rows = _rows(os.path.join(out, "panel.csv"))
+    assert len({r["city_id"] for r in rows}) == 30
+    assert {r["year"] for r in rows} == {"2003", "2004"}
+    assert all(r["se"] for r in _rows(os.path.join(out, "gains.csv")))
+    assert cli.main(["validate", "--input", out]) == cli.EXIT_OK
+    assert cli.main(["ingest", "--synthetic", "tiny", "--out", str(tmp_path / "x")]) \
+        == cli.EXIT_VALIDATION
 
 
 @pytest.mark.parametrize("artifact, check", [

@@ -426,5 +426,19 @@ def test_fit_csv_round_trip(tmp_path):
         assert np.array_equal(a.beta, b.beta)
         assert np.array_equal(a.eps_plus, b.eps_plus)
         assert abs(a.objective - b.objective) <= 1e-9 * (1 + a.objective)
+    # rows in any order group back by (year, tau) and observation, and
+    # a blank cell reads as NaN, as numpy.genfromtxt reads it
+    header, *lines = path.read_text().splitlines()
+    cells = lines[5].split(",")
+    cells[3] = ""
+    lines[5] = ",".join(cells)
+    path.write_text("\n".join([header] + lines[::-1]) + "\n")
+    shuffled = fits_from_csv(path)
+    assert np.isnan(shuffled[0].alpha[5])
+    shuffled[0].alpha[5] = back[0].alpha[5]
+    for a, b in zip(back, shuffled):
+        assert (a.year, a.tau, a.objective) == (b.year, b.tau, b.objective)
+        for name in ("alpha", "beta", "eps_plus", "eps_minus"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
     with pytest.raises(ValueError):
         fits_to_csv([], tmp_path / "none.csv")

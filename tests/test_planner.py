@@ -566,6 +566,36 @@ def test_fixed_factor_rows_match_scipy():
         assert abs(got - want) < 1e-6 * (1.0 + abs(want)), mode
 
 
+def test_pinned_rows_lp_reenters_its_crash_and_matches_scipy(monkeypatch):
+    # the pinned per-city LP starts from a crash that takes each city's
+    # cheapest plane: its dual re-entry replaces a phase-1 start, and
+    # Y_e still equals the dense oracle's
+    results = []
+
+    def recording(problem, tolerance=1e-7):
+        results.append(solve_lp(problem, tolerance))
+        return results[-1]
+
+    monkeypatch.setattr("cityalloc.planner.solve_lp", recording)
+    rng = np.random.default_rng(229)
+    cases = [("perfect", {}), ("imperfect", {"iceberg": 0.05, "depletion": 0.05}),
+             ("local", {})]
+    for _ in range(3):
+        for mode, frictions in cases:
+            scn = fixed_factor_scenario(rng, mode, n_planes=8, counts=(6, 7, 8), **frictions)
+            results.clear()
+            got = solve_scenario(scn).efficient_output
+            (res,) = results
+            assert not res.warm_started and 0 < res.dual_iterations <= res.iteration_count
+            want = oracles.planner_lp(
+                [(t.alpha, t.beta) for t in scn.technologies],
+                [t.pseudo_city_count for t in scn.technologies],
+                [scn.aggregate_resources["K"], scn.aggregate_resources["L"], np.inf],
+                weights=[1.0 + scn.iceberg, 1.0 + scn.depletion, 1.0],
+                local=scn.is_local, fixed={2: scn.fixed_input_values["H"]})
+            assert abs(got - want) < 1e-9 * (1.0 + abs(want)), mode
+
+
 def test_every_lp_regime_builds_and_solves_one_lp(monkeypatch):
     # the pinned per-city LP and the decile-level LP of a pin-free
     # scenario are each one LinearProgram and one call through

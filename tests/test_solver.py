@@ -658,3 +658,97 @@ def test_failed_solve_reports_its_refactorizations():
     res = solve_lp(master)
     assert res.status == "infeasible"
     assert res.refactorizations == master.refactors > 0
+
+
+def rows_lp(rng, cities=5, planes=4, factors=2, flat=False):
+    """The planner's per-city rows LP (``planner._solve_rows``): min
+    sum T mu + sum alpha lambda over mu, lambda >= 0, with one EQ row
+    sum_h lambda_ih = 1 per city and one GE row w mu_r - sum_h
+    beta_hr lambda_ih >= 0 per (city, factor); mu columns first.  With
+    `flat`, city 0's plane 0 has beta = 0, so its lambda is a singleton
+    column of its convexity row, and it is city 0's dearest plane.
+    Returns the LP and its dense parts (c, a_eq, b_eq, a_ge)."""
+    alpha = rng.uniform(-0.5, 1.0, (cities, planes))
+    beta = rng.uniform(0.1, 1.0, (cities, planes, factors))
+    if flat:
+        beta[0, 0] = 0.0
+        alpha[0, 0] = alpha[0].max() + 1.0
+    c = np.concatenate([rng.uniform(1.0, 2.0, factors) * cities, alpha.ravel()])
+    a_eq = np.zeros((cities, c.size))
+    a_ge = np.zeros((cities * factors, c.size))
+    for i in range(cities):
+        lam = factors + i * planes + np.arange(planes)
+        a_eq[i, lam] = 1.0
+        for r in range(factors):
+            a_ge[i * factors + r, r] = 1.0
+            a_ge[i * factors + r, lam] = -beta[i, :, r]
+    lp = LinearProgram("min", c, np.vstack([a_eq, a_ge]),
+                       [EQ] * cities + [GE] * (cities * factors),
+                       np.concatenate([np.ones(cities), np.zeros(cities * factors)]))
+    return lp, (c, a_eq, np.ones(cities), a_ge)
+
+
+def recording_crash(monkeypatch):
+    """Record (triangular, artificial count) for every Master._crash."""
+    calls = []
+    crash = Master._crash
+
+    def recording(self, triangular=True):
+        crash(self, triangular)
+        calls.append((triangular, self.n_ext - self.n_core))
+
+    monkeypatch.setattr(Master, "_crash", recording)
+    return calls
+
+
+def test_rows_lp_crash_reenters_through_the_dual(monkeypatch):
+    # each convexity row takes its cheapest plane, so the crash prices
+    # dual feasible; its surpluses come out at -beta, and the dual
+    # simplex mends them with no artificial column ever built
+    calls = recording_crash(monkeypatch)
+    rng = np.random.default_rng(97)
+    for _ in range(10):
+        lp, (c, a_eq, b_eq, a_ge) = rows_lp(rng)
+        calls.clear()
+        res = solve_lp(lp)
+        assert calls == [(True, 0)]
+        assert res.status == "optimal" and not res.warm_started
+        assert 0 < res.dual_iterations <= res.iteration_count
+        _, ref, _ = scipy_lp(c, -a_ge, np.zeros(len(a_ge)), a_eq, b_eq, sense="min")
+        assert abs(res.objective_value - ref) <= 1e-9 * (1 + abs(ref))
+
+
+def test_crash_neither_primal_nor_dual_feasible_falls_back(monkeypatch):
+    # city 0's flat plane covers its convexity row in the singleton pass
+    # though a cheaper plane exists (dual infeasible), and the other
+    # cities' surpluses leave their bounds (primal infeasible): the
+    # solve falls back to the singleton-plus-artificial start
+    calls = recording_crash(monkeypatch)
+    rng = np.random.default_rng(101)
+    for _ in range(5):
+        lp, (c, a_eq, b_eq, a_ge) = rows_lp(rng, cities=2, planes=3, flat=True)
+        calls.clear()
+        res = solve_lp(lp)
+        assert [t for t, _ in calls] == [True, False] and calls[1][1] > 0
+        assert res.status == "optimal" and res.dual_iterations == 0
+        status, ref, _ = vertex_enumerate(
+            c, np.vstack([a_eq, -a_eq, -a_ge]),
+            np.concatenate([b_eq, -b_eq, np.zeros(len(a_ge))]),
+            np.zeros(c.size), np.full(c.size, np.inf), sense="min")
+        assert status == "optimal"
+        assert abs(res.objective_value - ref) <= 1e-9 * (1 + abs(ref))
+
+
+def test_triangular_crash_takes_the_cheapest_candidate():
+    # the surpluses cover the GE rows first; then every lambda of a city
+    # qualifies for its convexity row, and the cheapest enters, ties to
+    # the lowest index
+    lp, _ = rows_lp(np.random.default_rng(103), cities=3, planes=4)
+    costs = np.array([[0.5, 0.2, 0.9, 0.2],
+                      [0.3, 0.3, 0.1, 0.1],
+                      [0.7, 0.6, 0.8, 0.6]])
+    objective = np.concatenate([lp.objective[:2], costs.ravel()])
+    master = Master(LinearProgram("min", objective, lp.rows, lp.relations, lp.rhs))
+    master._crash(triangular=True)
+    assert master.n_ext == master.n_core
+    assert master.basis[:3].tolist() == [2 + 1, 2 + 4 + 2, 2 + 8 + 1]
