@@ -524,11 +524,11 @@ class Master:
 
         A basis whose values lie inside their bounds is taken as it is.
         One outside them that prices dual feasible (the old optimal basis
-        after a bound change, or a cheapest-candidate crash) re-enters through the bounded dual
-        simplex until it is primal feasible; one that is neither, or that
-        goes singular on the way, is dropped, at the cost of a pricing
-        pass.  A cold start keeps the iterations spent, so an exhausted
-        iteration limit still raises.
+        after a bound change, or a cheapest-candidate crash) re-enters
+        through the bounded dual simplex until it is primal feasible; one
+        that is neither, or that goes singular on the way, is dropped, at
+        the cost of a pricing pass.  A cold start keeps the iterations
+        spent, so an exhausted iteration limit still raises.
         """
         if not self._infeasible_rows()[0].size:
             return True
