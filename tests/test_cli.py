@@ -306,7 +306,7 @@ def test_validate_checks_the_derived_plots(run_dir, tmp_path, capsys, artifact, 
                 if line.startswith("artifact-hashes")).split()[-1] == "PASS"
     status = next(line for line in report.splitlines() if line.startswith("plot-data"))
     assert status.split()[-1] == "FAIL"
-    assert f"{artifact}" in report and "differs from gains.csv" in report
+    assert artifact in report and "differs from gains.csv" in report
 
 
 def test_synthetic_small_preset_bootstraps_and_validates(tmp_path):
