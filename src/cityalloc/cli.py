@@ -20,7 +20,7 @@ import os
 import shutil
 import sys
 import tempfile
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -34,8 +34,8 @@ from .gains import (
     bootstrap_gain,
     estimate_panel,
     estimation_units,
-    gains_plot_payload,
     gains_to_csv,
+    plot_payloads,
     run_pipeline,
     unit_scenario,
     unit_technologies,
@@ -54,12 +54,10 @@ _STAGE = {"ingest": 0, "estimate": 1, "allocate": 2, "gain": 3, "run": 4}
 _REFERENCE_REPLICATES = 1000
 _SYNTHETIC_PANEL = "synthetic_panel.csv"
 
-# --synthetic default and the synth command defaults are the same economy;
-# --synthetic small is that economy at 30 cities x 2 years, for smoke runs
+# --synthetic default and the synth command defaults are the same economy
 _FIXTURE = SyntheticSpec(city_count=284, year_count=17, scale=1.0,
                          exponents=(0.35, 0.45), wedge_sigma=0.5,
                          noise_sigma=0.1, seed=7)
-_PRESETS = {"default": _FIXTURE, "small": replace(_FIXTURE, city_count=30, year_count=2)}
 
 _AFRIAT_TOL = 1e-6  # floor of the concavity slack, 1e-12 of max|y| above it
 
@@ -212,8 +210,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pipeline = argparse.ArgumentParser(add_help=False)
     pipeline.add_argument("--synthetic", metavar="PRESET",
-                          help="generate the input panel ('default' = synth defaults, "
-                               "'small' = the same economy at 30 cities x 2 years)")
+                          help="generate the input panel ('default' = synth defaults)")
     pipeline.add_argument("--base-year", type=int)
     pipeline.add_argument("--capital-rule", choices=sorted(CAPITAL_VARIANTS))
     pipeline.add_argument("--quantiles", type=_FIELD_PARSERS["quantiles"],
@@ -308,7 +305,7 @@ def _staged_outputs(out_dir):
 def _resolve_input(config):
     """The --input path, or None when the panel is the synthetic preset."""
     if config.synthetic is not None:
-        if config.synthetic not in _PRESETS:
+        if config.synthetic != "default":
             raise ValueError(f"unknown synthetic preset {config.synthetic!r}")
         if config.input:
             raise ValueError("--input and --synthetic are mutually exclusive")
@@ -348,58 +345,10 @@ def _write_solutions(audits, templates, staging):
                    labels=[t.label for _ in audits for t in templates])
 
 
-def _delta_rows(gains):
-    """Local-minus-nationwide gain differences per year (negative sign
-    pattern: the nationwide planner dominates the tenths-constrained one)."""
-    by = {}
-    for g in gains:
-        by.setdefault(g.year, {})[g.scenario] = g.gain
-    pairs = (("delta1", "local", "perfect"),
-             ("delta2", "local_entry_exit", "entry_exit"))
-    rows = []
-    for year in sorted(by):
-        row = {"year": year}
-        for name, local_label, wide_label in pairs:
-            here = by[year]
-            if local_label in here and wide_label in here:
-                row[name] = here[local_label] - here[wide_label]
-        if len(row) > 1:
-            rows.append(row)
-    return rows
-
-
 def _write_json(path, payload):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def plot_payloads(gains, templates) -> dict:
-    """A run's plot artifacts, by file name, built from its GainResults:
-    the JSON payload of each .json file and the text of deltas.csv."""
-    payloads = {"plot_gains.json": gains_plot_payload(gains)}
-    restricted = [t.label for t in templates if t.reallocated_factors is not None]
-    if restricted:
-        full = [t.label for t in templates if t.reallocated_factors is None]
-        payloads["plot_single_factor.json"] = {
-            key: [{"scenario": lab, "points": [{"year": g.year, "gain": g.gain}
-                                               for g in gains if g.scenario == lab]}
-                  for lab in labels]
-            for key, labels in (("series", restricted), ("reference", full))}
-    rows = _delta_rows(gains)
-    if rows:
-        present = [n for n in ("delta1", "delta2") if any(n in r for r in rows)]
-        lines = ["year," + ",".join(present)]
-        for r in rows:
-            cells = [str(r["year"])]
-            cells += ["" if n not in r else repr(r[n]) for n in present]
-            lines.append(",".join(cells))
-        payloads["deltas.csv"] = "\n".join(lines) + "\n"
-        payloads["plot_deltas.json"] = {
-            "series": [{"name": n, "points": [{"year": r["year"], "delta": r[n]}
-                                              for r in rows if n in r]}
-                       for n in present]}
-    return payloads
 
 
 def _write_plots(gains, templates, staging):
@@ -430,7 +379,7 @@ def cmd_pipeline(config: RunConfig, stage: int) -> int:
             # staged like any artifact: the manifest names its home in --out
             input_path = os.path.join(staging, _SYNTHETIC_PANEL)
             recorded = os.path.join(out_dir, _SYNTHETIC_PANEL)
-            rows_to_csv(generate(_PRESETS[config.synthetic])[0], input_path)
+            rows_to_csv(generate(_FIXTURE)[0], input_path)
         rule = CapitalRule(config.capital_rule)
         panel = load_panel(input_path, base_year=config.base_year,
                            capital_rule=rule,

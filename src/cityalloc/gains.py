@@ -10,7 +10,6 @@ uncertainty, not just allocation noise.
 """
 
 import csv
-import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -442,8 +441,49 @@ def gains_plot_payload(results) -> dict:
                        for label, points in series.items()]}
 
 
-def gains_to_plot_json(results, path) -> None:
-    """Write gains_plot_payload(results) as JSON."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(gains_plot_payload(results), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _delta_rows(gains):
+    """Local-minus-nationwide gain differences per year (negative sign
+    pattern: the nationwide planner dominates the tenths-constrained one)."""
+    by = {}
+    for g in gains:
+        by.setdefault(g.year, {})[g.scenario] = g.gain
+    pairs = (("delta1", "local", "perfect"),
+             ("delta2", "local_entry_exit", "entry_exit"))
+    rows = []
+    for year in sorted(by):
+        row = {"year": year}
+        for name, local_label, wide_label in pairs:
+            here = by[year]
+            if local_label in here and wide_label in here:
+                row[name] = here[local_label] - here[wide_label]
+        if len(row) > 1:
+            rows.append(row)
+    return rows
+
+
+def plot_payloads(gains, templates) -> dict:
+    """A run's plot artifacts, by file name, built from its GainResults:
+    the JSON payload of each .json file and the text of deltas.csv."""
+    payloads = {"plot_gains.json": gains_plot_payload(gains)}
+    restricted = [t.label for t in templates if t.reallocated_factors is not None]
+    if restricted:
+        full = [t.label for t in templates if t.reallocated_factors is None]
+        payloads["plot_single_factor.json"] = {
+            key: [{"scenario": lab, "points": [{"year": g.year, "gain": g.gain}
+                                               for g in gains if g.scenario == lab]}
+                  for lab in labels]
+            for key, labels in (("series", restricted), ("reference", full))}
+    rows = _delta_rows(gains)
+    if rows:
+        present = [n for n in ("delta1", "delta2") if any(n in r for r in rows)]
+        lines = ["year," + ",".join(present)]
+        for r in rows:
+            cells = [str(r["year"])]
+            cells += ["" if n not in r else repr(r[n]) for n in present]
+            lines.append(",".join(cells))
+        payloads["deltas.csv"] = "\n".join(lines) + "\n"
+        payloads["plot_deltas.json"] = {
+            "series": [{"name": n, "points": [{"year": r["year"], "delta": r[n]}
+                                              for r in rows if n in r]}
+                       for n in present]}
+    return payloads

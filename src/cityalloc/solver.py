@@ -554,12 +554,13 @@ class Master:
         to the always-feasible singleton-plus-artificial start.
         """
         self._crash(triangular=True)
+        singular = False
         try:
             self._refactor()
             bad = self._infeasible_rows()[0].size > 0
         except SolverError:
-            bad = True
-        if bad and not (self.n_ext == self.n_core and self._reenter()):
+            bad = singular = True
+        if bad and (singular or self.n_ext != self.n_core or not self._reenter()):
             self._crash(triangular=False)
             self._refactor()
         if self.n_ext == self.n_core:

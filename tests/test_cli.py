@@ -309,19 +309,20 @@ def test_validate_checks_the_derived_plots(run_dir, tmp_path, capsys, artifact, 
     assert artifact in report and "differs from gains.csv" in report
 
 
-def test_synthetic_small_preset_bootstraps_and_validates(tmp_path):
+def test_synth_panel_bootstraps_and_validates(tmp_path):
     # the CI smoke run: the fixture economy at 30 cities x 2 years,
     # bootstrapped end to end
+    synth_out = str(tmp_path / "synth")
+    assert cli.main(["synth", "--cities", "30", "--years", "2",
+                     "--out", synth_out]) == cli.EXIT_OK
     out = str(tmp_path / "out")
-    assert cli.main(["run", "--synthetic", "small", "--bootstrap", "2", "--jobs", "1",
-                     "--out", out]) == cli.EXIT_OK
+    assert cli.main(["run", "--input", os.path.join(synth_out, "synthetic_panel.csv"),
+                     "--bootstrap", "2", "--jobs", "1", "--out", out]) == cli.EXIT_OK
     rows = _rows(os.path.join(out, "panel.csv"))
     assert len({r["city_id"] for r in rows}) == 30
     assert {r["year"] for r in rows} == {"2003", "2004"}
     assert all(r["se"] for r in _rows(os.path.join(out, "gains.csv")))
     assert cli.main(["validate", "--input", out]) == cli.EXIT_OK
-    assert cli.main(["ingest", "--synthetic", "tiny", "--out", str(tmp_path / "x")]) \
-        == cli.EXIT_VALIDATION
 
 
 @pytest.mark.parametrize("artifact, check", [

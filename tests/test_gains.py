@@ -13,7 +13,7 @@ from cityalloc import (
     bootstrap_gain,
     compute_gain,
     gains_to_csv,
-    gains_to_plot_json,
+    plot_payloads,
     generate,
     load_panel,
     run_pipeline,
@@ -266,10 +266,7 @@ def test_gains_csv_and_plot_json(tmp_path, fixture_panel):
     row = csv_path.read_text().splitlines()[1].split(",")
     assert row[3] == "" and row[4] == "" and row[5] == ""
 
-    import json
-    json_path = tmp_path / "gains.json"
-    gains_to_plot_json(gains, json_path)
-    payload = json.loads(json_path.read_text())
+    payload = plot_payloads(gains, [ScenarioTemplate("perfect")])["plot_gains.json"]
     assert len(payload["series"]) == 1
     series = payload["series"][0]
     assert series["scenario"] == "perfect"

@@ -752,3 +752,26 @@ def test_triangular_crash_takes_the_cheapest_candidate():
     master._crash(triangular=True)
     assert master.n_ext == master.n_core
     assert master.basis[:3].tolist() == [2 + 1, 2 + 4 + 2, 2 + 8 + 1]
+
+
+def test_singular_crash_falls_back(monkeypatch):
+    # a triangular crash that fails to factor is not re-entered: its
+    # basis has no factors, so the solve starts over from the
+    # singleton-plus-artificial crash
+    calls = recording_crash(monkeypatch)
+    refactor = Master._refactor
+    failed = []
+
+    def fail_once(self):
+        if not failed:
+            failed.append(True)
+            raise cityalloc.solver.SolverError("basis factorization failed")
+        refactor(self)
+
+    monkeypatch.setattr(Master, "_refactor", fail_once)
+    lp, (c, a_eq, b_eq, a_ge) = rows_lp(np.random.default_rng(107))
+    res = solve_lp(lp)
+    assert failed and [t for t, _ in calls] == [True, False] and calls[1][1] > 0
+    assert res.status == "optimal" and res.dual_iterations == 0
+    _, ref, _ = scipy_lp(c, -a_ge, np.zeros(len(a_ge)), a_eq, b_eq, sense="min")
+    assert abs(res.objective_value - ref) <= 1e-9 * (1 + abs(ref))
