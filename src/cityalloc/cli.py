@@ -13,6 +13,7 @@ no partial outputs.
 
 import argparse
 import contextlib
+import csv
 import functools
 import hashlib
 import json
@@ -25,9 +26,10 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import __version__
-from .cqr import DEFAULT_QUANTILES, DecileAssignment, fits_from_csv, fits_to_csv
+from .cqr import DecileAssignment, fits_from_csv, fits_to_csv
 from .gains import (
     BootstrapConfig,
+    EstimationSettings,
     GainError,
     GainResult,
     ScenarioTemplate,
@@ -71,16 +73,13 @@ class RunConfig:
     synthetic: str | None = None
     base_year: int = 2003
     capital_rule: str = "baseline"
-    quantiles: tuple = tuple(float(q) for q in DEFAULT_QUANTILES)
+    quantiles: tuple = EstimationSettings().quantiles
     crs: bool = False
     scenarios: tuple = ("perfect", "imperfect", "entry_exit", "local")
     iceberg: float = 0.05
     depletion: float = 0.05
-    factors: tuple | None = None
     inputs: tuple = ("K", "L")
     fixed_effects: bool = False
-    entry_exit: bool = False
-    local: bool = False
     bootstrap: int = 0
     seed: int = 7
     jobs: int = 0
@@ -89,23 +88,14 @@ class RunConfig:
     def __post_init__(self):
         if self.capital_rule not in CAPITAL_VARIANTS:
             raise ValueError(f"unknown capital rule {self.capital_rule!r}")
-        q = tuple(float(v) for v in self.quantiles)
-        if not q or any(not 0.0 < v < 1.0 for v in q) or list(q) != sorted(set(q)):
-            raise ValueError("quantiles must be strictly increasing within (0, 1)")
-        object.__setattr__(self, "quantiles", q)
         ins = tuple(str(f) for f in self.inputs)
         if ins[:2] != ("K", "L") or len(set(ins)) != len(ins) \
                 or any(f not in ("K", "L", "H", "D") for f in ins):
             raise ValueError("inputs must be K,L optionally followed by H and/or D")
         object.__setattr__(self, "inputs", ins)
-        if self.factors is not None:
-            fac = tuple(str(f) for f in self.factors)
-            if not fac or any(f not in ins for f in fac):
-                raise ValueError("factors must be a nonempty subset of the inputs")
-            object.__setattr__(self, "factors", fac)
-        for name in ("iceberg", "depletion", "tolerance"):
+        for name in ("iceberg", "depletion"):
             v = float(getattr(self, name))
-            if not np.isfinite(v) or v < 0.0 or (name == "tolerance" and v == 0.0):
+            if not np.isfinite(v) or v < 0.0:
                 raise ValueError(f"{name} must be finite and nonnegative")
             object.__setattr__(self, name, v)
         for name in ("base_year", "bootstrap", "seed", "jobs"):
@@ -121,23 +111,25 @@ class RunConfig:
     def effective_jobs(self) -> int:
         return self.jobs if self.jobs > 0 else (os.cpu_count() or 1)
 
+    @property
+    def estimation(self) -> EstimationSettings:
+        """The estimation settings; raises GainError on a bad grid or tolerance."""
+        return EstimationSettings(self.fixed_effects, self.quantiles, self.crs,
+                                  self.tolerance)
+
 
 def scenario_templates(config: RunConfig) -> list:
     """Expand the scenario list into templates.
 
-    Each entry is ``mode`` or ``mode:F`` / ``mode:F+G`` restricting the
-    reallocated factors; unsuffixed non-entry modes inherit --factors.
-    Frictions attach to the imperfect mode only.
+    Each entry is ``mode``, or ``mode:F`` / ``mode:F+G`` to reallocate
+    only the named factors; the suffix is the one way to restrict them,
+    and entry modes reallocate every factor. Frictions attach to the
+    imperfect mode only.
     """
-    specs = list(config.scenarios)
-    if config.entry_exit and not any(s.split(":")[0] == "entry_exit" for s in specs):
-        specs.append("entry_exit")
-    if config.local and not any(s.split(":")[0] == "local" for s in specs):
-        specs.append("local")
     templates = []
-    for item in specs:
+    for item in config.scenarios:
         mode, _, suffix = item.partition(":")
-        factors = tuple(suffix.split("+")) if suffix else config.factors
+        factors = tuple(suffix.split("+")) if suffix else None
         if factors is not None:
             bad = [f for f in factors if f not in config.inputs]
             if bad:
@@ -174,8 +166,7 @@ _FIELD_PARSERS = {
     "base_year": int, "bootstrap": int, "seed": int, "jobs": int,
     "iceberg": float, "depletion": float, "tolerance": float,
     "crs": _parse_bool, "fixed_effects": _parse_bool,
-    "entry_exit": _parse_bool, "local": _parse_bool,
-    "scenarios": _parse_tuple, "factors": _parse_tuple, "inputs": _parse_tuple,
+    "scenarios": _parse_tuple, "inputs": _parse_tuple,
     "quantiles": lambda text: tuple(float(v) for v in _parse_tuple(text)),
 }
 
@@ -218,17 +209,14 @@ def _build_parser() -> argparse.ArgumentParser:
     pipeline.add_argument("--crs", action=argparse.BooleanOptionalAction,
                           default=None, help="constant returns to scale")
     pipeline.add_argument("--scenarios", type=_parse_tuple,
-                          metavar="MODE[:F+G],...")
+                          metavar="MODE[:F+G],...",
+                          help="scenarios to solve; a :F+G suffix is the one way "
+                               "to reallocate only factors F and G")
     pipeline.add_argument("--iceberg", type=float, metavar="LAMBDA")
     pipeline.add_argument("--depletion", type=float, metavar="KAPPA")
-    pipeline.add_argument("--factors", type=_parse_tuple, metavar="F,G")
     pipeline.add_argument("--inputs", type=_parse_tuple, metavar="K,L[,H][,D]")
     pipeline.add_argument("--fixed-effects", action=argparse.BooleanOptionalAction,
                           default=None)
-    pipeline.add_argument("--entry-exit", action=argparse.BooleanOptionalAction,
-                          default=None, help="add the entry_exit scenario")
-    pipeline.add_argument("--local", action=argparse.BooleanOptionalAction,
-                          default=None, help="add the local scenario")
     pipeline.add_argument("--bootstrap", type=int, nargs="?",
                           const=100, metavar="N",
                           help="bootstrap replicates (bare flag: 100)")
@@ -373,6 +361,8 @@ def cmd_pipeline(config: RunConfig, stage: int) -> int:
     out_dir = _require_out(config)
     jobs = config.effective_jobs
     input_path = _resolve_input(config)
+    settings = config.estimation
+    templates = scenario_templates(config)
     with _staged_outputs(out_dir) as staging:
         recorded = input_path
         if input_path is None:
@@ -386,20 +376,17 @@ def cmd_pipeline(config: RunConfig, stage: int) -> int:
                            with_human_capital="H" in config.inputs,
                            with_land="D" in config.inputs)
         panel_to_csv(panel, os.path.join(staging, "panel.csv"))
-        grid = np.asarray(config.quantiles)
 
         if stage == _STAGE["ingest"]:
             print(f"ingest: {panel.n_cities} cities x {len(panel.years)} years")
             return EXIT_OK
         if stage == _STAGE["estimate"]:
-            audits = estimate_panel(panel, fixed_effects=config.fixed_effects,
-                                    quantile_grid=grid, crs=config.crs,
-                                    tolerance=config.tolerance, jobs=jobs)
+            audits = estimate_panel(panel, settings, jobs=jobs)
             _write_estimates(audits, staging)
-            print(f"estimate: {len(audits)} units x {len(np.union1d(grid, [0.5]))} fits")
+            fits = len(np.union1d(settings.quantiles, [0.5]))
+            print(f"estimate: {len(audits)} units x {fits} fits")
             return EXIT_OK
 
-        templates = scenario_templates(config)
         audits = []
         if stage >= _STAGE["gain"] and config.bootstrap > 0:
             if config.bootstrap < _REFERENCE_REPLICATES:
@@ -409,16 +396,9 @@ def cmd_pipeline(config: RunConfig, stage: int) -> int:
             gains = bootstrap_gain(panel, templates,
                                    BootstrapConfig(replicates=config.bootstrap,
                                                    seed=config.seed),
-                                   fixed_effects=config.fixed_effects,
-                                   quantile_grid=grid, crs=config.crs,
-                                   tolerance=config.tolerance, jobs=jobs,
-                                   audit=audits)
+                                   settings, jobs=jobs, audit=audits)
         else:
-            gains = run_pipeline(panel, templates,
-                                 fixed_effects=config.fixed_effects,
-                                 quantile_grid=grid, crs=config.crs,
-                                 tolerance=config.tolerance, jobs=jobs,
-                                 audit=audits)
+            gains = run_pipeline(panel, templates, settings, jobs=jobs, audit=audits)
         _write_estimates(audits, staging)
         _write_solutions(audits, templates, staging)
         if stage >= _STAGE["gain"]:
@@ -458,9 +438,8 @@ def cmd_synth(config: RunConfig, args) -> int:
 
 
 def _read_csv_rows(path) -> list:
-    import csv as _csv
     with open(path, newline="", encoding="utf-8") as fh:
-        return list(_csv.DictReader(fh))
+        return list(csv.DictReader(fh))
 
 
 def _read_panel(run_dir) -> Panel:
@@ -516,7 +495,7 @@ def cmd_validate(config: RunConfig) -> int:
     # fails each check that reads it
     @functools.cache
     def units():
-        return estimation_units(_read_panel(run_dir), run_config.fixed_effects)
+        return estimation_units(_read_panel(run_dir), run_config.estimation)
 
     @functools.cache
     def fits():

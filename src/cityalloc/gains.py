@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cqr import (
+    DEFAULT_QUANTILES,
     DecileAssignment,
     QuantileFit,
     _as_grid,
@@ -140,6 +141,35 @@ class BootstrapConfig:
 
 
 @dataclass(frozen=True)
+class EstimationSettings:
+    """How every estimation unit is fitted, as one hashable value.
+
+    ``fixed_effects`` pools the panel into one unit of city time-means;
+    ``quantiles`` is the ten-point decile grid, ascending in (0, 1);
+    ``crs`` fits constant-returns frontiers; ``tolerance`` is the LP
+    tolerance of every fit and planner solve.
+    """
+
+    fixed_effects: bool = False
+    quantiles: tuple = tuple(float(q) for q in DEFAULT_QUANTILES)
+    crs: bool = False
+    tolerance: float = 1e-7
+
+    def __post_init__(self):
+        try:
+            grid = _as_grid(self.quantiles)
+        except ValueError as exc:
+            raise GainError(str(exc)) from exc
+        if len(grid) != _N_DECILES:
+            raise GainError("decile matching needs a ten-point quantile grid")
+        tolerance = float(self.tolerance)
+        if not (np.isfinite(tolerance) and tolerance > 0.0):
+            raise GainError("tolerance must be finite and positive")
+        object.__setattr__(self, "quantiles", tuple(float(q) for q in grid))
+        object.__setattr__(self, "tolerance", tolerance)
+
+
+@dataclass(frozen=True)
 class PipelineAudit:
     """Intermediate artifacts of one estimation unit, kept for audit."""
 
@@ -233,8 +263,7 @@ def unit_scenario(template, year, technologies, names, x, assignment):
         depletion=template.depletion, fixed_input_values=fixed)
 
 
-def _run_unit(x, y, city_id, year, names, templates, quantile_grid, crs,
-              tolerance):
+def _run_unit(x, y, city_id, year, names, templates, settings):
     """Estimate and solve one cross-section; returns (gains, audit).
 
     The grid and the median tau = .5 are fitted in one ascending sweep,
@@ -250,17 +279,14 @@ def _run_unit(x, y, city_id, year, names, templates, quantile_grid, crs,
                             stage="ingest", year=year)
     keep, counts, back = _distinct_rows(x, y)
     xd, yd = x[keep], y[keep]
+    grid = settings.quantiles
     try:
-        grid = _as_grid(quantile_grid)
         swept = [_expand(f, back) for f in fit_all_quantiles(
-            xd, yd, np.union1d(grid, [0.5]), crs=crs, year=year,
-            tolerance=tolerance, weights=counts)]
+            xd, yd, np.union1d(grid, [0.5]), crs=settings.crs, year=year,
+            tolerance=settings.tolerance, weights=counts)]
     except Exception as exc:
         raise PipelineError(f"year {year}: quantile estimation failed: {exc}",
                             stage="estimate", year=year) from exc
-    if len(grid) != _N_DECILES:
-        raise PipelineError("decile matching needs a ten-point quantile grid",
-                            stage="estimate", year=year)
     fits = [f for f in swept if f.tau in grid]
 
     try:
@@ -280,7 +306,7 @@ def _run_unit(x, y, city_id, year, names, templates, quantile_grid, crs,
     for t in templates:
         try:
             scenario = unit_scenario(t, year, techs, names, x, assignment)
-            solution = solve_scenario(scenario, tolerance)
+            solution = solve_scenario(scenario, settings.tolerance)
             gains.append(compute_gain(solution, y, label=t.label))
         except PipelineError:
             raise
@@ -294,52 +320,46 @@ def _run_unit(x, y, city_id, year, names, templates, quantile_grid, crs,
     return gains, audit
 
 
-def _unit_entry(payload):
-    return _run_unit(*payload)
-
-
 def _fan_out(fn, payloads, jobs):
-    """[fn(p) for p in payloads], run in up to ``jobs`` processes."""
+    """[fn(*p) for p in payloads], run in up to ``jobs`` processes."""
     jobs = max(int(jobs), 1)
     if jobs == 1 or len(payloads) == 1:
-        return [fn(p) for p in payloads]
+        return [fn(*p) for p in payloads]
     with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
-        return list(pool.map(fn, payloads,
+        return list(pool.map(fn, *zip(*payloads),
                              chunksize=max(1, len(payloads) // (4 * jobs))))
 
 
-def estimation_units(panel: Panel, fixed_effects: bool):
+def estimation_units(panel: Panel, settings: EstimationSettings):
     """(input names, {year: (x, y, city_id)}) of the units a pipeline run
     estimates: one per year, or the pooled one under year 0."""
-    if fixed_effects:
+    if settings.fixed_effects:
         panel = fixed_effect_inputs(panel)
     return list(panel.input_names), {int(yr): panel.year_slice(yr) for yr in panel.years}
 
 
-def _fan_units(panel, templates, fixed_effects, quantile_grid, crs,
-               tolerance, jobs):
-    names, units = estimation_units(panel, fixed_effects)
-    payloads = [(x, y, city_id, year, names, templates, quantile_grid, crs, tolerance)
+def _fan_units(panel, templates, settings, jobs):
+    names, units = estimation_units(panel, settings)
+    payloads = [(x, y, city_id, year, names, templates, settings)
                 for year, (x, y, city_id) in units.items()]
-    return _fan_out(_unit_entry, payloads, jobs)
+    return _fan_out(_run_unit, payloads, jobs)
 
 
-def run_pipeline(panel: Panel, templates, fixed_effects: bool = False,
-                 quantile_grid=None, crs: bool = False,
-                 tolerance: float = 1e-7, jobs: int = 1, audit=None) -> list:
+def run_pipeline(panel: Panel, templates,
+                 settings: EstimationSettings = EstimationSettings(),
+                 jobs: int = 1, audit=None) -> list:
     """One GainResult per estimation unit and scenario template.
 
     Yearly mode estimates and solves every year separately; with
-    ``fixed_effects`` the panel collapses to city time-means first and a
-    single pooled unit runs (reported under year 0). ``templates`` is
-    one ScenarioTemplate or a sequence; all scenarios in a unit share
-    that unit's frontier fits. ``audit``, when a list, receives one
+    ``settings.fixed_effects`` the panel collapses to city time-means
+    first and a single pooled unit runs (reported under year 0).
+    ``templates`` is one ScenarioTemplate or a sequence; all scenarios
+    in a unit share that unit's frontier fits. ``audit``, when a list, receives one
     PipelineAudit per unit. Units run in up to ``jobs`` worker
     processes; results are identical to a serial run.
     """
     templates = _as_templates(templates)
-    results = _fan_units(panel, templates, fixed_effects, quantile_grid, crs,
-                         tolerance, jobs)
+    results = _fan_units(panel, templates, settings, jobs)
     out = []
     for gains, unit_audit in results:
         out.extend(gains)
@@ -348,29 +368,23 @@ def run_pipeline(panel: Panel, templates, fixed_effects: bool = False,
     return out
 
 
-def estimate_panel(panel: Panel, fixed_effects: bool = False,
-                   quantile_grid=None, crs: bool = False,
-                   tolerance: float = 1e-7, jobs: int = 1) -> list:
+def estimate_panel(panel: Panel,
+                   settings: EstimationSettings = EstimationSettings(),
+                   jobs: int = 1) -> list:
     """Estimation-only pass: one PipelineAudit per unit, no scenarios.
 
     Runs the frontier fits, decile ranking, and technology build of
     run_pipeline but solves nothing; audits carry empty solution maps.
     """
-    results = _fan_units(panel, (), fixed_effects, quantile_grid, crs,
-                         tolerance, jobs)
+    results = _fan_units(panel, (), settings, jobs)
     return [unit_audit for _, unit_audit in results]
 
 
-def _replicate_entry(args):
-    (panel, templates, seed, rep, fixed_effects, quantile_grid, crs,
-     tolerance) = args
+def _replicate_entry(panel, templates, seed, rep, settings):
     rng = np.random.default_rng([seed, rep])
     idx = rng.integers(0, panel.n_cities, panel.n_cities)
     try:
-        gains = run_pipeline(panel.select_cities(idx), templates,
-                             fixed_effects=fixed_effects,
-                             quantile_grid=quantile_grid, crs=crs,
-                             tolerance=tolerance, jobs=1)
+        gains = run_pipeline(panel.select_cities(idx), templates, settings)
     except Exception as exc:
         raise PipelineError(
             f"replicate {rep} failed: {exc}; resample indices {idx.tolist()}",
@@ -379,8 +393,7 @@ def _replicate_entry(args):
 
 
 def bootstrap_gain(panel: Panel, templates, config: BootstrapConfig,
-                   fixed_effects: bool = False, quantile_grid=None,
-                   crs: bool = False, tolerance: float = 1e-7,
+                   settings: EstimationSettings = EstimationSettings(),
                    jobs: int = 1, audit=None) -> list:
     """Point estimates with bootstrap spread attached.
 
@@ -392,11 +405,8 @@ def bootstrap_gain(panel: Panel, templates, config: BootstrapConfig,
     independent of execution order; a single replicate reports se 0.
     """
     templates = _as_templates(templates)
-    point = run_pipeline(panel, templates, fixed_effects=fixed_effects,
-                         quantile_grid=quantile_grid, crs=crs,
-                         tolerance=tolerance, jobs=jobs, audit=audit)
-    payloads = [(panel, templates, config.seed, rep, fixed_effects,
-                 quantile_grid, crs, tolerance)
+    point = run_pipeline(panel, templates, settings, jobs=jobs, audit=audit)
+    payloads = [(panel, templates, config.seed, rep, settings)
                 for rep in range(config.replicates)]
     draws = _fan_out(_replicate_entry, payloads, jobs)
 

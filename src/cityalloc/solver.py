@@ -734,13 +734,8 @@ class Master:
             self._push_eta(r, d)
             self.iters += 1
 
-            if step <= 1e-12:
-                stall += 1
-                if stall > stall_limit:
-                    bland = True
-            else:
-                stall = 0
-                bland = False
+            stall = stall + 1 if step <= 1e-12 else 0
+            bland = stall > stall_limit
 
     def _dual_optimize(self, cost: np.ndarray, z: np.ndarray) -> bool:
         """Bounded dual simplex from a dual feasible basis to a primal feasible one.
@@ -840,13 +835,8 @@ class Master:
             self.iters += 1
             self.dual_iters += 1
 
-            if step <= 1e-12:
-                stall += 1
-                if stall > stall_limit:
-                    bland = True
-            else:
-                stall = 0
-                bland = False
+            stall = stall + 1 if step <= 1e-12 else 0
+            bland = stall > stall_limit
 
     # -- driver -----------------------------------------------------------------
 

@@ -396,3 +396,50 @@ def test_grid_holding_the_median_writes_it_once(tmp_path):
     assert set(taus) == {float(t) for t in grid.split(",")}
     assert len(taus) == 2 * 10 * 12  # years x taus x cities
     assert cli.main(["validate", "--input", out]) == cli.EXIT_OK
+
+
+@pytest.mark.parametrize("argv", [
+    ["--tolerance", "0"],
+    ["--quantiles", "0.5,0.25"],
+    ["--quantiles", "0.1,0.3,0.5,0.7,0.9"],
+    ["--scenarios", "perfect:Z"],
+    ["--scenarios", "entry_exit:K"],
+], ids=["zero_tolerance", "descending_grid", "five_point_grid", "unknown_factor",
+        "restricted_entry_mode"])
+def test_config_errors_exit_2_before_any_fit(small_panel, tmp_path, monkeypatch, argv):
+    fitted = []
+    monkeypatch.setattr("cityalloc.gains.fit_all_quantiles",
+                        lambda *args, **kwargs: fitted.append(args))
+    out = tmp_path / "out"
+    code = cli.main(["run", "--input", small_panel, "--out", str(out),
+                     "--jobs", "1"] + argv)
+    assert code == cli.EXIT_VALIDATION
+    assert not out.exists() or not os.listdir(out)
+    assert fitted == []
+
+
+@pytest.mark.parametrize("flag, line", [
+    ("--factors=K", "factors = K"),
+    ("--entry-exit", "entry_exit = true"),
+    ("--local", "local = true"),
+])
+def test_scenario_knobs_besides_scenarios_are_gone(tmp_path, capsys, flag, line):
+    with pytest.raises(SystemExit) as err:
+        cli._build_parser().parse_args(["run", flag])
+    assert err.value.code == 2
+    config = tmp_path / "run.conf"
+    config.write_text(line + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main(["ingest", "--synthetic", "default", "--out", str(tmp_path / "out"),
+                     "--config", str(config)]) == cli.EXIT_VALIDATION
+    assert f"unknown key {line.split()[0]!r}" in capsys.readouterr().err
+
+
+def test_crs_run_fits_through_the_origin_and_validates(small_panel, tmp_path):
+    out = str(tmp_path / "out")
+    assert cli.main(["run", "--crs", "--input", small_panel, "--out", out,
+                     "--jobs", "1"]) == cli.EXIT_OK
+    assert all(float(r["alpha"]) == 0.0 for r in _rows(os.path.join(out, "fits.csv")))
+    with open(os.path.join(out, "manifest.json"), encoding="utf-8") as fh:
+        assert json.load(fh)["config"]["crs"] is True
+    assert cli.main(["validate", "--input", out]) == cli.EXIT_OK

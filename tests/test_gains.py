@@ -5,6 +5,7 @@ import pytest
 
 from cityalloc import (
     BootstrapConfig,
+    EstimationSettings,
     GainError,
     GainResult,
     Panel,
@@ -114,7 +115,8 @@ def test_pooled_run_on_constant_panel_matches_yearly(fixture_panel):
     const = Panel(panel.city_id, panel.years, np.tile(y[:, None], (1, 3)),
                   {n: np.tile(panel.inputs[n][:, [0]], (1, 3))
                    for n in panel.inputs})
-    pooled = run_pipeline(const, ScenarioTemplate("perfect"), fixed_effects=True)
+    pooled = run_pipeline(const, ScenarioTemplate("perfect"),
+                          EstimationSettings(fixed_effects=True))
     yearly = run_pipeline(const, ScenarioTemplate("perfect"))
     assert len(pooled) == 1 and pooled[0].pooled
     assert pooled[0].gain == pytest.approx(yearly[0].gain, abs=1e-9)
@@ -237,15 +239,27 @@ def test_pipeline_stage_errors(fixture_panel):
     with pytest.raises(PipelineError) as err:
         run_pipeline(small, ScenarioTemplate("perfect"))
     assert err.value.stage == "ingest"
-    with pytest.raises(PipelineError) as err:
-        run_pipeline(panel, ScenarioTemplate("perfect"),
-                     quantile_grid=[0.25, 0.5, 0.75])
-    assert err.value.stage == "estimate"
+    with pytest.raises(GainError, match="ten-point"):
+        EstimationSettings(quantiles=[0.25, 0.5, 0.75])
     with pytest.raises(GainError):
         run_pipeline(panel, [])
     with pytest.raises(GainError):
         run_pipeline(panel, [ScenarioTemplate("perfect"),
                              ScenarioTemplate("perfect")])
+
+
+def test_estimation_settings_are_one_checked_value():
+    grid = [0.05 + 0.1 * k for k in range(10)]
+    from_list = EstimationSettings(quantiles=grid, tolerance=1e-8)
+    from_tuple = EstimationSettings(quantiles=tuple(grid), tolerance=1e-8)
+    assert from_list == from_tuple and hash(from_list) == hash(from_tuple)
+    assert from_list != EstimationSettings(quantiles=grid, tolerance=1e-8, crs=True)
+    for bad in ([0.5, 0.25], grid[:9] + [1.0], [0.1, 0.3, 0.5, 0.7, 0.9]):
+        with pytest.raises(GainError):
+            EstimationSettings(quantiles=bad)
+    for tolerance in (0.0, float("nan")):
+        with pytest.raises(GainError, match="tolerance"):
+            EstimationSettings(tolerance=tolerance)
 
 
 def test_gains_csv_and_plot_json(tmp_path, fixture_panel):
