@@ -9,6 +9,11 @@ Exit codes: 0 success, 2 validation failure, 3 solver failure,
 4 I/O failure. Artifacts are staged in a temporary directory and moved
 into --out only when the whole command succeeds, so a failed run leaves
 no partial outputs.
+
+The CLI owns the run directory: its file names, and the one format of
+its tables (``_write_csv``): floats as their repr, None as an empty
+cell, csv quoting where a cell needs it, LF line ends. ``validate``
+reads the same tables back.
 """
 
 import argparse
@@ -17,6 +22,7 @@ import csv
 import functools
 import hashlib
 import json
+import math
 import os
 import shutil
 import sys
@@ -26,7 +32,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import __version__
-from .cqr import DecileAssignment, fits_from_csv, fits_to_csv
+from .cqr import DecileAssignment, QuantileFit
 from .gains import (
     BootstrapConfig,
     EstimationSettings,
@@ -36,14 +42,13 @@ from .gains import (
     bootstrap_gain,
     estimate_panel,
     estimation_units,
-    gains_to_csv,
     plot_payloads,
     run_pipeline,
     unit_scenario,
     unit_technologies,
 )
-from .panel import CAPITAL_VARIANTS, CapitalRule, Panel, load_panel, panel_to_csv
-from .planner import ENTRY_MODES, allocations_to_csv, certify, summary_to_csv
+from .panel import CAPITAL_VARIANTS, CapitalRule, Panel, load_panel
+from .planner import ENTRY_MODES, certify
 from .solver import SolverError
 from .synth import SyntheticSpec, generate, rows_to_csv, truth_to_json
 
@@ -303,14 +308,91 @@ def _resolve_input(config):
     return config.input
 
 
-def _write_deciles_csv(audits, path):
-    lines = ["year,city_id,decile,score"]
-    for a in audits:
-        for cid, dec, score in zip(a.assignment.city_id, a.assignment.decile,
-                                   a.assignment.score):
-            lines.append(f"{a.year},{cid},{int(dec)},{repr(float(score))}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+def _write_csv(path, header, rows):
+    """Write one run-directory table: floats as their repr, None as an
+    empty cell, anything else as text, quoted where csv needs it, LF."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([repr(float(v)) if isinstance(v, float)
+                          else "" if v is None else str(v) for v in row]
+                         for row in rows)
+
+
+def panel_to_csv(panel: Panel, path):
+    """Echo the constructed panel: city_id,year,y,K,L[,H,D]."""
+    names = panel.input_names
+    _write_csv(path, ["city_id", "year", "y", *names],
+               ([cid, int(yr), panel.y[i, t], *(panel.inputs[n][i, t] for n in names)]
+                for i, cid in enumerate(panel.city_id)
+                for t, yr in enumerate(panel.years)))
+
+
+def fits_to_csv(fits, path):
+    """Write fitted planes, one row per (year, tau, observation).
+
+    Header: year,tau,obs_index,alpha,beta_1..beta_d,eps_plus,eps_minus.
+    """
+    fits = list(fits)
+    if not fits:
+        raise ValueError("no fits to write")
+    d = fits[0].n_inputs
+    if any(f.n_inputs != d for f in fits):
+        raise ValueError("fits mix input dimensions")
+    header = ["year", "tau", "obs_index", "alpha",
+              *(f"beta_{k + 1}" for k in range(d)), "eps_plus", "eps_minus"]
+    _write_csv(path, header,
+               ([fit.year, fit.tau, i, a, *b, ep, em]
+                for fit in fits
+                for i, (a, b, ep, em) in enumerate(zip(
+                    fit.alpha.tolist(), fit.beta.tolist(),
+                    fit.eps_plus.tolist(), fit.eps_minus.tolist()))))
+
+
+def fits_from_csv(path):
+    """Reload fits written by fits_to_csv, grouped by (year, tau).
+
+    The table does not carry the returns-to-scale flag; reloaded fits
+    report crs=False. Objectives are rebuilt from the residual columns.
+    A blank cell reads as NaN.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        names = [nm.strip() for nm in next(reader, [])]
+        table = np.array([[float(c) if c.strip() else math.nan for c in row]
+                          for row in reader if row], dtype=float).reshape(-1, len(names))
+    col = {nm: table[:, k] for k, nm in enumerate(names)}
+    d = sum(1 for nm in names if nm.startswith("beta_"))
+    if d == 0:
+        raise ValueError("no beta columns found")
+    # rows grouped by (year, tau), each group in observation order
+    order = np.lexsort((col["obs_index"], col["tau"], col["year"]))
+    col = {nm: v[order] for nm, v in col.items()}
+    year, tau = col["year"], col["tau"]
+    first = np.ones(year.size, dtype=bool)
+    first[1:] = (year[1:] != year[:-1]) | (tau[1:] != tau[:-1])
+    starts = np.flatnonzero(first)
+    fits = []
+    for a, b in zip(starts, np.r_[starts[1:], year.size]):
+        ep, em = col["eps_plus"][a:b], col["eps_minus"][a:b]
+        fits.append(QuantileFit(
+            year=int(year[a]),
+            tau=float(tau[a]),
+            alpha=col["alpha"][a:b],
+            beta=np.column_stack([col[f"beta_{f + 1}"][a:b] for f in range(d)]),
+            eps_plus=ep,
+            eps_minus=em,
+            crs=False,
+            objective=float(tau[a] * ep.sum() + (1 - tau[a]) * em.sum()),
+        ))
+    return fits
+
+
+def gains_to_csv(results, path) -> None:
+    """Gain series: year,scenario,gain,se,ci_low,ci_high (year 0 = pooled)."""
+    _write_csv(path, ["year", "scenario", "gain", "se", "ci_low", "ci_high"],
+               ([g.year, g.scenario, g.gain, g.standard_error, g.ci_low, g.ci_high]
+                for g in results))
 
 
 def _write_estimates(audits, staging):
@@ -320,17 +402,29 @@ def _write_estimates(audits, staging):
         by_tau = {f.tau: f for f in a.fits + (a.median_fit,)}
         flat.extend(by_tau[t] for t in sorted(by_tau))
     fits_to_csv(flat, os.path.join(staging, "fits.csv"))
-    _write_deciles_csv(audits, os.path.join(staging, "deciles.csv"))
+    _write_csv(os.path.join(staging, "deciles.csv"), ["year", "city_id", "decile", "score"],
+               ([a.year, cid, int(dec), score]
+                for a in audits
+                for cid, dec, score in zip(a.assignment.city_id, a.assignment.decile,
+                                           a.assignment.score)))
 
 
 def _write_solutions(audits, templates, staging):
+    """allocations_<label>.csv per template: one row per pseudo-city, with
+    b, one lowercase column per factor, then y; and summary.csv, one
+    Y_e row per unit and template."""
+    names = [f.lower() for f in audits[0].solutions[templates[0].label].factor_names]
     for t in templates:
-        sols = [a.solutions[t.label] for a in audits]
-        allocations_to_csv(sols, os.path.join(staging, f"allocations_{t.label}.csv"),
-                           labels=[t.label] * len(sols))
-    summary_to_csv([a.solutions[t.label] for a in audits for t in templates],
-                   os.path.join(staging, "summary.csv"),
-                   labels=[t.label for _ in audits for t in templates])
+        _write_csv(os.path.join(staging, f"allocations_{t.label}.csv"),
+                   ["year", "scenario", "decile", "pseudo_city", "b", *names, "y"],
+                   ([s.year, t.label, int(d), int(c), int(b), *x, y]
+                    for s in (a.solutions[t.label] for a in audits)
+                    for d, c, b, x, y in zip(s.decile.tolist(), s.pseudo_city.tolist(),
+                                             s.active.tolist(), s.inputs.tolist(),
+                                             s.output.tolist())))
+    _write_csv(os.path.join(staging, "summary.csv"), ["year", "scenario", "Y_e"],
+               ([a.solutions[t.label].year, t.label, a.solutions[t.label].efficient_output]
+                for a in audits for t in templates))
 
 
 def _write_json(path, payload):

@@ -25,7 +25,6 @@ place, so the old basis stays dual feasible and the solver re-enters it
 through the dual simplex; only the first tau of a grid starts cold.
 """
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -37,7 +36,7 @@ from .solver import (
     LE,
     LinearProgram,
     Master,
-    _delayed_generation,
+    SolverError,
     solve_lp,
 )
 
@@ -229,13 +228,12 @@ def _generate(x, y, tau, weights, crs, tolerance, carry=None):
         pairs = _neighbour_pairs(x)
         master = _dual_master(x, y, tau, weights, pairs, crs)
 
-    def planes(res):
+    for _ in range(_MAX_ROUNDS):
+        res = solve_lp(master, tolerance)
+        if res.status != "optimal":
+            raise SolverError(f"generation master came back {res.status}")
         alpha = np.zeros(n) if crs else res.dual_values[:n]
-        return alpha, res.dual_values[base:].reshape(n, d)
-
-    def price(res):
-        nonlocal pairs
-        alpha, beta = planes(res)
+        beta = res.dual_values[base:].reshape(n, d)
         fit_at = alpha[None, :] + x @ beta.T
         viol = fit_at.diagonal()[:, None] - fit_at
         np.fill_diagonal(viol, 0.0)
@@ -244,14 +242,11 @@ def _generate(x, y, tau, weights, crs, tolerance, carry=None):
         if not (viol > _VIOL_TOL).any():
             if carry is not None:
                 carry.pairs, carry.master = pairs, master
-            return True
+            return alpha, beta, res.objective_value
         batch = _violated_pairs(viol, 3, 5 * n)
         _add_pairs(master, x, batch, crs)
         pairs = np.vstack([pairs, batch])
-        return False
-
-    res = _delayed_generation(master, solve_lp, tolerance, price, _MAX_ROUNDS)
-    return (*planes(res), res.objective_value)
+    raise SolverError(f"delayed generation did not converge within {_MAX_ROUNDS} rounds")
 
 
 def fit_cqr(x, y, tau, crs=False, year=0, tolerance=1e-7,
@@ -367,68 +362,3 @@ def dedup_hyperplanes(alpha, beta):
         keep.append(int(alive.argmax()))
         alive &= ~close[keep[-1]]
     return alpha[keep], beta[keep].reshape(len(keep), -1)
-
-
-def fits_to_csv(fits, path):
-    """Write fitted planes to CSV, one row per (year, tau, observation).
-
-    Header: year,tau,obs_index,alpha,beta_1..beta_d,eps_plus,eps_minus.
-    """
-    fits = list(fits)
-    if not fits:
-        raise ValueError("no fits to write")
-    d = fits[0].n_inputs
-    if any(f.n_inputs != d for f in fits):
-        raise ValueError("fits mix input dimensions")
-    cols = ["year", "tau", "obs_index", "alpha"]
-    cols += [f"beta_{f + 1}" for f in range(d)]
-    cols += ["eps_plus", "eps_minus"]
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(cols) + "\n")
-        for fit in fits:
-            for i in range(fit.n_obs):
-                row = [str(fit.year), repr(float(fit.tau)), str(i),
-                       repr(float(fit.alpha[i]))]
-                row += [repr(float(b)) for b in fit.beta[i]]
-                row += [repr(float(fit.eps_plus[i])),
-                        repr(float(fit.eps_minus[i]))]
-                fh.write(",".join(row) + "\n")
-
-
-def fits_from_csv(path):
-    """Reload fits written by fits_to_csv, grouped by (year, tau).
-
-    The table does not carry the returns-to-scale flag; reloaded fits
-    report crs=False. Objectives are rebuilt from the residual columns.
-    A blank cell reads as NaN.
-    """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        names = [nm.strip() for nm in next(reader, [])]
-        table = np.array([[float(c) if c.strip() else math.nan for c in row]
-                          for row in reader if row], dtype=float).reshape(-1, len(names))
-    col = {nm: table[:, k] for k, nm in enumerate(names)}
-    d = sum(1 for nm in names if nm.startswith("beta_"))
-    if d == 0:
-        raise ValueError("no beta columns found")
-    # rows grouped by (year, tau), each group in observation order
-    order = np.lexsort((col["obs_index"], col["tau"], col["year"]))
-    col = {nm: v[order] for nm, v in col.items()}
-    year, tau = col["year"], col["tau"]
-    first = np.ones(year.size, dtype=bool)
-    first[1:] = (year[1:] != year[:-1]) | (tau[1:] != tau[:-1])
-    starts = np.flatnonzero(first)
-    fits = []
-    for a, b in zip(starts, np.r_[starts[1:], year.size]):
-        ep, em = col["eps_plus"][a:b], col["eps_minus"][a:b]
-        fits.append(QuantileFit(
-            year=int(year[a]),
-            tau=float(tau[a]),
-            alpha=col["alpha"][a:b],
-            beta=np.column_stack([col[f"beta_{f + 1}"][a:b] for f in range(d)]),
-            eps_plus=ep,
-            eps_minus=em,
-            crs=False,
-            objective=float(tau[a] * ep.sum() + (1 - tau[a]) * em.sum()),
-        ))
-    return fits

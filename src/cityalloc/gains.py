@@ -9,7 +9,6 @@ replicates re-run the entire chain so the intervals carry estimation
 uncertainty, not just allocation noise.
 """
 
-import csv
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -420,20 +419,6 @@ def bootstrap_gain(panel: Panel, templates, config: BootstrapConfig,
                     ci_low=float(min(lo[k], g.gain)),
                     ci_high=float(max(hi[k], g.gain)))
             for k, g in enumerate(point)]
-
-
-def gains_to_csv(results, path) -> None:
-    """Gain series CSV: year,scenario,gain,se,ci_low,ci_high (year 0 = pooled)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["year", "scenario", "gain", "se", "ci_low", "ci_high"])
-        for g in results:
-            writer.writerow([
-                g.year, g.scenario, repr(g.gain),
-                "" if g.standard_error is None else repr(g.standard_error),
-                "" if g.ci_low is None else repr(g.ci_low),
-                "" if g.ci_high is None else repr(g.ci_high),
-            ])
 
 
 def gains_plot_payload(results) -> dict:

@@ -206,6 +206,10 @@ def load_panel(path, base_year=None, capital_rule: CapitalRule | None = None,
             if len(row) != width:
                 raise PanelError(f"line {lineno}: expected {width} fields, got {len(row)}")
             cid = row[0].strip()
+            if "\r" in cid or "\n" in cid:
+                # csv leaves a bare CR unquoted under LF line ends, so the
+                # run directory's tables could not echo this id
+                raise PanelError(f"line {lineno}: city id holds a line break")
             try:
                 year = int(row[1])
                 vals = [float(v) for v in row[2:]]
@@ -269,17 +273,3 @@ def fixed_effect_inputs(panel: Panel) -> Panel:
     y = panel.y.mean(axis=1, keepdims=True)
     inputs = {n: b.mean(axis=1, keepdims=True) for n, b in panel.inputs.items()}
     return Panel(panel.city_id, np.array([POOLED_YEAR]), y, inputs)
-
-
-def panel_to_csv(panel: Panel, path):
-    """Echo the constructed panel: city_id,year,y,K,L[,H,D]."""
-    cols = ["city_id", "year", "y"] + list(panel.input_names)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(cols)
-        for i, cid in enumerate(panel.city_id):
-            for t, yr in enumerate(panel.years):
-                row = [cid, int(yr), repr(float(panel.y[i, t]))]
-                row += [repr(float(panel.inputs[n][i, t]))
-                        for n in panel.input_names]
-                writer.writerow(row)

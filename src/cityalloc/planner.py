@@ -532,80 +532,27 @@ def _solve_separable(scn: PlannerScenario, geo: _Geo):
     return y, alloc[:, None], np.ones(n), float(y.sum())
 
 
-def _solve(scn: PlannerScenario, tolerance: float) -> AllocationSolution:
-    geo = _geometry(scn)
-    if scn.is_entry_exit:
-        y, x, b, obj = _solve_entry_counts(scn, geo, tolerance)
-    elif not scn.fixed_input_values:
+def solve_scenario(scenario: PlannerScenario, tolerance: float = 1e-7) -> AllocationSolution:
+    """Solve any scenario, dispatching on its mode and shape."""
+    geo = _geometry(scenario)
+    if scenario.is_entry_exit:
+        y, x, b, obj = _solve_entry_counts(scenario, geo, tolerance)
+    elif not scenario.fixed_input_values:
         # pseudo-cities in a decile are interchangeable: solve one city per
         # decile with its intercepts scaled by the count, then split evenly
         k = len(geo.counts)
         one = geo._replace(counts=np.ones(k, dtype=np.int64), starts=np.arange(k + 1),
                            alpha_eff=[c * a[:1] for c, a in zip(geo.counts, geo.alpha_eff)])
-        y, x, b, obj = _solve_rows(scn, one, tolerance)
+        y, x, b, obj = _solve_rows(scenario, one, tolerance)
         y = np.repeat(y / geo.counts, geo.counts)
         x = np.repeat(x / geo.counts[:, None], geo.counts, axis=0)
         b = np.repeat(b, geo.counts)
     elif geo.rcols.size == 1:
-        y, x, b, obj = _solve_separable(scn, geo)
+        y, x, b, obj = _solve_separable(scenario, geo)
     else:
-        y, x, b, obj = _solve_rows(scn, geo, tolerance)
-    solution = _build_solution(scn, geo, y, x, b, obj)
-    problems = certify(scn, solution.inputs, solution.output, solution.active, tolerance)
+        y, x, b, obj = _solve_rows(scenario, geo, tolerance)
+    solution = _build_solution(scenario, geo, y, x, b, obj)
+    problems = certify(scenario, solution.inputs, solution.output, solution.active, tolerance)
     if problems:
         raise PlannerError(problems[0])
     return solution
-
-
-def solve_scenario(scenario: PlannerScenario, tolerance: float = 1e-7) -> AllocationSolution:
-    """Solve any scenario, dispatching on its mode."""
-    return _solve(scenario, tolerance)
-
-
-def _solution_labels(sols, labels):
-    if labels is None:
-        return [s.mode for s in sols]
-    labels = [str(v) for v in labels]
-    if len(labels) != len(sols):
-        raise ValueError("labels must pair one-to-one with solutions")
-    return labels
-
-
-def allocations_to_csv(solutions, path, labels=None) -> None:
-    """Write per-pseudo-city allocations of one or more solutions.
-
-    Columns: year, scenario, decile, pseudo_city, b, one lowercase
-    column per factor, then y. The scenario column carries ``labels``
-    when given (one per solution) and the mode otherwise.
-    """
-    sols = list(solutions)
-    if not sols:
-        raise ValueError("no solutions to write")
-    names = sols[0].factor_names
-    if any(s.factor_names != names for s in sols):
-        raise ValueError("solutions disagree on factor names")
-    labels = _solution_labels(sols, labels)
-    header = "year,scenario,decile,pseudo_city,b," + ",".join(
-        f.lower() for f in names) + ",y"
-    lines = [header]
-    for s, label in zip(sols, labels):
-        for i in range(s.output.size):
-            cells = [str(s.year), label, str(int(s.decile[i])),
-                     str(int(s.pseudo_city[i])), str(int(s.active[i]))]
-            cells += [repr(float(v)) for v in s.inputs[i]]
-            cells.append(repr(float(s.output[i])))
-            lines.append(",".join(cells))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def summary_to_csv(solutions, path, labels=None) -> None:
-    """One line per solution: year, scenario, efficient aggregate output."""
-    sols = list(solutions)
-    if not sols:
-        raise ValueError("no solutions to write")
-    lines = ["year,scenario,Y_e"]
-    lines += [f"{s.year},{label},{repr(float(s.efficient_output))}"
-              for s, label in zip(sols, _solution_labels(sols, labels))]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -921,26 +921,6 @@ def solve_lp(problem: LinearProgram | Master, tolerance: float = 1e-7) -> SolveR
     return master.solve(tolerance)
 
 
-def _delayed_generation(master: Master, solve, tolerance: float, price,
-                        max_rounds: int) -> SolveResult:
-    """Re-solve ``master`` until ``price`` has nothing left to add.
-
-    Each round is one ``solve(master, tolerance)`` call; the caller passes
-    its own module's ``solve_lp``, so a solve is counted where it is made.
-    ``price(result)`` edits the master in place and returns True once
-    nothing is violated; that result is returned.  A master that is not
-    optimal, or ``max_rounds`` solves without convergence, raise
-    ``SolverError``.
-    """
-    for _ in range(max_rounds):
-        res = solve(master, tolerance)
-        if res.status != "optimal":
-            raise SolverError(f"generation master came back {res.status}")
-        if price(res):
-            return res
-    raise SolverError(f"delayed generation did not converge within {max_rounds} rounds")
-
-
 def _node_lp(lp: LinearProgram, tight: dict[int, tuple[float, float]]) -> LinearProgram:
     if not tight:
         return lp

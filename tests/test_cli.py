@@ -4,12 +4,15 @@ import csv
 import json
 import os
 import shutil
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from cityalloc import cli
-from cityalloc.cqr import fits_from_csv, fits_to_csv
+from cityalloc.cli import fits_from_csv, fits_to_csv
+from cityalloc.gains import ScenarioTemplate
+from cityalloc.planner import DecileTechnology, PlannerScenario, solve_scenario
 from cityalloc.solver import SolverError
 
 
@@ -443,3 +446,63 @@ def test_crs_run_fits_through_the_origin_and_validates(small_panel, tmp_path):
     with open(os.path.join(out, "manifest.json"), encoding="utf-8") as fh:
         assert json.load(fh)["config"]["crs"] is True
     assert cli.main(["validate", "--input", out]) == cli.EXIT_OK
+
+
+def test_write_solutions_tables(tmp_path):
+    # one allocations table per template, one summary row per unit and template
+    techs = [DecileTechnology(d, (2 * d - 1) / 20, [0.5 * d, 4.0 + d],
+                              [[1.0, 2.0], [0.0, 0.0]], d) for d in (1, 2, 3)]
+    solutions = {mode: solve_scenario(PlannerScenario(2015, mode, techs, ("K", "L"),
+                                                      {"K": 3.0, "L": 4.0}))
+                 for mode in ("perfect", "local")}
+    templates = [ScenarioTemplate("perfect"), ScenarioTemplate("local")]
+    cli._write_solutions([SimpleNamespace(solutions=solutions)], templates, str(tmp_path))
+    for t in templates:
+        header, *lines = (tmp_path / f"allocations_{t.label}.csv").read_text().splitlines()
+        assert header == "year,scenario,decile,pseudo_city,b,k,l,y"
+        assert len(lines) == 1 + 2 + 3
+        first = lines[0].split(",")
+        assert first[:5] == ["2015", t.label, "1", "1", "1"]
+        assert float(first[-1]) == solutions[t.label].output[0]
+    summary = (tmp_path / "summary.csv").read_text().splitlines()
+    assert summary[0] == "year,scenario,Y_e"
+    assert [line.split(",")[1] for line in summary[1:]] == ["perfect", "local"]
+    assert float(summary[1].split(",")[2]) == solutions["perfect"].efficient_output
+
+
+def test_comma_city_id_runs_and_validates(small_panel, tmp_path):
+    # a quoted city id holding a comma is legal input: every table quotes
+    # it, and no table ends its lines in CRLF
+    with open(small_panel, newline="", encoding="utf-8") as fh:
+        rows = [["C,001" if cell == "C001" else cell for cell in row]
+                for row in csv.reader(fh)]
+    panel = str(tmp_path / "comma.csv")
+    with open(panel, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    out = str(tmp_path / "out")
+    assert cli.main(["run", "--input", panel, "--out", out, "--jobs", "1"]) == cli.EXIT_OK
+    assert cli.main(["validate", "--input", out]) == cli.EXIT_OK
+    assert "C,001" in {r["city_id"] for r in _rows(os.path.join(out, "deciles.csv"))}
+    for name in os.listdir(out):
+        with open(os.path.join(out, name), "rb") as fh:
+            assert b"\r" not in fh.read(), name
+
+
+def test_validate_reads_crlf_tables(run_dir, tmp_path):
+    # directories written before every table went through one writer end
+    # the lines of gains.csv and panel.csv in CRLF
+    copy = str(tmp_path / "run")
+    shutil.copytree(run_dir, copy)
+    manifest_path = os.path.join(copy, "manifest.json")
+    with open(manifest_path, encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    for name in ("gains.csv", "panel.csv"):
+        path = os.path.join(copy, name)
+        with open(path, "rb") as fh:
+            text = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(text.replace(b"\n", b"\r\n"))
+        manifest["artifacts"][name] = cli._sha256(path)
+    with open(manifest_path, "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh)
+    assert cli.main(["validate", "--input", copy]) == cli.EXIT_OK

