@@ -42,6 +42,7 @@ from .gains import (
     bootstrap_gain,
     estimate_panel,
     estimation_units,
+    order_problems,
     plot_payloads,
     run_pipeline,
     unit_scenario,
@@ -694,6 +695,8 @@ def cmd_validate(config: RunConfig) -> int:
               ("resource-rows", check_resources)]
     if os.path.exists(os.path.join(run_dir, "gains.csv")):
         checks.append(("gain-arithmetic", lambda: gain_results()[1]))
+        checks.append(("order", lambda: order_problems(
+            gain_results()[0], templates, run_config.tolerance)))
     if os.path.exists(os.path.join(run_dir, "plot_gains.json")):
         checks.append(("plot-data", check_plots))
     return _report(checks)

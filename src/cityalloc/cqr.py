@@ -17,12 +17,16 @@ it from its kept basis until no violation exceeds 1e-6. Generated
 columns are never dropped: the working set only grows, so generation
 ends within the N(N-1) cross rows.
 
-A grid of taus is fitted in ascending order on that one master, each
-fit carrying the previous one's working set and final basis (Koenker &
-d'Orey 1987 solve linear quantile regression parametrically in tau the
-same way). A new tau moves only the box bounds of the dual's u block in
-place, so the old basis stays dual feasible and the solver re-enters it
-through the dual simplex; only the first tau of a grid starts cold.
+A grid of taus is fitted on that one master from the highest tau down,
+each fit carrying the previous one's working set and final basis
+(Koenker & d'Orey 1987 solve linear quantile regression parametrically
+in tau the same way, in either direction). A new tau moves only the box
+bounds of the dual's u block in place, so the old basis stays dual
+feasible and the solver re-enters it through the dual simplex; only the
+first tau of a grid starts cold. That cold fit is the dearest of the
+sweep, and it costs about half as many pivots at the top of the grid as
+at the bottom (on the CLI fixture's 284-city years, about 2,500-2,900
+against 6,700 at tau = .05), so the sweep starts there.
 """
 
 import math
@@ -302,16 +306,18 @@ def fit_all_quantiles(x, y, quantile_grid=None, crs=False, year=0,
                       tolerance=1e-7, weights=None):
     """Fit one frontier per grid value; default grid 0.05, 0.15, ..., 0.95.
 
-    The fits run in ascending tau on one master. The first starts cold
-    from the nearest-neighbour seed; each later one moves the u bounds
-    to its tau and resumes from the previous fit's final working set
-    and basis, which the solver re-enters through the dual simplex.
+    The fits run in descending tau on one master and come back in
+    ascending tau. The first, at the top of the grid, starts cold from
+    the nearest-neighbour seed, where a cold solve costs the fewest
+    pivots; each later one moves the u bounds down to its tau and
+    resumes from the previous fit's final working set and basis, which
+    the solver re-enters through the dual simplex.
     """
     grid = _as_grid(quantile_grid)
     carry = _Carry()
     return [fit_cqr(x, y, t, crs=crs, year=year, tolerance=tolerance,
                     weights=weights, _carry=carry)
-            for t in grid]
+            for t in grid[::-1]][::-1]
 
 
 def assign_deciles(x, y, median_fit: QuantileFit, city_id=None,

@@ -204,6 +204,51 @@ def compute_gain(solution: AllocationSolution, observed_y,
     )
 
 
+# (low, high) modes, both reallocating every factor, where every allocation
+# feasible to the low scenario is feasible to the high one
+_DOMINATED = (("imperfect", "perfect"), ("local", "perfect"),
+              ("perfect", "entry_exit"), ("local", "local_entry_exit"),
+              ("local_entry_exit", "entry_exit"))
+
+
+def _bounded_by(low, high):
+    """Whether template ``low``'s optimum can never exceed ``high``'s:
+    its mode is dominated, or it is perfect with some factors pinned,
+    and ``high`` charges no larger friction."""
+    if high.iceberg > low.iceberg or high.depletion > low.depletion:
+        return False
+    if high.reallocated_factors is not None:
+        return False
+    if low.reallocated_factors is None:
+        return (low.mode, high.mode) in _DOMINATED
+    return low.mode == high.mode == "perfect"
+
+
+def order_problems(gains, templates, rtol=1e-9) -> list:
+    """The ordering theorems that a set of gains breaks, one line each.
+
+    Per year, a template whose feasible allocations all lie in another's
+    (imperfect, local and perfect:F under perfect; perfect under
+    entry_exit; local under local_entry_exit under entry_exit) must not
+    gain more than it, beyond ``rtol`` of its gain. A planner solved to
+    LP tolerance t may fall short of its optimum by about that fraction,
+    so ``validate`` passes a run's tolerance.
+    """
+    templates = _as_templates(templates)
+    by = {}
+    for g in gains:
+        by.setdefault(g.year, {})[g.scenario] = g.gain
+    problems = []
+    for year, here in sorted(by.items()):
+        for low in templates:
+            for high in templates:
+                if low.label in here and high.label in here and _bounded_by(low, high) \
+                        and here[low.label] - here[high.label] > rtol * abs(here[high.label]):
+                    problems.append(f"{year}: {low.label} gain {here[low.label]!r} "
+                                    f"above {high.label} {here[high.label]!r}")
+    return problems
+
+
 def _as_templates(templates):
     if isinstance(templates, ScenarioTemplate):
         templates = (templates,)
@@ -265,12 +310,13 @@ def unit_scenario(template, year, technologies, names, x, assignment):
 def _run_unit(x, y, city_id, year, names, templates, settings):
     """Estimate and solve one cross-section; returns (gains, audit).
 
-    The grid and the median tau = .5 are fitted in one ascending sweep,
-    each fit warm-started from the previous one's working set and basis;
-    a grid that holds .5 shares its fit with the median. Identical
-    (x, y) rows, as a resample holds, are fitted once with their
-    multiplicity as weight; every fit is expanded back to all rows
-    before ranking.
+    The grid and the median tau = .5 are fitted in one sweep from the
+    top tau down, each fit warm-started from the previous one's working
+    set and basis, so the one cold fit lands where it is cheapest (see
+    ``cqr.fit_all_quantiles``); a grid that holds .5 shares its fit with
+    the median. Identical (x, y) rows, as a resample holds, are fitted
+    once with their multiplicity as weight; every fit is expanded back
+    to all rows before ranking.
     """
     n = len(y)
     if n < _N_DECILES:

@@ -312,6 +312,46 @@ def test_validate_checks_the_derived_plots(run_dir, tmp_path, capsys, artifact, 
     assert artifact in report and "differs from gains.csv" in report
 
 
+def test_validate_rejects_a_run_degraded_below_its_optimum(run_dir, tmp_path, capsys):
+    # every perfect output cut by 10%, with Y_e, the gains, the plots and
+    # the manifest hashes rewritten to match: every allocation stays
+    # feasible and every artifact agrees with the others, but perfect no
+    # longer bounds the scenarios that reallocate within its constraints
+    copy = str(tmp_path / "run")
+    shutil.copytree(run_dir, copy)
+
+    def cut(column):
+        def edit(rows):
+            for r in rows:
+                if r["scenario"] == "perfect":
+                    r[column] = repr(float(r[column]) * 0.9)
+        return edit
+
+    for name, column in (("allocations_perfect.csv", "y"), ("summary.csv", "Y_e"),
+                         ("gains.csv", "gain")):
+        _edit_rows(os.path.join(copy, name), cut(column))
+    gains = [SimpleNamespace(year=int(r["year"]), scenario=r["scenario"],
+                             gain=float(r["gain"]), standard_error=None,
+                             ci_low=None, ci_high=None)
+             for r in _rows(os.path.join(copy, "gains.csv"))]
+    config = cli.RunConfig(scenarios=("perfect", "imperfect", "entry_exit", "local",
+                                      "perfect:K"))
+    cli._write_plots(gains, cli.scenario_templates(config), copy)
+    manifest_path = os.path.join(copy, "manifest.json")
+    with open(manifest_path, encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    for name in manifest["artifacts"]:
+        manifest["artifacts"][name] = cli._sha256(os.path.join(copy, name))
+    with open(manifest_path, "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh)
+    capsys.readouterr()
+    assert cli.main(["validate", "--input", copy]) == cli.EXIT_VALIDATION
+    status = dict(line.split() for line in capsys.readouterr().out.splitlines()
+                  if not line.startswith(" "))
+    assert status.pop("order") == "FAIL"
+    assert set(status.values()) == {"PASS"}
+
+
 def test_synth_panel_bootstraps_and_validates(tmp_path):
     # the CI smoke run: the fixture economy at 30 cities x 2 years,
     # bootstrapped end to end

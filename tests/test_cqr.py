@@ -121,12 +121,15 @@ def test_grid_sweep_matches_separate_fits(case):
 def test_grid_sweep_makes_one_cold_master_solve(monkeypatch):
     # the sweep keeps one master: each generation round is one call through
     # cqr.solve_lp on it, only the first of them cold, and no round
-    # builds a LinearProgram
-    calls, built = [], []
+    # builds a LinearProgram. The sweep runs from the top tau down: the
+    # cold solve carries the u box [-(1 - tau), tau] of tau = .95 and each
+    # later tau moves it lower, while the fits come back ascending
+    calls, built, boxes = [], [], []
     original = cityalloc.cqr.solve_lp
     program = cityalloc.cqr.LinearProgram
 
     def recording(master, tolerance=1e-7):
+        boxes.append((master.lo[:n].copy(), master.hi[:n].copy()))
         res = original(master, tolerance)
         calls.append((master, res.warm_started))
         return res
@@ -138,11 +141,19 @@ def test_grid_sweep_makes_one_cold_master_solve(monkeypatch):
     monkeypatch.setattr("cityalloc.cqr.solve_lp", recording)
     monkeypatch.setattr("cityalloc.cqr.LinearProgram", building)
     x, y = cobb_douglas_year(np.random.default_rng(179), 40)
-    fit_all_quantiles(x, y)
+    n = len(y)
+    fits = fit_all_quantiles(x, y)
     assert len(calls) > len(DEFAULT_QUANTILES)
     assert [warm for _, warm in calls] == [False] + [True] * (len(calls) - 1)
     assert all(master is calls[0][0] for master, _ in calls)
     assert len(built) == 1
+    taus = []
+    for lo, hi in boxes:
+        assert np.all(hi == hi[0]) and np.allclose(lo, hi - 1.0)
+        if not taus or hi[0] != taus[-1]:
+            taus.append(hi[0])
+    assert taus == pytest.approx(DEFAULT_QUANTILES[::-1], abs=1e-15)
+    assert [f.tau for f in fits] == DEFAULT_QUANTILES.tolist()
 
 
 def test_grid_sweep_working_set_only_grows(monkeypatch):

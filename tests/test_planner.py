@@ -17,6 +17,7 @@ from cityalloc.planner import (
     technology_from_fit,
 )
 from cityalloc.cqr import fit_cqr
+from cityalloc.gains import GainResult, ScenarioTemplate, order_problems
 from cityalloc.solver import solve_lp
 
 
@@ -355,21 +356,24 @@ def test_local_matches_scipy():
         assert abs(got - want) < 1e-6 * (1.0 + abs(want))
 
 
+_CHAIN = (ScenarioTemplate("perfect"),
+          ScenarioTemplate("imperfect", iceberg=0.05, depletion=0.05),
+          ScenarioTemplate("entry_exit"), ScenarioTemplate("local"),
+          ScenarioTemplate("local_entry_exit"))
+
+
 def test_ordering_chain():
     rng = np.random.default_rng(151)
     for _ in range(60):
         scn = random_scenario(rng, n_deciles=int(rng.integers(1, 4)), max_cities=2)
-        perfect = solve_scenario(scn).efficient_output
-        tol = 1e-7 * (1.0 + abs(perfect))
-        iced = solve_scenario(remodel(scn, "imperfect",
-                                      iceberg=0.05, depletion=0.05)).efficient_output
-        entry = solve_scenario(remodel(scn, "entry_exit")).efficient_output
-        local = solve_scenario(remodel(scn, "local")).efficient_output
-        local_entry = solve_scenario(remodel(scn, "local_entry_exit")).efficient_output
-        assert iced <= perfect + tol
-        assert perfect <= entry + tol
-        assert local <= perfect + tol         # delta_1 <= 0
-        assert local_entry <= entry + tol     # delta_2 <= 0
+        # Y_e as the gain over an output of 1; local <= perfect is
+        # delta_1 <= 0, local_entry_exit <= entry_exit delta_2 <= 0
+        outputs = []
+        for t in _CHAIN:
+            y = solve_scenario(remodel(scn, t.mode, iceberg=t.iceberg,
+                                       depletion=t.depletion)).efficient_output
+            outputs.append(GainResult(scn.year, t.label, y, 1.0, y))
+        assert order_problems(outputs, _CHAIN, rtol=1e-7) == []
 
 
 def test_local_never_beats_nationwide():
