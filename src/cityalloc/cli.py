@@ -452,6 +452,18 @@ def _config_echo(config) -> dict:
     return echo
 
 
+def _config_from_echo(echo) -> RunConfig:
+    """The RunConfig a manifest's config echo records."""
+    echo = dict(echo)
+    unknown = sorted(set(echo) - set(_FIELD_PARSERS))
+    if unknown:
+        raise ValueError(f"manifest config: unknown key {unknown[0]!r}")
+    for key, value in echo.items():
+        if isinstance(value, list):
+            echo[key] = tuple(value)
+    return RunConfig(**echo)
+
+
 def cmd_pipeline(config: RunConfig, stage: int) -> int:
     out_dir = _require_out(config)
     jobs = config.effective_jobs
@@ -576,14 +588,7 @@ def cmd_validate(config: RunConfig) -> int:
         raise ValueError("validate needs --input pointing at a run directory")
     with open(os.path.join(run_dir, "manifest.json"), encoding="utf-8") as fh:
         manifest = json.load(fh)
-    echo = dict(manifest["config"])
-    unknown = sorted(set(echo) - set(_FIELD_PARSERS))
-    if unknown:
-        raise ValueError(f"manifest config: unknown key {unknown[0]!r}")
-    for key, value in echo.items():
-        if isinstance(value, list):
-            echo[key] = tuple(value)
-    run_config = RunConfig(**echo)
+    run_config = _config_from_echo(manifest["config"])
     templates = scenario_templates(run_config)
 
     # artifacts that several checks read are read once; a broken one

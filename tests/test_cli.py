@@ -334,12 +334,11 @@ def test_validate_rejects_a_run_degraded_below_its_optimum(run_dir, tmp_path, ca
                              gain=float(r["gain"]), standard_error=None,
                              ci_low=None, ci_high=None)
              for r in _rows(os.path.join(copy, "gains.csv"))]
-    config = cli.RunConfig(scenarios=("perfect", "imperfect", "entry_exit", "local",
-                                      "perfect:K"))
-    cli._write_plots(gains, cli.scenario_templates(config), copy)
     manifest_path = os.path.join(copy, "manifest.json")
     with open(manifest_path, encoding="utf-8") as fh:
         manifest = json.load(fh)
+    config = cli._config_from_echo(manifest["config"])
+    cli._write_plots(gains, cli.scenario_templates(config), copy)
     for name in manifest["artifacts"]:
         manifest["artifacts"][name] = cli._sha256(os.path.join(copy, name))
     with open(manifest_path, "w", encoding="utf-8") as fh:
