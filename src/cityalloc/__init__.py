@@ -57,12 +57,10 @@ from cityalloc.solver import (
     EQ,
     GE,
     LinearProgram,
-    MixedIntegerProgram,
     SolveResult,
     SolverError,
     solve_integer,
     solve_lp,
-    solve_milp,
 )
 from cityalloc.synth import (
     GroundTruth,
@@ -117,12 +115,10 @@ __all__ = [
     "EQ",
     "GE",
     "LinearProgram",
-    "MixedIntegerProgram",
     "SolveResult",
     "SolverError",
     "solve_lp",
     "solve_integer",
-    "solve_milp",
     "GroundTruth",
     "SyntheticSpec",
     "analytic_efficient_output",

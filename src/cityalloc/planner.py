@@ -40,9 +40,10 @@ import scipy.sparse as sp
 
 from .cqr import QuantileFit, dedup_hyperplanes
 from .solver import EQ, GE, LinearProgram, solve_integer, solve_lp
-# unused here: perfbench/trace.py patches cityalloc.planner.solve_milp, so the
-# import (and solver.solve_milp) can go once the benchmark drops that site
-from .solver import solve_milp  # noqa: F401
+
+# unused here: kept only for perfbench/trace.py, which patches
+# cityalloc.planner.solve_milp, until ROADMAP item 10 drops that site
+solve_milp = solve_integer
 
 MODES = ("perfect", "imperfect", "entry_exit", "local", "local_entry_exit")
 ENTRY_MODES = ("entry_exit", "local_entry_exit")

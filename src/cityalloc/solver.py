@@ -29,8 +29,9 @@ A kept or crashed basis that is primal infeasible but dual feasible
 bounded dual simplex, with dual devex row pricing, a Harris ratio test
 and a small deterministic cost perturbation against degeneracy, until
 it is primal feasible; the primal loop then finishes on the true costs.
-Integer programs run depth-first branch and bound on top of the LP,
-bounding with the relaxation objective.
+Integer programs run depth-first branch and bound on one Master,
+bounding with the relaxation objective: each node moves the integer
+columns' bounds and re-solves warm from the basis the last node left.
 """
 from __future__ import annotations
 
@@ -138,31 +139,6 @@ class LinearProgram:
     @property
     def n_variables(self) -> int:
         return self.objective.size
-
-    @property
-    def n_rows(self) -> int:
-        return self.rhs.size
-
-
-@dataclass(frozen=True, eq=False)
-class MixedIntegerProgram:
-    """LP plus a set of variable indices restricted to {0, 1}."""
-
-    lp: LinearProgram
-    binary_indices: tuple[int, ...]
-
-    def __init__(self, lp: LinearProgram, binary_indices):
-        idx = tuple(sorted(int(j) for j in binary_indices))
-        n = lp.n_variables
-        if len(set(idx)) != len(idx):
-            raise ValueError("duplicate binary indices")
-        for j in idx:
-            if not 0 <= j < n:
-                raise ValueError(f"binary index {j} out of range")
-            if lp.lower[j] < -1e-12 or lp.upper[j] > 1 + 1e-12:
-                raise ValueError(f"binary variable {j} must have bounds within [0, 1]")
-        object.__setattr__(self, "lp", lp)
-        object.__setattr__(self, "binary_indices", idx)
 
 
 @dataclass(frozen=True, eq=False)
@@ -921,44 +897,44 @@ def solve_lp(problem: LinearProgram | Master, tolerance: float = 1e-7) -> SolveR
     return master.solve(tolerance)
 
 
-def _node_lp(lp: LinearProgram, tight: dict[int, tuple[float, float]]) -> LinearProgram:
-    if not tight:
-        return lp
-    lo = lp.lower.copy()
-    hi = lp.upper.copy()
-    for j, (a, b) in tight.items():
-        lo[j] = a
-        hi[j] = b
-    return LinearProgram(lp.sense, lp.objective, lp.rows, lp.relations, lp.rhs, lo, hi)
-
-
 def solve_integer(lp: LinearProgram, integer_indices, tolerance: float = 1e-7) -> SolveResult:
     """Depth-first branch and bound over general integer variables.
 
-    Nodes are bounded by their LP relaxation and pruned against the
-    incumbent; branching picks the most fractional variable, tightens
-    its bounds to the floor or ceiling, and explores the nearer side
-    first.  Every integer variable needs finite bounds that are already
-    integral, which also bounds the search depth.
+    Every node is the one Master of ``lp`` with new bounds on the
+    integer columns (``Master.set_bounds``), so a node re-enters from
+    the basis the previous node left, through the dual simplex when the
+    bound change cut its vertex off.  Nodes are bounded by their LP
+    relaxation and pruned against the incumbent; branching picks the
+    most fractional variable, tightens its bounds to the floor or
+    ceiling, and explores the nearer side first.  Every integer variable
+    needs finite bounds that are already integral, which also bounds the
+    search depth.
     """
     ints = np.array(sorted(int(j) for j in integer_indices), dtype=np.int64)
-    for j in ints:
-        lo_j, hi_j = lp.lower[j], lp.upper[j]
+    n = lp.n_variables
+    if np.any((ints < 0) | (ints >= n)):
+        raise ValueError(f"integer indices must lie in [0, {n})")
+    if np.any(ints[1:] == ints[:-1]):
+        raise ValueError("duplicate integer indices")
+    lo, hi = lp.lower[ints], lp.upper[ints]
+    for j, lo_j, hi_j in zip(ints, lo, hi):
         if not (np.isfinite(lo_j) and np.isfinite(hi_j)):
             raise ValueError(f"integer variable {j} needs finite bounds")
         if abs(lo_j - round(lo_j)) > 1e-9 or abs(hi_j - round(hi_j)) > 1e-9:
             raise ValueError(f"integer variable {j} needs integral bounds")
     sign = 1.0 if lp.sense == "min" else -1.0  # scores are minimized
 
+    master = Master(lp)
     total_iters = 0
     incumbent = None
     incumbent_score = np.inf
     saw_unbounded = False
 
-    stack: list[dict[int, tuple[float, float]]] = [{}]
+    stack = [(lo, hi)]
     while stack:
-        tight = stack.pop()
-        res = solve_lp(_node_lp(lp, tight), tolerance)
+        lo, hi = stack.pop()
+        master.set_bounds(ints, lo, hi)
+        res = solve_lp(master, tolerance)
         total_iters += res.iteration_count
         if res.status == "infeasible":
             continue
@@ -968,22 +944,21 @@ def solve_integer(lp: LinearProgram, integer_indices, tolerance: float = 1e-7) -
         score = sign * res.objective_value
         if score >= incumbent_score - 1e-12:
             continue
-        xb = res.primal_values[ints] if ints.size else np.zeros(0)
+        xb = res.primal_values[ints]
         frac = np.abs(xb - np.round(xb))
         if ints.size == 0 or frac.max() <= 1e-9:
             incumbent = res
             incumbent_score = score
             continue
-        j = int(ints[np.argmax(frac)])
-        v = res.primal_values[j]
-        lo_j, hi_j = tight.get(j, (lp.lower[j], lp.upper[j]))
-        down = (lo_j, np.floor(v))
-        up = (np.ceil(v), hi_j)
+        k = int(np.argmax(frac))
+        v = xb[k]
+        down_hi, up_lo = hi.copy(), lo.copy()
+        down_hi[k], up_lo[k] = np.floor(v), np.ceil(v)
+        down, up = (lo, down_hi), (up_lo, hi)
         near, far = (up, down) if v - np.floor(v) >= 0.5 else (down, up)
-        stack.append({**tight, j: far})
-        stack.append({**tight, j: near})
+        stack.append(far)
+        stack.append(near)
 
-    n = lp.n_variables
     if saw_unbounded:
         return _failed("unbounded", n, total_iters)
     if incumbent is None:
@@ -991,13 +966,3 @@ def solve_integer(lp: LinearProgram, integer_indices, tolerance: float = 1e-7) -
     x = incumbent.primal_values.copy()
     x[ints] = np.round(x[ints])
     return SolveResult("optimal", x, float(lp.objective @ x), total_iters)
-
-
-def solve_milp(problem: MixedIntegerProgram, tolerance: float = 1e-7) -> SolveResult:
-    """Depth-first branch and bound over the binary variables.
-
-    Binaries are integer variables with [0, 1] bounds; see
-    ``solve_integer`` for the search itself.
-    """
-    return solve_integer(problem.lp, problem.binary_indices, tolerance)
-

@@ -16,10 +16,8 @@ from cityalloc import (
     GE,
     LE,
     LinearProgram,
-    MixedIntegerProgram,
     solve_integer,
     solve_lp,
-    solve_milp,
 )
 from cityalloc.solver import Master
 
@@ -205,7 +203,7 @@ def test_no_feasible_perturbation_improves():
 def test_milp_two_item_knapsack():
     lp = LinearProgram("max", [3.0, 4.0], [[2.0, 3.0]], [LE], [3.0],
                        upper=[1.0, 1.0])
-    res = solve_milp(MixedIntegerProgram(lp, [0, 1]))
+    res = solve_integer(lp, [0, 1])
     assert res.status == "optimal"
     assert abs(res.objective_value - 4.0) <= 1e-9
     assert abs(res.primal_values[1] - 1.0) <= 1e-6
@@ -216,7 +214,7 @@ def test_milp_three_item_knapsack_regression():
     # not the greedy-by-ratio 4; guards a pricing defect caught once
     lp = LinearProgram("max", [3.0, 2.0, 2.0], [[2.0, 1.0, 2.0]], [LE], [3.0],
                        upper=[1.0, 1.0, 1.0])
-    res = solve_milp(MixedIntegerProgram(lp, [0, 1, 2]))
+    res = solve_integer(lp, [0, 1, 2])
     assert res.status == "optimal"
     assert abs(res.objective_value - 5.0) <= 1e-9
     assert np.allclose(res.primal_values, [1.0, 1.0, 0.0], atol=1e-6)
@@ -230,7 +228,7 @@ def test_milp_fixed_binaries_equals_lp():
     lo2[:2] = 1.0
     hi2[:2] = 1.0
     pinned = LinearProgram("max", c, a, [LE] * len(b), b, lower=lo2, upper=hi2)
-    milp = solve_milp(MixedIntegerProgram(pinned, [0, 1]))
+    milp = solve_integer(pinned, [0, 1])
     plain = solve_lp(pinned)
     assert milp.status == plain.status == "optimal"
     assert abs(milp.objective_value - plain.objective_value) <= 1e-9
@@ -250,7 +248,7 @@ def test_milp_matches_pattern_enumeration():
         c = rng.normal(0.0, 1.0, n)
         hi = np.concatenate([np.ones(n_bin), np.full(n_cont, 3.0)])
         lp = LinearProgram("max", c, a, [LE] * m, b, upper=hi)
-        mine = solve_milp(MixedIntegerProgram(lp, range(n_bin)))
+        mine = solve_integer(lp, range(n_bin))
         assert mine.status == "optimal"
         status, ref, _ = milp_enumerate(
             c, a, b, np.zeros(n), hi,
@@ -271,7 +269,7 @@ def test_milp_bounded_by_relaxation():
         c = rng.normal(0.0, 1.0, n)
         lp = LinearProgram("max", c, a, [LE] * m, b, upper=np.ones(n))
         relax = solve_lp(lp)
-        mixed = solve_milp(MixedIntegerProgram(lp, range(n)))
+        mixed = solve_integer(lp, range(n))
         if mixed.status == "optimal":
             assert mixed.objective_value <= relax.objective_value + 1e-7
 
@@ -306,12 +304,51 @@ def test_integer_requires_finite_integral_bounds():
         solve_integer(lp_frac, [0])
 
 
+def test_integer_rejects_bad_indices():
+    lp = LinearProgram("max", [1.0, 1.0], [[1.0, 1.0]], [LE], [1.5],
+                       upper=[1.0, 1.0])
+    for idx in ([-1], [2], [0, 0]):
+        with pytest.raises(ValueError):
+            solve_integer(lp, idx)
+
+
+def test_branch_and_bound_nodes_share_one_warm_master(monkeypatch):
+    # binaries 0-3 and a continuous column 4; the search branches, hits an
+    # infeasible node and restarts cold after it
+    c = [5.0, 4.0, 3.0, 2.0, 1.0]
+    a = np.array([[2.0, 3.0, 1.0, 4.0, 1.0], [1.0, 1.0, 1.0, 1.0, -1.0]])
+    b = [4.5, 2.5]
+    hi = np.array([1.0, 1.0, 1.0, 1.0, 2.0])
+    lp = LinearProgram("max", c, a, [LE, LE], b, upper=hi)
+    calls = []
+    original = cityalloc.solver.solve_lp
+
+    def recorded(problem, tolerance=1e-7):
+        res = original(problem, tolerance)
+        calls.append((problem, res))
+        return res
+
+    monkeypatch.setattr(cityalloc.solver, "solve_lp", recorded)
+    res = solve_integer(lp, range(4))
+    status, ref, _ = milp_enumerate(c, a, b, np.zeros(5), hi, np.arange(5) < 4)
+    assert res.status == status == "optimal"
+    assert abs(res.objective_value - ref) <= 1e-9
+    assert len(calls) >= 3
+    assert all(isinstance(p, Master) and p is calls[0][0] for p, _ in calls)
+    assert not calls[0][1].warm_started
+    # a feasible node re-enters from the basis a feasible node left
+    warm = [r.warm_started for (_, prev), (_, r) in zip(calls, calls[1:])
+            if prev.status == r.status == "optimal"]
+    assert warm and all(warm)
+    assert res.iteration_count == sum(r.iteration_count for _, r in calls)
+
+
 def test_milp_infeasible():
     lp = LinearProgram("max", [1.0, 1.0], [[1.0, 1.0], [-1.0, -1.0]],
                        [LE, LE], [0.4, -0.3], upper=[1.0, 1.0])
     # relaxation allows sums in [0.3, 0.4] but binaries only reach 0, 1, 2
     assert solve_lp(lp).status == "optimal"
-    res = solve_milp(MixedIntegerProgram(lp, [0, 1]))
+    res = solve_integer(lp, [0, 1])
     assert res.status == "infeasible"
 
 
