@@ -903,12 +903,13 @@ def solve_integer(lp: LinearProgram, integer_indices, tolerance: float = 1e-7) -
     Every node is the one Master of ``lp`` with new bounds on the
     integer columns (``Master.set_bounds``), so a node re-enters from
     the basis the previous node left, through the dual simplex when the
-    bound change cut its vertex off.  Nodes are bounded by their LP
-    relaxation and pruned against the incumbent; branching picks the
-    most fractional variable, tightens its bounds to the floor or
-    ceiling, and explores the nearer side first.  Every integer variable
-    needs finite bounds that are already integral, which also bounds the
-    search depth.
+    bound change cut its vertex off; after an infeasible node, which
+    keeps no basis, the next one starts cold.  Nodes are bounded by
+    their LP relaxation and pruned against the incumbent; branching
+    picks the most fractional variable, tightens its bounds to the floor
+    or ceiling, and explores the nearer side first.  Every integer
+    variable needs finite bounds that are already integral, which also
+    bounds the search depth.
     """
     ints = np.array(sorted(int(j) for j in integer_indices), dtype=np.int64)
     n = lp.n_variables
@@ -946,7 +947,7 @@ def solve_integer(lp: LinearProgram, integer_indices, tolerance: float = 1e-7) -
             continue
         xb = res.primal_values[ints]
         frac = np.abs(xb - np.round(xb))
-        if ints.size == 0 or frac.max() <= 1e-9:
+        if frac.max(initial=0.0) <= 1e-9:
             incumbent = res
             incumbent_score = score
             continue
