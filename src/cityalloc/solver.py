@@ -5,13 +5,11 @@ a sparse LU factorization (SuperLU) refreshed every few dozen pivots.
 The pivots in between form a dense block (their entering columns, pivot
 rows and a small lower-triangular matrix), so a solve with the basis is
 one LU solve, one triangular solve and one dense product, with no loop
-over the pivots (Bisschop & Meeraus 1977).  The starting basis comes
-from a singleton-column crash extended by a greedy triangular pass, so
-slack-rich and network-like problems begin without artificial
-variables.  The triangular pass takes each row's cheapest candidate, so
-a crash whose values leave their bounds usually prices dual feasible:
-it re-enters through the dual simplex below instead of being dropped
-for a phase-1 start with artificials (Bixby 1992).  Pricing is devex
+over the pivots (Bisschop & Meeraus 1977).  Every row has a logical
+column, its slack or, on an equality row, one fixed at zero.  A cold
+start crashes a basis by a singleton-column pass and a greedy triangular
+pass, and each row they leave uncovered takes its logical, so the basis
+factors and no artificial column is ever built.  Pricing is devex
 (reference-weight steepest-edge estimates) with reduced costs updated
 incrementally from the pivot row; whenever the objective stalls on
 degenerate pivots the rule switches to Bland's, which rules out
@@ -24,14 +22,17 @@ masks of the columns free to rise or fall that the loops keep pivot by
 pivot.  A Master keeps the scaled problem, the basis and its factors
 between solves, so delayed column generation appends columns or moves
 bounds in place and re-solves without a rebuild.
-A kept or crashed basis that is primal infeasible but dual feasible
-(an optimal basis after its bounds moved, say) re-enters through a
-bounded dual simplex, with dual devex row pricing, a Harris ratio test
-and a small deterministic cost perturbation against degeneracy, until
-it is primal feasible; the primal loop then finishes on the true costs.
-Integer programs run depth-first branch and bound on one Master,
-bounding with the relaxation objective: each node moves the integer
-columns' bounds and re-solves warm from the basis the last node left.
+A kept or crashed basis whose values leave their bounds has each dual
+infeasible column's cost shifted to a zero reduced cost (the dual
+phase 1 of Koberstein & Suhl 2007), then re-enters through a bounded
+dual simplex, with dual devex row pricing, a Harris ratio test and a
+small deterministic cost perturbation against degeneracy, until it is
+primal feasible; the primal loop then finishes on the true costs.  A
+pivot row that no column can mend proves the LP infeasible, and the
+basis stays for the next solve.  Integer programs run depth-first
+branch and bound on one Master, bounding with the relaxation
+objective: each node moves the integer columns' bounds and re-solves
+warm from the basis the last node left, an infeasible one's included.
 """
 from __future__ import annotations
 
@@ -153,10 +154,12 @@ class SolveResult:
     ``warm_started`` is True when the solve began from a Master's kept
     basis (directly or through a dual re-entry) rather than from a cold
     crash.  ``iteration_count`` and ``refactorizations`` count this
-    solve's own pivots and basis factorizations; ``dual_iterations`` is
-    the part of ``iteration_count`` spent in the dual simplex, whether
-    it re-entered from a kept basis or from a cold crash (which leaves
-    ``warm_started`` False), a re-entry that gave up included.
+    solve's own pivots and basis factorizations (an integer program's
+    sum them over its nodes); ``dual_iterations`` is the part of
+    ``iteration_count`` spent in the dual simplex, whether it re-entered
+    from a kept basis or from a cold crash (which leaves
+    ``warm_started`` False), a kept basis's re-entry that fell back to a
+    cold start included.
     """
 
     status: str  # "optimal" | "infeasible" | "unbounded"
@@ -178,16 +181,17 @@ class SolveResult:
 
 
 def _failed(status: str, n: int, iters: int, dual_iters: int = 0,
-            refactors: int = 0) -> SolveResult:
-    return SolveResult(status, np.full(n, np.nan), np.nan, iters,
+            refactors: int = 0, warm: bool = False) -> SolveResult:
+    return SolveResult(status, np.full(n, np.nan), np.nan, iters, warm_started=warm,
                        refactorizations=refactors, dual_iterations=dual_iters)
 
 
 class Master:
     """A scaled LP whose simplex state lives on between solves.
 
-    It keeps the row-scaled CSC matrix [A | slacks] (plus the last cold
-    start's artificials while one is basic), bounds, costs, the basis, x
+    It keeps the row-scaled CSC matrix [A | logicals], one logical per
+    row (the inequality slacks, then a logical fixed at zero for each
+    equality row), bounds, costs, the basis, x
     and its factors: the LU of the last refactorized basis and the dense
     eta block of the pivots since then (see ``_ftran``).
     ``solve_lp(master, tolerance)`` resumes from the basis the previous
@@ -219,20 +223,20 @@ class Master:
         self.scale = 1.0 / norms[keep]  # feasibility tolerances apply after it
         self.b = self.scale * b
 
-        ineq = np.nonzero(self.rel != EQ)[0]
-        slack_sign = np.where(self.rel[ineq] == LE, 1.0, -1.0)
-        self.ineq_rows = ineq
-        self.n_slack = ineq.size
-        slack_mat = sp.csc_matrix((slack_sign, (ineq, np.arange(ineq.size))),
-                                  shape=(self.m, ineq.size))
-        # [A | slacks], the columns every starting basis draws from
-        self.core = sp.hstack([self._scaled(rows), slack_mat], format="csc")
-        # bounds, costs, x and status run over [A | slacks | artificials]
-        self.lo = np.concatenate([lp.lower, np.zeros(self.n_slack)])
-        self.hi = np.concatenate([lp.upper, np.full(self.n_slack, np.inf)])
-        self.cost = np.concatenate([self.sense_sign * lp.objective, np.zeros(self.n_slack)])
-        self.x = np.zeros(self.lo.size)
-        self.status = np.full(self.lo.size, _AT_LOWER, dtype=np.int8)
+        # logical k sits on row logical_rows[k]: the slacks in row order,
+        # then the equality rows' logicals, so no slack's index moved
+        eq = self.rel == EQ
+        logical_rows = np.concatenate([np.nonzero(~eq)[0], np.nonzero(eq)[0]])
+        self.row_logical = np.argsort(logical_rows)  # row i's logical is n + row_logical[i]
+        sign = np.where(self.rel[logical_rows] == GE, -1.0, 1.0)
+        logicals = sp.csc_matrix((sign, (logical_rows, np.arange(self.m))),
+                                 shape=(self.m, self.m))
+        self.A = sp.hstack([self._scaled(rows), logicals], format="csc")
+        self.AT = self.A.T  # CSR over the same arrays
+        self.lo = np.concatenate([lp.lower, np.zeros(self.m)])
+        self.hi = np.concatenate([lp.upper, np.where(eq[logical_rows], 0.0, np.inf)])
+        self.cost = np.concatenate([self.sense_sign * lp.objective, np.zeros(self.m)])
+        self._at_bounds()
         self.basis = None  # none kept: the next solve starts cold
         self.iters = self.dual_iters = self.refactors = 0
         # the eta file since the last refactorization (see _ftran)
@@ -240,11 +244,6 @@ class Master:
         self.eta_r = np.zeros(_REFACTOR_EVERY, dtype=np.int64)
         self.eta_l = np.zeros((_REFACTOR_EVERY, _REFACTOR_EVERY))
         self.n_eta = 0
-        self._extend(None)
-
-    @property
-    def n_core(self) -> int:
-        return self.n + self.n_slack
 
     def _scaled(self, cols) -> sp.csc_matrix:
         """Columns given over the LP's rows, on the kept rows, scaled."""
@@ -255,22 +254,6 @@ class Master:
         cols.eliminate_zeros()
         return cols
 
-    def _extend(self, art):
-        """Set [A | slacks | artificials] and its row-major transpose."""
-        self.art = art
-        self.A_ext = self.core if art is None else sp.hstack([self.core, art], format="csc")
-        self.AT = self.A_ext.T  # CSR over the same arrays
-        self.n_ext = self.A_ext.shape[1]
-
-    def _drop_artificials(self):
-        """Forget the last cold start's artificials once none is basic, so
-        later edits stop re-stacking them."""
-        if self.art is None or (self.basis >= self.n_core).any():
-            return
-        for name in ("lo", "hi", "cost", "x", "status"):
-            setattr(self, name, getattr(self, name)[: self.n_core])
-        self._extend(None)
-
     # -- in-place edits ----------------------------------------------------------
 
     def append_columns(self, cols, cost):
@@ -278,21 +261,21 @@ class Master:
         nonbasic at zero.  ``cols`` has one row per row of the original
         LP.  The kept basis, its values and its factors stay valid; the
         row scale does not change."""
-        at, core, new = self.n, self.core, self._scaled(cols)
+        at, A, new = self.n, self.A, self._scaled(cols)
         k, cost = new.shape[1], np.asarray(cost, dtype=np.float64).ravel()
         if new.shape[0] != self.m or cost.size != k or not np.all(np.isfinite(cost)):
             raise ValueError("appended columns must match the rows and have finite costs")
-        p = core.indptr[at]  # splice the new columns in before the slacks
-        self.core = sp.csc_matrix((
-            np.concatenate([core.data[:p], new.data, core.data[p:]]),
-            np.concatenate([core.indices[:p], new.indices, core.indices[p:]]),
-            np.concatenate([core.indptr[:at], p + new.indptr, core.indptr[at + 1:] + new.nnz])),
-            shape=(self.m, core.shape[1] + k))
+        p = A.indptr[at]  # splice the new columns in before the logicals
+        self.A = sp.csc_matrix((
+            np.concatenate([A.data[:p], new.data, A.data[p:]]),
+            np.concatenate([A.indices[:p], new.indices, A.indices[p:]]),
+            np.concatenate([A.indptr[:at], p + new.indptr, A.indptr[at + 1:] + new.nnz])),
+            shape=(self.m, A.shape[1] + k))
+        self.AT = self.A.T
         for name, vals in (("lo", 0.0), ("hi", np.inf), ("cost", self.sense_sign * cost),
                            ("x", 0.0), ("status", _AT_LOWER)):
             setattr(self, name, np.insert(getattr(self, name), at, np.broadcast_to(vals, k)))
         self.n += k
-        self._extend(self.art)
         if self.basis is not None:
             self.basis[self.basis >= at] += k
 
@@ -323,7 +306,7 @@ class Master:
     # -- basis linear algebra ------------------------------------------------
 
     def _refactor(self):
-        B = self.A_ext[:, self.basis]
+        B = self.A[:, self.basis]
         try:
             self.lu = splu(B.tocsc())
         except RuntimeError as exc:  # singular basis: numerical breakdown
@@ -340,7 +323,7 @@ class Master:
             return
         vals = self.x.copy()
         vals[self.basis] = 0.0
-        self.x[self.basis] = self._ftran(self.b - self.A_ext @ vals)
+        self.x[self.basis] = self._ftran(self.b - self.A @ vals)
 
     def _push_eta(self, r: int, d: np.ndarray):
         """Record a pivot on row r whose entering column is d = B^-1 a_q."""
@@ -394,32 +377,45 @@ class Master:
 
     def _column(self, j: int) -> np.ndarray:
         col = np.zeros(self.m)
-        a, bb = self.A_ext.indptr[j], self.A_ext.indptr[j + 1]
-        col[self.A_ext.indices[a:bb]] = self.A_ext.data[a:bb]
+        a, bb = self.A.indptr[j], self.A.indptr[j + 1]
+        col[self.A.indices[a:bb]] = self.A.data[a:bb]
         return col
 
-    # -- crash basis and artificials ------------------------------------------
+    # -- starting bases ----------------------------------------------------------
 
-    def _crash(self, triangular: bool = True):
-        n_core = self.n_core
-        lo, hi = self.lo[:n_core], self.hi[:n_core]
-        x = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
-        status = np.where(np.isfinite(lo), _AT_LOWER,
-                          np.where(np.isfinite(hi), _AT_UPPER, _FREE)).astype(np.int8)
-        status[np.isfinite(lo) & np.isfinite(hi) & (lo == hi)] = _FIXED
+    def _at_bounds(self):
+        """Every column nonbasic at its lower bound, else its upper one,
+        else free at zero."""
+        lo, hi = self.lo, self.hi
+        self.x = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
+        self.status = np.where(np.isfinite(lo), _AT_LOWER,
+                               np.where(np.isfinite(hi), _AT_UPPER, _FREE)).astype(np.int8)
+        self.status[np.isfinite(lo) & (lo == hi)] = _FIXED
 
-        core = self.core
-        resid = self.b - core @ x
+    def _take(self, basis: np.ndarray):
+        """Make ``basis`` the basis, each row it leaves open (-1) taking
+        its own logical."""
+        open_rows = basis < 0
+        basis[open_rows] = self.n + self.row_logical[open_rows]
+        self.status[basis] = _BASIC
+        self.basis = basis
+
+    def _crash(self):
+        """A singleton pass, then a triangular one; every row they leave
+        uncovered takes its logical."""
+        self._at_bounds()
+        lo, hi, x, status, A = self.lo, self.hi, self.x, self.status, self.A
+        resid = self.b - A @ x
 
         # Columns touching exactly one row can absorb that row's residual
         # directly; quantile-regression deviation variables and plain slacks
         # both land here, so those problems start primal feasible.
-        nnz_per_col = np.diff(core.indptr)
+        nnz_per_col = np.diff(A.indptr)
         singleton_rows: dict[int, list[tuple[int, float]]] = {}
         for j in np.nonzero(nnz_per_col == 1)[0]:
-            p = core.indptr[j]
-            singleton_rows.setdefault(int(core.indices[p]), []).append(
-                (int(j), float(core.data[p])))
+            p = A.indptr[j]
+            singleton_rows.setdefault(int(A.indices[p]), []).append(
+                (int(j), float(A.data[p])))
 
         basis = np.full(self.m, -1, dtype=np.int64)
         for i in range(self.m):
@@ -433,25 +429,10 @@ class Master:
                     status[j] = _BASIC
                     break
 
-        if triangular:
-            self._triangular_extend(core, x, status, basis)
+        self._triangular_extend(status, basis)
+        self._take(basis)
 
-        art_rows = [i for i in range(self.m) if basis[i] < 0]
-        art_signs = [1.0 if resid[i] >= 0 else -1.0 for i in art_rows]
-        n_art = len(art_rows)
-        self._extend(sp.csc_matrix((art_signs, (art_rows, np.arange(n_art))),
-                                   shape=(self.m, n_art)) if n_art else None)
-        self.lo = np.concatenate([lo, np.zeros(n_art)])
-        self.hi = np.concatenate([hi, np.full(n_art, np.inf)])
-        self.cost = np.concatenate([self.cost[:n_core], np.zeros(n_art)])
-        self.x = np.concatenate([x, np.zeros(n_art)])
-        self.status = np.concatenate([status, np.full(n_art, _BASIC, dtype=np.int8)])
-        for k, i in enumerate(art_rows):
-            basis[i] = n_core + k
-            self.x[n_core + k] = abs(resid[i])
-        self.basis = basis
-
-    def _triangular_extend(self, core: sp.csc_matrix, x, status, basis):
+    def _triangular_extend(self, status, basis):
         """Pivot columns into uncovered rows while the basis stays triangular.
 
         A column qualifies once it has exactly one nonzero left in
@@ -463,11 +444,12 @@ class Master:
         refactor pass solves for all basics jointly, and the caller
         deals with any basic that lands outside its bounds.
         """
+        A = self.A
         covered = basis >= 0
-        mask = ~covered[core.indices]
+        mask = ~covered[A.indices]
         cs = np.concatenate([[0], np.cumsum(mask)])
-        uncov = cs[core.indptr[1:]] - cs[core.indptr[:-1]]
-        core_csr = core.tocsr()
+        uncov = cs[A.indptr[1:]] - cs[A.indptr[:-1]]
+        A_csr = A.tocsr()
 
         usable = (status != _BASIC) & (status != _FIXED)
         cost = self.cost
@@ -477,9 +459,9 @@ class Master:
             j = heapq.heappop(heap)[1]
             if uncov[j] != 1 or not usable[j]:
                 continue
-            a0, a1 = core.indptr[j], core.indptr[j + 1]
-            rows_j = core.indices[a0:a1]
-            vals_j = core.data[a0:a1]
+            a0, a1 = A.indptr[j], A.indptr[j + 1]
+            rows_j = A.indices[a0:a1]
+            vals_j = A.data[a0:a1]
             open_pos = np.nonzero(~covered[rows_j])[0]
             i = int(rows_j[open_pos[0]])
             if abs(vals_j[open_pos[0]]) < 1e-2:
@@ -488,71 +470,63 @@ class Master:
             covered[i] = True
             status[j] = _BASIC
             usable[j] = False
-            b0, b1 = core_csr.indptr[i], core_csr.indptr[i + 1]
-            for j2 in core_csr.indices[b0:b1]:
+            b0, b1 = A_csr.indptr[i], A_csr.indptr[i + 1]
+            for j2 in A_csr.indices[b0:b1]:
                 uncov[j2] -= 1
                 if uncov[j2] == 1 and usable[j2]:
                     heapq.heappush(heap, (cost[j2], int(j2)))
 
-    def _reenter(self) -> bool:
-        """Resume from the current basis, kept or crashed; False means
-        start cold (from the fallback crash) instead.
+    def _reenter(self) -> str:
+        """Drive the current basis, kept or crashed, to primal feasibility:
+        "feasible", "infeasible" or "unsafe" (see ``_dual_optimize``; a
+        failed factorization is unsafe too).
 
         A basis whose values lie inside their bounds is taken as it is.
-        One outside them that prices dual feasible (the old optimal basis
-        after a bound change, or a cheapest-candidate crash) re-enters
-        through the bounded dual simplex until it is primal feasible; one
-        that is neither, or that goes singular on the way, is dropped, at
-        the cost of a pricing pass.  A cold start keeps the iterations
-        spent, so an exhausted iteration limit still raises.
+        Otherwise each nonbasic column whose reduced cost has the wrong
+        sign for its bound has its cost shifted to a zero reduced cost
+        (an optimal basis after a bound change needs none), and the dual
+        simplex runs on those costs; the primal loop then finishes on the
+        true ones.  An exhausted iteration limit raises.
         """
         if not self._infeasible_rows()[0].size:
-            return True
-        z = self._reduced_costs(self.cost)
-        if self._movers(z, *self._movable(), self._dual_tol(self.cost)).size:
-            return False
+            return "feasible"
+        cost = self.cost
+        z = self._reduced_costs(cost)
+        wrong = self._movers(z, *self._movable(), self._dual_tol(cost))
+        if wrong.size:
+            cost = cost.copy()
+            cost[wrong] -= z[wrong]
+            z[wrong] = 0.0
         try:
-            return self._dual_optimize(self.cost, z)
+            return self._dual_optimize(cost, z)
         except SolverError:
-            return False
+            if self.iters >= _MAX_ITERS:
+                raise
+            return "unsafe"
 
-    def _cold_start(self) -> bool:
-        """Crash a basis and drive its artificials out; False means the LP
-        is infeasible.
+    def _cold_start(self) -> str:
+        """Crash a basis and re-enter from it: "feasible" or "infeasible".
 
-        The triangular crash comes first.  It assigns basic values only
-        through the factorization, so some may land outside their
-        bounds.  A crash with no artificials then re-enters through the
-        dual simplex when it prices dual feasible, as a kept basis
-        does; its dual pivots count in ``dual_iterations``.  A crash
-        that is singular, or out of bounds with artificials, or neither
-        primal nor dual feasible, or whose re-entry gives up, falls back
-        to the always-feasible singleton-plus-artificial start.
+        The crash assigns basic values only through the factorization, so
+        some may land outside their bounds.  A crash that is singular, or
+        whose re-entry is unsafe, falls back to the all-logical basis,
+        which always factors.
         """
-        self._crash(triangular=True)
-        singular = False
+        self._crash()
         try:
             self._refactor()
-            bad = self._infeasible_rows()[0].size > 0
-        except SolverError:
-            bad = singular = True
-        if bad and (singular or self.n_ext != self.n_core or not self._reenter()):
-            self._crash(triangular=False)
+        except SolverError:  # a singular crash
+            state = "unsafe"
+        else:
+            state = self._reenter()
+        if state == "unsafe":
+            self._at_bounds()
+            self._take(np.full(self.m, -1, dtype=np.int64))
             self._refactor()
-        if self.n_ext == self.n_core:
-            return True
-        c1 = np.zeros(self.n_ext)
-        c1[self.n_core:] = 1.0
-        if self._optimize(c1) != "optimal":
-            raise SolverError("phase-1 subproblem reported unbounded")
-        if float(self.x[self.n_core:].sum()) > self.tol:
-            return False
-        self.lo[self.n_core:] = 0.0
-        self.hi[self.n_core:] = 0.0
-        art = self.status[self.n_core:]
-        self.x[self.n_core:][art != _BASIC] = 0.0
-        art[art != _BASIC] = _FIXED
-        return True
+            state = self._reenter()
+        if state == "unsafe":
+            raise SolverError("the dual simplex found no safe pivot from the logical basis")
+        return state
 
     # -- core iteration --------------------------------------------------------
 
@@ -619,7 +593,7 @@ class Master:
         rise, fall = self._movable()
         z = self._reduced_costs(cost)
         z_fresh = self.n_eta == 0
-        weight = np.ones(self.n_ext)  # devex reference weights
+        weight = np.ones(self.cost.size)  # devex reference weights
         while True:
             if self.iters >= _MAX_ITERS:
                 raise SolverError("iteration limit exceeded")
@@ -713,7 +687,7 @@ class Master:
             stall = stall + 1 if step <= 1e-12 else 0
             bland = stall > stall_limit
 
-    def _dual_optimize(self, cost: np.ndarray, z: np.ndarray) -> bool:
+    def _dual_optimize(self, cost: np.ndarray, z: np.ndarray) -> str:
         """Bounded dual simplex from a dual feasible basis to a primal feasible one.
 
         Runs on slightly perturbed costs (``_PERTURB``).  The leaving row
@@ -721,9 +695,10 @@ class Master:
         weights; the ratio test is Harris's two-pass test preferring the
         largest |alpha_rj|, ties to the lowest index.  After the shared
         stall count of degenerate steps both choices switch to lowest
-        index.  False means the pivot row had no usable entering
-        column (the LP looks primal infeasible, or the pivot is
-        numerically unsafe); the caller then solves cold.
+        index.  Returns "feasible"; or "infeasible" when a pivot row has
+        no usable entering column on fresh factors and the full range of
+        the columns that would help it cannot close its violation, a
+        Farkas proof; or "unsafe" for any other pivot it cannot take.
         """
         # Shift each nonbasic cost away from its bound's zero reduced cost,
         # the way that keeps it dual feasible: ties in the ratio test break,
@@ -731,7 +706,7 @@ class Master:
         # prices with the true costs.
         side = np.where(self.status == _AT_LOWER, 1.0,
                         np.where(self.status == _AT_UPPER, -1.0, 0.0))
-        spread = 1.0 + (_GOLDEN * np.arange(self.n_ext)) % 1.0
+        spread = 1.0 + (_GOLDEN * np.arange(cost.size)) % 1.0
         size = np.abs(cost)
         shift = side * _PERTURB * spread * (size + size.max())
         cost = cost + shift
@@ -749,12 +724,13 @@ class Master:
                 z = self._reduced_costs(cost)
             rows, infeas = self._infeasible_rows()
             if not rows.size:
-                return True
+                return "feasible"
             if bland:
-                r = int(rows[self._lowest_basic(rows)])
+                k = self._lowest_basic(rows)
             else:
                 gap = infeas + self.tol
-                r = int(rows[(gap * gap / weight[rows]).argmax()])
+                k = int((gap * gap / weight[rows]).argmax())
+            r = int(rows[k])
             leaving = int(self.basis[r])
             to_lower = self.x[leaving] < self.lo[leaving]
             sign = 1.0 if to_lower else -1.0
@@ -765,7 +741,18 @@ class Master:
             sa = sign * alpha_row
             cols = self._movers(sa, rise, fall, _PIVOT_TOL)
             if not cols.size:
-                return False
+                if self.n_eta:
+                    self._refactor()  # judge the row on fresh factors
+                    z = self._reduced_costs(cost)
+                    continue
+                # Farkas: the row's reach, every nonbasic column that helps
+                # it (sa_j < 0 rising, sa_j > 0 falling) moved across its
+                # whole range, falls short of its violation.
+                nb = self.status != _BASIC
+                up, down = nb & (sa < 0.0), nb & (sa > 0.0)
+                reach = (sa[down] @ (self.x[down] - self.lo[down])
+                         - sa[up] @ (self.hi[up] - self.x[up]))
+                return "infeasible" if reach < infeas[k] else "unsafe"
             zc = z[cols]
             slack = np.maximum(np.where(sa[cols] < 0.0, zc, -zc), 0.0)
             aabs = np.abs(alpha_row[cols])
@@ -781,7 +768,7 @@ class Master:
             pivot = d[r]
             if abs(pivot) < _PIVOT_TOL or pivot * alpha_row[q] <= 0.0:
                 if not self.n_eta:
-                    return False
+                    return "unsafe"
                 self._refactor()  # row and column disagree: shed the etas
                 z = self._reduced_costs(cost)
                 continue
@@ -824,14 +811,15 @@ class Master:
             return _failed("infeasible", self.n, 0)
         if self.m == 0:
             return self._solve_unconstrained()
-        warm = self.basis is not None and self._reenter()
-        if not warm and not self._cold_start():
-            self.basis = None
-            return _failed("infeasible", self.n, self.iters, self.dual_iters, self.refactors)
+        warm = self.basis is not None and (state := self._reenter()) != "unsafe"
+        if not warm:
+            state = self._cold_start()
+        if state == "infeasible":  # the basis stays for the next solve
+            return _failed("infeasible", self.n, self.iters, self.dual_iters, self.refactors,
+                           warm)
         if self._optimize(self.cost) == "unbounded":
             self.basis = None
             return _failed("unbounded", self.n, self.iters, self.dual_iters, self.refactors)
-        self._drop_artificials()
 
         if self.n_eta or self.flipped:
             self._refactor()
@@ -846,17 +834,15 @@ class Master:
         y = self._btran(self.cost[self.basis])
         duals = np.zeros(self.n_rows_orig)
         duals[self.keep] = self.sense_sign * self.scale * y
-        col_stat = self.status[: self.n].astype(np.int8, copy=True)
-        col_stat[col_stat == _FIXED] = _AT_LOWER
-        slack_stat = self.status[self.n: self.n_core].astype(np.int8, copy=True)
-        slack_stat[slack_stat == _FIXED] = _AT_LOWER
+        stat = np.where(self.status == _FIXED, _AT_LOWER, self.status).astype(np.int8)
+        col_stat = stat[: self.n]
         row_stat = np.full(self.n_rows_orig, _AT_LOWER, dtype=np.int8)
-        row_stat[np.nonzero(self.keep)[0][self.ineq_rows]] = slack_stat
+        row_stat[self.keep] = stat[self.n + self.row_logical]
         return SolveResult("optimal", x, objective, self.iters, duals, col_stat, row_stat,
                            warm, self.refactors, self.dual_iters)
 
     def _verify(self, x: np.ndarray):
-        resid = self.A_ext[:, : self.n] @ x - self.b
+        resid = self.A[:, : self.n] @ x - self.b
         ok = np.ones(self.m, dtype=bool)
         le = self.rel == LE
         ge = self.rel == GE
@@ -870,17 +856,13 @@ class Master:
             raise SolverError(f"optimal basis violates a row by {worst:.2e} after scaling")
 
     def _solve_unconstrained(self) -> SolveResult:
-        c = self.cost[: self.n]
-        lo, hi = self.lo[: self.n], self.hi[: self.n]
-        x = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
-        take_hi = c < 0
-        x[take_hi] = hi[take_hi]
+        self._at_bounds()  # no rows, so no logicals either
+        c, lo, hi = self.cost, self.lo, self.hi
         if np.any((c < 0) & ~np.isfinite(hi)) or np.any((c > 0) & ~np.isfinite(lo)):
             return _failed("unbounded", self.n, 0)
-        x = np.where(np.isfinite(x), x, 0.0)
-        col_stat = np.where(np.isfinite(lo), _AT_LOWER,
-                            np.where(np.isfinite(hi), _AT_UPPER, _FREE)).astype(np.int8)
-        col_stat[take_hi & np.isfinite(hi)] = _AT_UPPER
+        x = np.where(c < 0, hi, self.x)
+        col_stat = np.where(c < 0, _AT_UPPER, np.where(self.status == _FIXED, _AT_LOWER,
+                                                       self.status)).astype(np.int8)
         return SolveResult("optimal", x, self.sense_sign * float(c @ x), 0,
                            np.zeros(self.n_rows_orig),
                            col_stat, np.full(self.n_rows_orig, _AT_LOWER, dtype=np.int8))
@@ -903,8 +885,10 @@ def solve_integer(lp: LinearProgram, integer_indices, tolerance: float = 1e-7) -
     Every node is the one Master of ``lp`` with new bounds on the
     integer columns (``Master.set_bounds``), so a node re-enters from
     the basis the previous node left, through the dual simplex when the
-    bound change cut its vertex off; after an infeasible node, which
-    keeps no basis, the next one starts cold.  Nodes are bounded by
+    bound change cut its vertex off; an infeasible node keeps the basis
+    its proof ended on, so the next node re-enters from it too.  The
+    result sums every node's iterations, dual iterations and
+    refactorizations.  Nodes are bounded by
     their LP relaxation and pruned against the incumbent; branching
     picks the most fractional variable, tightens its bounds to the floor
     or ceiling, and explores the nearer side first.  Every integer
@@ -926,7 +910,7 @@ def solve_integer(lp: LinearProgram, integer_indices, tolerance: float = 1e-7) -
     sign = 1.0 if lp.sense == "min" else -1.0  # scores are minimized
 
     master = Master(lp)
-    total_iters = 0
+    total_iters = total_dual = total_refactors = 0
     incumbent = None
     incumbent_score = np.inf
     saw_unbounded = False
@@ -937,6 +921,8 @@ def solve_integer(lp: LinearProgram, integer_indices, tolerance: float = 1e-7) -
         master.set_bounds(ints, lo, hi)
         res = solve_lp(master, tolerance)
         total_iters += res.iteration_count
+        total_dual += res.dual_iterations
+        total_refactors += res.refactorizations
         if res.status == "infeasible":
             continue
         if res.status == "unbounded":
@@ -960,10 +946,10 @@ def solve_integer(lp: LinearProgram, integer_indices, tolerance: float = 1e-7) -
         stack.append(far)
         stack.append(near)
 
-    if saw_unbounded:
-        return _failed("unbounded", n, total_iters)
-    if incumbent is None:
-        return _failed("infeasible", n, total_iters)
+    if saw_unbounded or incumbent is None:
+        return _failed("unbounded" if saw_unbounded else "infeasible", n, total_iters,
+                       total_dual, total_refactors)
     x = incumbent.primal_values.copy()
     x[ints] = np.round(x[ints])
-    return SolveResult("optimal", x, float(lp.objective @ x), total_iters)
+    return SolveResult("optimal", x, float(lp.objective @ x), total_iters,
+                       refactorizations=total_refactors, dual_iterations=total_dual)

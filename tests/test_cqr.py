@@ -168,7 +168,7 @@ def test_grid_sweep_working_set_only_grows(monkeypatch):
 
     def recording(master, tolerance=1e-7):
         # a w column (i, h) holds -1 on alpha row i and +1 on alpha row h
-        w = master.core[:n, n:master.n].toarray()
+        w = master.A[:n, n:master.n].toarray()
         pairs = set(zip(w.argmin(axis=0).tolist(), w.argmax(axis=0).tolist()))
         sizes.append(master.n)
         missing.append(len(seed - pairs))

@@ -546,8 +546,8 @@ def test_fixed_factor_rows_match_scipy():
 
 def test_pinned_rows_lp_reenters_its_crash_and_matches_scipy(monkeypatch):
     # the pinned per-city LP starts from a crash that takes each city's
-    # cheapest plane: its dual re-entry replaces a phase-1 start, and
-    # Y_e still equals the dense oracle's
+    # cheapest plane: it re-enters through the dual simplex, and Y_e
+    # still equals the dense oracle's
     results = []
 
     def recording(problem, tolerance=1e-7):

@@ -37,11 +37,14 @@ def anchored_lp(rng, n, m, box=4.0):
 
 def kept(lp, column_status, row_status):
     """A Master of `lp` that keeps the given basis (BASIS_* codes per
-    column and per row) as a solve would leave it: nonbasic columns at
-    the bound their code names, basic values from a fresh factorization."""
+    column and per row, a row's code going to its logical) as a solve
+    would leave it: nonbasic columns at the bound their code names, basic
+    values from a fresh factorization."""
     master = Master(lp)
     assert master.keep.all()
-    status = np.concatenate([column_status, np.asarray(row_status)[master.ineq_rows]])
+    logical = np.empty(master.m, dtype=np.int8)
+    logical[master.row_logical] = row_status
+    status = np.concatenate([column_status, logical])
     master.x = np.where(status == BASIS_AT_UPPER, master.hi,
                         np.where(status == BASIS_AT_LOWER, master.lo, 0.0))
     fixed = (status != BASIS_BASIC) & (master.lo == master.hi)
@@ -313,8 +316,9 @@ def test_integer_rejects_bad_indices():
 
 
 def test_branch_and_bound_nodes_share_one_warm_master(monkeypatch):
-    # binaries 0-3 and a continuous column 4; the search branches, hits an
-    # infeasible node and restarts cold after it
+    # binaries 0-3 and a continuous column 4; the search branches and
+    # hits an infeasible node, which keeps its basis: every node after
+    # the root re-enters warm, the one after the infeasible node included
     c = [5.0, 4.0, 3.0, 2.0, 1.0]
     a = np.array([[2.0, 3.0, 1.0, 4.0, 1.0], [1.0, 1.0, 1.0, 1.0, -1.0]])
     b = [4.5, 2.5]
@@ -336,11 +340,12 @@ def test_branch_and_bound_nodes_share_one_warm_master(monkeypatch):
     assert len(calls) >= 3
     assert all(isinstance(p, Master) and p is calls[0][0] for p, _ in calls)
     assert not calls[0][1].warm_started
-    # a feasible node re-enters from the basis a feasible node left
-    warm = [r.warm_started for (_, prev), (_, r) in zip(calls, calls[1:])
-            if prev.status == r.status == "optimal"]
-    assert warm and all(warm)
+    assert all(r.warm_started for _, r in calls[1:])
+    statuses = [r.status for _, r in calls]
+    assert "infeasible" in statuses[:-1]
     assert res.iteration_count == sum(r.iteration_count for _, r in calls)
+    assert res.dual_iterations == sum(r.dual_iterations for _, r in calls) > 0
+    assert res.refactorizations == sum(r.refactorizations for _, r in calls) > 0
 
 
 def test_milp_infeasible():
@@ -531,7 +536,7 @@ def test_dual_ratio_test_enters_a_free_column(monkeypatch):
     assert res.status == "optimal" and abs(res.objective_value - ref) <= 1e-9 * abs(ref)
 
 
-def test_bad_warm_starts_degrade_to_cold():
+def test_bad_warm_starts_reenter_on_shifted_costs(monkeypatch):
     rng = np.random.default_rng(59)
     lp, (c, a, b, _, hi) = anchored_lp(rng, 5, 7)
     cold = solve_lp(lp)
@@ -542,12 +547,16 @@ def test_bad_warm_starts_degrade_to_cold():
     with pytest.raises(ValueError):
         master.set_bounds([5], 0.0, 1.0)
     # every column at its upper bound and every slack basic is neither
-    # primal nor dual feasible: the kept basis is dropped for a cold solve
+    # primal nor dual feasible: the kept basis is not dropped, it
+    # re-enters through the dual simplex with the dear columns' costs
+    # shifted to a zero reduced cost
     assert np.any(a @ hi > b) and np.any(c < 0.0)
     junk = kept(lp, np.full(5, BASIS_AT_UPPER, np.int8), np.full(7, BASIS_BASIC, np.int8))
+    shifts = recording_reentry(monkeypatch)
     res = solve_lp(junk)
     assert res.status == "optimal"
-    assert not res.warm_started
+    assert res.warm_started and res.dual_iterations > 0
+    assert shifts[0] == int(np.sum(c < 0.0))
     assert abs(res.objective_value - cold.objective_value) <= 1e-9
 
 
@@ -559,12 +568,22 @@ def test_basis_start_unavailable_on_failure():
 
 
 def test_failed_reentry_falls_back_to_cold(monkeypatch):
-    def singular(self, cost, z):
-        raise cityalloc.solver.SolverError("basis factorization failed")
-
-    monkeypatch.setattr(cityalloc.solver.Master, "_dual_optimize", singular)
+    # the kept basis's dual re-entry breaks down once; the solve drops it
+    # for a cold start, whose own re-entry runs as usual
     master, (c, a, b, upper) = next(shifted_bound_reentries(np.random.default_rng(73), 1))
+    dual = Master._dual_optimize
+    failed = []
+
+    def fail_once(self, cost, z):
+        if not failed:
+            failed.append(self.basis.copy())
+            raise cityalloc.solver.SolverError("basis factorization failed")
+        return dual(self, cost, z)
+
+    kept_basis = master.basis.copy()
+    monkeypatch.setattr(Master, "_dual_optimize", fail_once)
     res = solve_lp(master)
+    assert len(failed) == 1 and np.array_equal(failed[0], kept_basis)
     assert res.status == "optimal" and not res.warm_started
     cold = solve_lp(LinearProgram("max", c, a, [LE] * len(b), b, upper=upper))
     assert abs(res.objective_value - cold.objective_value) <= 1e-9
@@ -603,7 +622,7 @@ def eta_pivot(master, rng, row=None):
     """Pivot a random nonbasic column into `row` (default: the row of its
     largest entry, for a well-conditioned basis), as the simplex loops
     do; returns the pivot row."""
-    nonbasic = np.setdiff1d(np.arange(master.n_ext), master.basis)
+    nonbasic = np.setdiff1d(np.arange(master.A.shape[1]), master.basis)
     for q in rng.permutation(nonbasic):
         d = master._ftran(master._column(int(q)))
         r = int(np.argmax(np.abs(d))) if row is None else row
@@ -617,7 +636,7 @@ def eta_pivot(master, rng, row=None):
 def check_inverse(master, rng):
     """_ftran, _btran and _btran_unit against a dense inverse of the
     current basis; _btran_unit(r) is also exactly _btran(e_r)."""
-    binv = np.linalg.inv(master.A_ext[:, master.basis].toarray())
+    binv = np.linalg.inv(master.A[:, master.basis].toarray())
     for _ in range(3):
         v = rng.normal(0.0, 1.0, master.m)
         for got, want in ((master._ftran(v), binv @ v), (master._btran(v), binv.T @ v)):
@@ -660,7 +679,10 @@ def test_primal_and_dual_loops_run_past_the_eta_buffer():
     lp, (c, a, b, _, _) = anchored_lp(rng, 150, 200)
     master = Master(lp)
     cold = solve_lp(master)
-    assert cold.iteration_count > limit and cold.dual_iterations == 0
+    # the crash leaves the slacks of the rows with b < 0 negative, so
+    # the cold solve re-enters it through the dual loop first
+    assert np.any(b < 0.0) and cold.dual_iterations > 0
+    assert cold.iteration_count - cold.dual_iterations > limit
     upper = rng.uniform(2.0, 2.2, 150)  # the anchor stays feasible
     master.set_bounds(np.arange(150), 0.0, upper)
     warm = solve_lp(master)
@@ -673,7 +695,9 @@ def test_primal_and_dual_loops_run_past_the_eta_buffer():
 
 def test_dual_iterations_count_the_reentry():
     # a set_bounds re-entry reports its dual pivots as part of its
-    # iteration count; a cold solve and an unchanged re-solve report none
+    # iteration count, and an unchanged re-solve reports none; a cold
+    # solve reports the dual pivots of its crash's re-entry, which has
+    # some exactly when a row with b < 0 leaves its slack negative
     rng = np.random.default_rng(89)
     for master, (c, a, b, upper) in shifted_bound_reentries(rng, 5):
         warm = solve_lp(master)
@@ -681,7 +705,7 @@ def test_dual_iterations_count_the_reentry():
         assert 0 < warm.dual_iterations <= warm.iteration_count
         assert solve_lp(master).dual_iterations == 0
         cold = solve_lp(LinearProgram("max", c, a, [LE] * len(b), b, upper=upper))
-        assert cold.dual_iterations == 0
+        assert (cold.dual_iterations > 0) == bool(np.any(b < 0.0))
 
 
 def test_failed_solve_reports_its_refactorizations():
@@ -695,6 +719,39 @@ def test_failed_solve_reports_its_refactorizations():
     res = solve_lp(master)
     assert res.status == "infeasible"
     assert res.refactorizations == master.refactors > 0
+
+
+def test_infeasible_lps_are_proved_by_a_pivot_row():
+    # cold: random boxed LPs with LE and GE rows, about half of them
+    # infeasible, agree with vertex enumeration on status and optimum
+    rng = np.random.default_rng(109)
+    seen = set()
+    for _ in range(100):
+        n, m = int(rng.integers(2, 5)), int(rng.integers(2, 6))
+        a, b, c = rng.normal(0.0, 1.0, (m, n)), rng.normal(0.0, 1.0, m), rng.normal(0.0, 1.0, n)
+        rel = np.where(rng.random(m) < 0.5, LE, GE)
+        hi = np.full(n, 2.0)
+        res = solve_lp(LinearProgram("max", c, a, rel, b, upper=hi))
+        sign = np.where(rel == LE, 1.0, -1.0)
+        status, ref, _ = vertex_enumerate(c, sign[:, None] * a, sign * b, np.zeros(n), hi)
+        assert res.status == status
+        if status == "optimal":
+            assert abs(res.objective_value - ref) <= 1e-9 * (1 + abs(ref))
+        seen.add(status)
+    assert seen == {"optimal", "infeasible"}
+    # warm: the LP above whose shrunk upper bounds make it infeasible;
+    # the proof keeps its basis, so relaxing the bounds re-solves warm
+    rng = np.random.default_rng(0)
+    lp, (c, a, b, _, _) = anchored_lp(rng, 60, 80)
+    master = Master(lp)
+    assert solve_lp(master).status == "optimal"
+    for upper, want in ((rng.uniform(0.5, 2.0, 60), "infeasible"),
+                        (rng.uniform(2.0, 4.0, 60), "optimal")):
+        master.set_bounds(np.arange(60), 0.0, upper)
+        res = solve_lp(master)
+        status, ref, _ = scipy_lp(c, a, b, bounds=[(0.0, u) for u in upper])
+        assert res.status == status == want and res.warm_started
+    assert abs(res.objective_value - ref) <= 1e-9 * abs(ref)
 
 
 def rows_lp(rng, cities=5, planes=4, factors=2, flat=False):
@@ -725,49 +782,69 @@ def rows_lp(rng, cities=5, planes=4, factors=2, flat=False):
     return lp, (c, a_eq, np.ones(cities), a_ge)
 
 
-def recording_crash(monkeypatch):
-    """Record (triangular, artificial count) for every Master._crash."""
+def recording_starts(monkeypatch):
+    """Record, for every basis a cold start takes (Master._take), how many
+    rows it leaves to their logicals: a crash's uncovered rows, then all
+    m of them when the solve falls back to the all-logical basis."""
     calls = []
-    crash = Master._crash
+    take = Master._take
 
-    def recording(self, triangular=True):
-        crash(self, triangular)
-        calls.append((triangular, self.n_ext - self.n_core))
+    def recording(self, basis):
+        calls.append(int(np.sum(basis < 0)))
+        take(self, basis)
 
-    monkeypatch.setattr(Master, "_crash", recording)
+    monkeypatch.setattr(Master, "_take", recording)
+    return calls
+
+
+def recording_reentry(monkeypatch):
+    """Record, for every dual re-entry, how many columns run on a cost
+    shifted from their own."""
+    calls = []
+    dual = Master._dual_optimize
+
+    def recording(self, cost, z):
+        calls.append(int(np.count_nonzero(cost != self.cost)))
+        return dual(self, cost, z)
+
+    monkeypatch.setattr(Master, "_dual_optimize", recording)
     return calls
 
 
 def test_rows_lp_crash_reenters_through_the_dual(monkeypatch):
-    # each convexity row takes its cheapest plane, so the crash prices
-    # dual feasible; its surpluses come out at -beta, and the dual
-    # simplex mends them with no artificial column ever built
-    calls = recording_crash(monkeypatch)
+    # the surpluses cover the GE rows and each convexity row takes its
+    # cheapest plane, so the crash leaves no row to a logical fixed at
+    # zero and prices dual feasible; its surpluses come out at -beta, and
+    # the dual simplex mends them with no cost shifted
+    starts, shifts = recording_starts(monkeypatch), recording_reentry(monkeypatch)
     rng = np.random.default_rng(97)
     for _ in range(10):
         lp, (c, a_eq, b_eq, a_ge) = rows_lp(rng)
-        calls.clear()
+        starts.clear()
+        shifts.clear()
         res = solve_lp(lp)
-        assert calls == [(True, 0)]
+        assert starts == [0] and shifts == [0]
         assert res.status == "optimal" and not res.warm_started
         assert 0 < res.dual_iterations <= res.iteration_count
         _, ref, _ = scipy_lp(c, -a_ge, np.zeros(len(a_ge)), a_eq, b_eq, sense="min")
         assert abs(res.objective_value - ref) <= 1e-9 * (1 + abs(ref))
 
 
-def test_crash_neither_primal_nor_dual_feasible_falls_back(monkeypatch):
+def test_crash_neither_primal_nor_dual_feasible_shifts_its_costs(monkeypatch):
     # city 0's flat plane covers its convexity row in the singleton pass
     # though a cheaper plane exists (dual infeasible), and the other
     # cities' surpluses leave their bounds (primal infeasible): the
-    # solve falls back to the singleton-plus-artificial start
-    calls = recording_crash(monkeypatch)
+    # cheaper planes' costs are shifted to a zero reduced cost and the
+    # crash re-enters through the dual simplex, with no fallback
+    starts, shifts = recording_starts(monkeypatch), recording_reentry(monkeypatch)
     rng = np.random.default_rng(101)
     for _ in range(5):
         lp, (c, a_eq, b_eq, a_ge) = rows_lp(rng, cities=2, planes=3, flat=True)
-        calls.clear()
+        starts.clear()
+        shifts.clear()
         res = solve_lp(lp)
-        assert [t for t, _ in calls] == [True, False] and calls[1][1] > 0
-        assert res.status == "optimal" and res.dual_iterations == 0
+        assert starts == [0] and len(shifts) == 1 and shifts[0] > 0
+        assert res.status == "optimal" and res.dual_iterations > 0
         status, ref, _ = vertex_enumerate(
             c, np.vstack([a_eq, -a_eq, -a_ge]),
             np.concatenate([b_eq, -b_eq, np.zeros(len(a_ge))]),
@@ -777,25 +854,26 @@ def test_crash_neither_primal_nor_dual_feasible_falls_back(monkeypatch):
 
 
 def test_triangular_crash_takes_the_cheapest_candidate():
-    # the surpluses cover the GE rows first; then every lambda of a city
-    # qualifies for its convexity row, and the cheapest enters, ties to
-    # the lowest index
+    # the surpluses, the GE rows' own logicals, cover those rows first;
+    # then every lambda of a city qualifies for its convexity row, and
+    # the cheapest enters, ties to the lowest index
     lp, _ = rows_lp(np.random.default_rng(103), cities=3, planes=4)
     costs = np.array([[0.5, 0.2, 0.9, 0.2],
                       [0.3, 0.3, 0.1, 0.1],
                       [0.7, 0.6, 0.8, 0.6]])
     objective = np.concatenate([lp.objective[:2], costs.ravel()])
     master = Master(LinearProgram("min", objective, lp.rows, lp.relations, lp.rhs))
-    master._crash(triangular=True)
-    assert master.n_ext == master.n_core
+    master._crash()
+    assert np.array_equal(master.basis[3:], master.n + master.row_logical[3:])
     assert master.basis[:3].tolist() == [2 + 1, 2 + 4 + 2, 2 + 8 + 1]
 
 
 def test_singular_crash_falls_back(monkeypatch):
     # a triangular crash that fails to factor is not re-entered: its
     # basis has no factors, so the solve starts over from the
-    # singleton-plus-artificial crash
-    calls = recording_crash(monkeypatch)
+    # all-logical basis, whose convexity logicals sit at 1 outside their
+    # [0, 0] bounds until the dual simplex drives them out
+    starts = recording_starts(monkeypatch)
     refactor = Master._refactor
     failed = []
 
@@ -808,7 +886,7 @@ def test_singular_crash_falls_back(monkeypatch):
     monkeypatch.setattr(Master, "_refactor", fail_once)
     lp, (c, a_eq, b_eq, a_ge) = rows_lp(np.random.default_rng(107))
     res = solve_lp(lp)
-    assert failed and [t for t, _ in calls] == [True, False] and calls[1][1] > 0
-    assert res.status == "optimal" and res.dual_iterations == 0
+    assert failed and starts == [0, len(lp.rhs)]
+    assert res.status == "optimal" and res.dual_iterations > 0
     _, ref, _ = scipy_lp(c, -a_ge, np.zeros(len(a_ge)), a_eq, b_eq, sense="min")
     assert abs(res.objective_value - ref) <= 1e-9 * (1 + abs(ref))
