@@ -11,7 +11,9 @@ workload, the seed, ``lp_iters``, ``run_s``, ``setup_s``,
 ``peak_rss_mb``, ``correct`` and ``failed``.  With ``--trace`` a second,
 traced run adds per-layer counts (``solver.lp_solves``,
 ``solver.ms_per_solve``, ``solver.us_per_iter``, ``cqr.lp_solves``,
-``planner.lp_solves``), and ``correct`` and ``failed`` cover both runs.
+``cqr.lp_iters``, ``planner.lp_solves``, ``planner.lp_iters``), so an
+entry shows which layer a change of ``lp_iters`` sits in, and
+``correct`` and ``failed`` cover both runs.
 ``lp_iters`` and the solve counts repeat value for value and are the
 figures to compare; wall times and memory are reported as measured on
 the host that ran them.  The run ends with one summary line per
@@ -28,7 +30,7 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 METRICS = ("lp_iters", "run_s", "setup_s", "peak_rss_mb")
 LAYERS = ("solver.lp_solves", "solver.ms_per_solve", "solver.us_per_iter",
-          "cqr.lp_solves", "planner.lp_solves")
+          "cqr.lp_solves", "cqr.lp_iters", "planner.lp_solves", "planner.lp_iters")
 
 
 def _git(checkout, *args):

@@ -318,7 +318,9 @@ def _run_unit(x, y, city_id, year, names, templates, settings):
     ``cqr.fit_all_quantiles``); a grid that holds .5 shares its fit with
     the median. Identical (x, y) rows, as a resample holds, are fitted
     once with their multiplicity as weight; every fit is expanded back
-    to all rows before ranking.
+    to all rows before ranking. The scenarios are solved in template
+    order on one ``masters`` list, so a rows LP that an earlier template
+    solved re-solves warm on a cost change (see ``solve_scenario``).
     """
     n = len(y)
     if n < _N_DECILES:
@@ -349,11 +351,11 @@ def _run_unit(x, y, city_id, year, names, templates, settings):
         raise PipelineError(f"year {year}: technology build failed: {exc}",
                             stage="technology", year=year) from exc
 
-    gains, solutions = [], {}
+    gains, solutions, masters = [], {}, []
     for t in templates:
         try:
             scenario = unit_scenario(t, year, techs, names, x, assignment)
-            solution = solve_scenario(scenario, settings.tolerance)
+            solution = solve_scenario(scenario, settings.tolerance, masters)
             gains.append(compute_gain(solution, y, label=t.label))
         except PipelineError:
             raise

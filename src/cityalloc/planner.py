@@ -10,7 +10,9 @@ factors pinned in place, per-decile (local) resource caps, and an
 entry/exit variant where pseudo-cities may deactivate entirely.
 
 Every regime without entry/exit is one linear program over per-city
-outputs and inputs.  Four exact solution strategies split the work:
+outputs and inputs.  A friction only shrinks its factor's total, to
+T_r / (1 + friction_r), so every strategy below sees frictionless
+totals.  Four exact solution strategies split the work:
 
 * full reallocation collapses each decile to a single aggregate city
   (pseudo-cities within a decile are identical, so an equal split is
@@ -23,11 +25,16 @@ outputs and inputs.  Four exact solution strategies split the work:
   integral count of active pseudo-cities per decile, exact at any size
   by concavity;
 * everything else runs the per-city LP through its dual, built whole
-  (one column per city and plane) and solved once.
+  (one column per city and plane).
 
 All four land on one post-solve certificate, ``certify``, which
 ``cityalloc validate`` also runs on every written allocation (envelope,
 resource rows, pinned factors, idle cities at rest).
+
+Scenarios solved on one ``masters`` list, as an estimation unit's
+are, share their rows LPs: one that differs from an earlier one only
+in its totals, so only in its costs, re-solves that Master warm
+(``perfect`` and ``imperfect``, pinned or not).
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .cqr import QuantileFit, dedup_hyperplanes
-from .solver import EQ, GE, LinearProgram, solve_integer, solve_lp
+from .solver import EQ, GE, LinearProgram, Master, solve_integer, solve_lp
 
 # unused here: kept only for perfbench/trace.py, which patches
 # cityalloc.planner.solve_milp, until ROADMAP item 10 drops that site
@@ -268,8 +275,7 @@ class _Geo(NamedTuple):
     counts: np.ndarray     # pseudo-cities per decile
     starts: np.ndarray     # decile offsets into the city axis
     rcols: np.ndarray      # beta columns of the reallocated factors
-    weights: np.ndarray    # (1+friction) per reallocated factor
-    totals: np.ndarray     # supply per reallocated factor
+    totals: np.ndarray     # supply per reallocated factor, over (1+friction)
     alpha_eff: list        # per decile (n_d, H_d): intercept + fixed terms
     beta_r: list           # per decile (H_d, R): slopes on reallocated factors
 
@@ -279,8 +285,8 @@ def _geometry(scn: PlannerScenario) -> _Geo:
     counts = np.array([t.pseudo_city_count for t in scn.technologies])
     starts = np.concatenate(([0], np.cumsum(counts)))
     rcols = np.array([names.index(f) for f in scn.reallocated_factors])
-    weights = np.array([1.0 + scn.friction(f) for f in scn.reallocated_factors])
-    totals = np.array([scn.aggregate_resources[f] for f in scn.reallocated_factors])
+    totals = np.array([scn.aggregate_resources[f] / (1.0 + scn.friction(f))
+                       for f in scn.reallocated_factors])
     fixed_cols = [j for j, f in enumerate(names) if f not in scn.reallocated_factors]
     alpha_eff, beta_r = [], []
     for d, t in enumerate(scn.technologies):
@@ -291,7 +297,7 @@ def _geometry(scn: PlannerScenario) -> _Geo:
             a = a + fx @ t.beta[:, fixed_cols].T
         alpha_eff.append(a)
         beta_r.append(t.beta[:, rcols])
-    return _Geo(counts, starts, rcols, weights, totals, alpha_eff, beta_r)
+    return _Geo(counts, starts, rcols, totals, alpha_eff, beta_r)
 
 
 def certify(scenario: PlannerScenario, inputs, output, active,
@@ -353,15 +359,17 @@ def _build_solution(scn, geo, y, x, b, objective) -> AllocationSolution:
         efficient_output=float(objective))
 
 
-def _solve_rows(scn, geo, tolerance):
-    """Per-city LP through its dual, built whole and solved once.
+def _solve_rows(scn, geo, tolerance, masters):
+    """Per-city LP through its dual, built whole.
 
     The LP is max sum_i y_i over planes y_i - beta_h . x_i <= alpha_eff[i, h]
-    and resource rows sum_i w_r x_ir <= T_r (T_r / 10 per decile when
-    local), x >= 0.  Its dual: min sum alpha_eff lambda + sum T mu over
-    lambda, mu >= 0, with rows sum_h lambda_ih = 1 (dual of y_i) and
-    sum w_r mu_r - sum_h beta_hr lambda_ih >= 0 (dual of x_ir), one
-    lambda column per (pseudo-city, plane); y and x are the row duals.
+    and resource rows sum_i x_ir <= T_r (T_r / 10 per decile when
+    local), x >= 0, with T_r the folded totals.  Its dual: min sum
+    alpha_eff lambda + sum T mu over lambda, mu >= 0, with rows
+    sum_h lambda_ih = 1 (dual of y_i) and mu_r - sum_h beta_hr lambda_ih
+    >= 0 (dual of x_ir), one lambda column per (pseudo-city, plane); y
+    and x are the row duals.  ``_rows_master`` picks the Master it is
+    solved on.
     """
     n, nr = int(geo.counts.sum()), geo.rcols.size
     # one mu column per resource row, per decile when local
@@ -372,7 +380,7 @@ def _solve_rows(scn, geo, tolerance):
             rows.append(n + np.arange(lo, hi) * nr + r)
             cols.append(np.full(hi - lo, len(cost)))
             cost.append(geo.totals[r] / (_LOCAL_SHARES if scn.is_local else 1))
-    vals = [np.repeat(geo.weights, n)]
+    vals = [np.ones(n * nr)]
     city = np.concatenate([np.repeat(np.arange(geo.starts[d], geo.starts[d + 1]),
                                      a.shape[1]) for d, a in enumerate(geo.alpha_eff)])
     beta = np.concatenate([np.tile(b, (c, 1)) for b, c in zip(geo.beta_r, geo.counts)])
@@ -384,13 +392,31 @@ def _solve_rows(scn, geo, tolerance):
     m = n * (1 + nr)
     mat = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                         shape=(m, cost.size))
-    res = solve_lp(LinearProgram("min", cost, mat, [EQ] * n + [GE] * (m - n),
-                                 np.concatenate([np.ones(n), np.zeros(m - n)])), tolerance)
+    lp = LinearProgram("min", cost, mat, [EQ] * n + [GE] * (m - n),
+                       np.concatenate([np.ones(n), np.zeros(m - n)]))
+    res = solve_lp(_rows_master(lp, masters), tolerance)
     if res.status != "optimal":
         raise PlannerError(f"scenario solve failed with status {res.status!r}")
     y = res.dual_values[:n]
     x = np.maximum(res.dual_values[n:].reshape(n, nr), 0.0)
     return y, x, np.ones(n), res.objective_value
+
+
+def _rows_master(lp, masters):
+    """What ``solve_lp`` solves for ``lp``: a Master in ``masters`` whose
+    LP has the same rows, relations, rhs and bounds, re-costed, else
+    ``lp`` on a new Master that joins the list (``lp`` itself without
+    one)."""
+    if masters is None:
+        return lp
+    for old, master in masters:
+        if (old.rows.shape == lp.rows.shape and (old.rows != lp.rows).nnz == 0
+                and all(np.array_equal(getattr(old, a), getattr(lp, a))
+                        for a in ("relations", "rhs", "lower", "upper"))):
+            master.set_costs(lp.objective)
+            return master
+    masters.append((lp, Master(lp)))
+    return masters[-1][1]
 
 
 def _solve_entry_counts(scn: PlannerScenario, geo: _Geo, tolerance):
@@ -428,16 +454,14 @@ def _solve_entry_counts(scn: PlannerScenario, geo: _Geo, tolerance):
             put([d, m_off + d] + [x_off + d * nr + r for r in range(nr)],
                 [1.0, -alpha[h]] + list(-geo.beta_r[d][h]), 0.0)
     for r in range(nr):
-        cap = geo.totals[r] / geo.weights[r]
+        cap = geo.totals[r]
         for d in range(n_dec):
             put([x_off + d * nr + r, m_off + d], [1.0, -cap], 0.0)
         if scn.is_local:
             for d in range(n_dec):
-                put([x_off + d * nr + r], [geo.weights[r]],
-                    geo.totals[r] / _LOCAL_SHARES)
+                put([x_off + d * nr + r], [1.0], cap / _LOCAL_SHARES)
         else:
-            put([x_off + d * nr + r for d in range(n_dec)],
-                [geo.weights[r]] * n_dec, geo.totals[r])
+            put([x_off + d * nr + r for d in range(n_dec)], [1.0] * n_dec, cap)
 
     lp = LinearProgram("max", objective,
                        sp.csr_matrix((vals, (rows_i, cols)),
@@ -493,7 +517,6 @@ def _solve_separable(scn: PlannerScenario, geo: _Geo):
     piecewise linear in its own allocation, so the planner fills the
     steepest envelope segments first.  Local mode fills per decile."""
     n = int(geo.counts.sum())
-    weight = geo.weights[0]
     total = geo.totals[0]
     alloc = np.zeros(n)
 
@@ -510,10 +533,9 @@ def _solve_separable(scn: PlannerScenario, geo: _Geo):
                 length = (hs[seg + 1] - hs[seg]) if seg + 1 < len(ha) else np.inf
                 segments.append((hb[seg], d, i, length))
 
-    budgets = {None: total / weight}
+    budgets = {None: total}
     if scn.is_local:
-        budgets = {d: total / _LOCAL_SHARES / weight
-                   for d in range(len(geo.counts))}
+        budgets = {d: total / _LOCAL_SHARES for d in range(len(geo.counts))}
 
     segments.sort(key=lambda s: (-s[0], s[2]))
     for slope, d, i, length in segments:
@@ -533,8 +555,15 @@ def _solve_separable(scn: PlannerScenario, geo: _Geo):
     return y, alloc[:, None], np.ones(n), float(y.sum())
 
 
-def solve_scenario(scenario: PlannerScenario, tolerance: float = 1e-7) -> AllocationSolution:
-    """Solve any scenario, dispatching on its mode and shape."""
+def solve_scenario(scenario: PlannerScenario, tolerance: float = 1e-7,
+                   masters: list | None = None) -> AllocationSolution:
+    """Solve any scenario, dispatching on its mode and shape.
+
+    ``masters``, one list passed to each scenario of an estimation unit
+    in turn, keeps the rows LPs solved so far, so a later scenario whose
+    rows LP differs from one of them only in its costs re-solves it warm
+    (see ``_solve_rows``).  The Masters live as long as the list.
+    """
     geo = _geometry(scenario)
     if scenario.is_entry_exit:
         y, x, b, obj = _solve_entry_counts(scenario, geo, tolerance)
@@ -544,14 +573,14 @@ def solve_scenario(scenario: PlannerScenario, tolerance: float = 1e-7) -> Alloca
         k = len(geo.counts)
         one = geo._replace(counts=np.ones(k, dtype=np.int64), starts=np.arange(k + 1),
                            alpha_eff=[c * a[:1] for c, a in zip(geo.counts, geo.alpha_eff)])
-        y, x, b, obj = _solve_rows(scenario, one, tolerance)
+        y, x, b, obj = _solve_rows(scenario, one, tolerance, masters)
         y = np.repeat(y / geo.counts, geo.counts)
         x = np.repeat(x / geo.counts[:, None], geo.counts, axis=0)
         b = np.repeat(b, geo.counts)
     elif geo.rcols.size == 1:
         y, x, b, obj = _solve_separable(scenario, geo)
     else:
-        y, x, b, obj = _solve_rows(scenario, geo, tolerance)
+        y, x, b, obj = _solve_rows(scenario, geo, tolerance, masters)
     solution = _build_solution(scenario, geo, y, x, b, obj)
     problems = certify(scenario, solution.inputs, solution.output, solution.active, tolerance)
     if problems:

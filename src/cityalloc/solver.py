@@ -20,8 +20,8 @@ pivot elements.  Pricing and the ratio tests run over candidate sets
 only (the improving columns, the blocking rows or columns), drawn from
 masks of the columns free to rise or fall that the loops keep pivot by
 pivot.  A Master keeps the scaled problem, the basis and its factors
-between solves, so delayed column generation appends columns or moves
-bounds in place and re-solves without a rebuild.
+between solves, so it appends columns, moves bounds or takes new costs
+in place and re-solves without a rebuild.
 A kept or crashed basis whose values leave their bounds has each dual
 infeasible column's cost shifted to a zero reduced cost (the dual
 phase 1 of Koberstein & Suhl 2007), then re-enters through a bounded
@@ -195,8 +195,8 @@ class Master:
     and its factors: the LU of the last refactorized basis and the dense
     eta block of the pivots since then (see ``_ftran``).
     ``solve_lp(master, tolerance)`` resumes from the basis the previous
-    solve left; ``append_columns`` and ``set_bounds`` edit it in place
-    and keep basis and factors valid.  Each row is scaled once, to unit
+    solve left; ``append_columns``, ``set_bounds`` and ``set_costs`` edit
+    it in place and keep basis and factors valid.  Each row is scaled once, to unit
     max-norm: by ``row_norm`` when given (the largest |a_ij| the row
     will ever hold, appended columns included), else by the rows of
     ``lp``.  Rows with no coefficients are constant assertions, checked
@@ -302,6 +302,15 @@ class Master:
                                 np.where(new == _AT_UPPER, upper,
                                          np.where(new == _FREE, 0.0, lower)))
         self._recompute_basics()
+
+    def set_costs(self, cost):
+        """New costs, in the LP's sense, one per structural column.  The
+        basis, its values and its factors stay, so a kept basis stays
+        primal feasible and the next solve re-prices it in the primal loop."""
+        cost = np.asarray(cost, dtype=np.float64).ravel()
+        if cost.size != self.n or not np.all(np.isfinite(cost)):
+            raise ValueError(f"costs must be finite, one per structural column ({self.n})")
+        self.cost[: self.n] = self.sense_sign * cost
 
     # -- basis linear algebra ------------------------------------------------
 

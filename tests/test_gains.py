@@ -25,6 +25,7 @@ from cityalloc import (
 from cityalloc.cli import gains_to_csv
 from cityalloc.gains import order_problems
 from cityalloc.planner import DecileTechnology, PlannerScenario
+from cityalloc.solver import solve_lp
 
 
 @pytest.fixture(scope="module")
@@ -134,6 +135,36 @@ def test_parallel_matches_serial(fixture_panel):
     serial = run_pipeline(panel, templates)
     para = run_pipeline(panel, templates, jobs=2)
     assert [g.gain for g in serial] == [g.gain for g in para]
+
+
+def test_unit_scenarios_share_their_rows_master(fixture_panel, monkeypatch):
+    # perfect and imperfect build one rows LP but for its mu costs, so in
+    # each unit the later of the two re-solves the earlier one's Master
+    # warm, with no dual pivot; gains do not depend on the order or on
+    # the company of another template
+    panel, _ = fixture_panel
+    perfect = ScenarioTemplate("perfect")
+    imperfect = ScenarioTemplate("imperfect", iceberg=0.05, depletion=0.05)
+    results = []
+
+    def recording(problem, tolerance=1e-7):
+        results.append(solve_lp(problem, tolerance))
+        return results[-1]
+
+    monkeypatch.setattr("cityalloc.planner.solve_lp", recording)
+    runs = {}
+    for order in ((perfect, imperfect), (imperfect, perfect)):
+        results.clear()
+        runs[order[0].label] = run_pipeline(panel, order)
+        assert [r.warm_started for r in results] == [False, True] * len(panel.years)
+        assert all(r.dual_iterations == 0 for r in results[1::2])
+    runs["alone"] = run_pipeline(panel, perfect) + run_pipeline(panel, imperfect)
+    gains = {k: {(g.year, g.scenario): g.gain for g in v} for k, v in runs.items()}
+    want = gains["alone"]
+    assert len(want) == 2 * len(panel.years)
+    for got in gains.values():
+        assert got.keys() == want.keys()
+        assert all(abs(got[k] - want[k]) <= 1e-9 * want[k] for k in want)
 
 
 def test_audit_retains_artifacts(fixture_panel):

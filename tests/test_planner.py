@@ -574,6 +574,42 @@ def test_pinned_rows_lp_reenters_its_crash_and_matches_scipy(monkeypatch):
             assert abs(got - want) < 1e-9 * (1.0 + abs(want)), mode
 
 
+def test_pinned_pair_shares_one_master(monkeypatch):
+    # perfect and imperfect on K, L with H pinned build one per-city rows
+    # LP but for its mu costs: on one masters list imperfect re-solves
+    # perfect's Master warm, with no dual pivot, while local's LP gets
+    # its own; each Y_e equals a cold solve's and the dense oracle's
+    results = []
+
+    def recording(problem, tolerance=1e-7):
+        results.append(solve_lp(problem, tolerance))
+        return results[-1]
+
+    monkeypatch.setattr("cityalloc.planner.solve_lp", recording)
+    perfect = fixed_factor_scenario(np.random.default_rng(233), "perfect",
+                                    n_planes=8, counts=(6, 7, 8))
+    scenarios = [perfect] + [
+        PlannerScenario(perfect.year, mode, perfect.technologies, perfect.factor_names,
+                        perfect.aggregate_resources, perfect.reallocated_factors,
+                        fixed_input_values=perfect.fixed_input_values, **frictions)
+        for mode, frictions in (("imperfect", {"iceberg": 0.05, "depletion": 0.1}),
+                                ("local", {}))]
+    masters = []
+    shared = [solve_scenario(scn, 1e-7, masters) for scn in scenarios]
+    assert len(masters) == 2
+    assert [r.warm_started for r in results] == [False, True, False]
+    assert results[1].dual_iterations == 0
+    for scn, sol in zip(scenarios, shared):
+        want = oracles.planner_lp(
+            [(t.alpha, t.beta) for t in scn.technologies],
+            [t.pseudo_city_count for t in scn.technologies],
+            [scn.aggregate_resources["K"], scn.aggregate_resources["L"], np.inf],
+            weights=[1.0 + scn.iceberg, 1.0 + scn.depletion, 1.0],
+            local=scn.is_local, fixed={2: scn.fixed_input_values["H"]})
+        for got in (sol.efficient_output, solve_scenario(scn).efficient_output):
+            assert abs(got - want) <= 1e-9 * abs(want), scn.mode
+
+
 def test_every_lp_regime_builds_and_solves_one_lp(monkeypatch):
     # the pinned per-city LP and the decile-level LP of a pin-free
     # scenario are each one LinearProgram and one call through

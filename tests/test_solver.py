@@ -757,7 +757,7 @@ def test_infeasible_lps_are_proved_by_a_pivot_row():
 def rows_lp(rng, cities=5, planes=4, factors=2, flat=False):
     """The planner's per-city rows LP (``planner._solve_rows``): min
     sum T mu + sum alpha lambda over mu, lambda >= 0, with one EQ row
-    sum_h lambda_ih = 1 per city and one GE row w mu_r - sum_h
+    sum_h lambda_ih = 1 per city and one GE row mu_r - sum_h
     beta_hr lambda_ih >= 0 per (city, factor); mu columns first.  With
     `flat`, city 0's plane 0 has beta = 0, so its lambda is a singleton
     column of its convexity row, and it is city 0's dearest plane.
@@ -780,6 +780,47 @@ def rows_lp(rng, cities=5, planes=4, factors=2, flat=False):
                        [EQ] * cities + [GE] * (cities * factors),
                        np.concatenate([np.ones(cities), np.zeros(cities * factors)]))
     return lp, (c, a_eq, np.ones(cities), a_ge)
+
+
+def test_set_costs_rejects_bad_vectors():
+    # one finite cost per structural column, or nothing changes
+    lp, _ = rows_lp(np.random.default_rng(109))
+    master = Master(lp)
+    assert solve_lp(master).status == "optimal"
+    c = lp.objective
+    for bad in (c[:-1], np.append(c, 1.0), np.where(np.arange(c.size) == 3, np.nan, c),
+                np.where(np.arange(c.size) == 0, np.inf, c),
+                np.where(np.arange(c.size) == 5, -np.inf, c)):
+        with pytest.raises(ValueError):
+            master.set_costs(bad)
+    again = solve_lp(master)
+    assert again.warm_started and again.iteration_count == 0
+
+
+def test_cost_change_resolves_in_the_primal_loop():
+    # new costs leave the kept optimal basis primal feasible (the
+    # planner's imperfect scenario is its perfect one with smaller mu
+    # costs), so the re-solve starts warm, takes no dual pivot, and lands
+    # on the optimum of a cold solve of the new LP
+    rng = np.random.default_rng(113)
+    pivots = 0
+    for _ in range(10):
+        lp, (c, a_eq, b_eq, a_ge) = rows_lp(rng, cities=6, planes=5)
+        master = Master(lp)
+        assert solve_lp(master).status == "optimal"
+        c = c.copy()
+        c[:2] /= rng.uniform(1.0, 1.5, 2)
+        c[2:] += rng.normal(0.0, 0.1, c.size - 2)
+        master.set_costs(c)
+        warm = solve_lp(master)
+        cold = solve_lp(LinearProgram("min", c, lp.rows, lp.relations, lp.rhs))
+        _, ref, _ = scipy_lp(c, -a_ge, np.zeros(len(a_ge)), a_eq, b_eq, sense="min")
+        assert warm.status == cold.status == "optimal"
+        assert warm.warm_started and warm.dual_iterations == 0
+        for value in (warm.objective_value, cold.objective_value):
+            assert abs(value - ref) <= 1e-9 * abs(ref)
+        pivots += warm.iteration_count
+    assert pivots > 0
 
 
 def recording_starts(monkeypatch):
