@@ -196,10 +196,10 @@ class Master:
     eta block of the pivots since then (see ``_ftran``).
     ``solve_lp(master, tolerance)`` resumes from the basis the previous
     solve left; ``append_columns``, ``set_bounds`` and ``set_costs`` edit
-    it in place and keep basis and factors valid.  Each row is scaled once, to unit
-    max-norm: by ``row_norm`` when given (the largest |a_ij| the row
-    will ever hold, appended columns included), else by the rows of
-    ``lp``.  Rows with no coefficients are constant assertions, checked
+    it in place and keep basis and factors valid.  Each row is scaled
+    once, to unit max-norm: by ``row_norm`` when given (the largest
+    |a_ij| the row will ever hold, appended columns included), else by
+    the rows of ``lp``.  Rows with no coefficients are constant assertions, checked
     at solve time and otherwise dropped.
     """
 
