@@ -17,8 +17,9 @@ entry shows which layer a change of ``lp_iters`` sits in, and
 ``lp_iters`` and the solve counts repeat value for value and are the
 figures to compare; wall times and memory are reported as measured on
 the host that ran them.  The run ends with one summary line per
-workload: the mean, min and max ``lp_iters`` over the seeds it ran,
-since vertex choice alone moves one seed by several percent.
+workload: the sum, mean, min and max ``lp_iters`` over the seeds it
+ran, since vertex choice alone moves one seed by several percent; the
+sum is the figure to quote for a before/after pair of runs.
 """
 
 import argparse
@@ -93,6 +94,7 @@ def main(argv=None):
                 fh.write("\n")
     for workload, values in iters.items():
         print(json.dumps({"workload": workload, "seeds": seeds,
+                          "lp_iters_sum": sum(values),
                           "lp_iters_mean": sum(values) / len(values),
                           "lp_iters_min": min(values), "lp_iters_max": max(values)}))
     return 0

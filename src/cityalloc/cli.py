@@ -13,7 +13,9 @@ no partial outputs.
 The CLI owns the run directory: its file names, and the one format of
 its tables (``_write_csv``): floats as their repr, None as an empty
 cell, csv quoting where a cell needs it, LF line ends. ``validate``
-reads the same tables back.
+reads the same tables back. Each ``allocations_*.csv`` is one optimal
+vertex, the one the simplex reached: where the planner's LP has an
+optimal face, another vertex at the same Y_e is as optimal.
 """
 
 import argparse

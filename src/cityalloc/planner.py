@@ -250,7 +250,8 @@ class AllocationSolution:
     ``inputs`` has one column per scenario factor (fixed factors carry
     their pinned values), ``active`` the 0/1 activity indicator (all
     ones outside entry/exit), and ``efficient_output`` the optimal
-    aggregate output.
+    aggregate output.  Where the LP has an optimal face, ``inputs`` is
+    the one vertex of it that the pivot path reached, not a rule's pick.
     """
 
     year: int
@@ -405,10 +406,7 @@ def _solve_rows(scn, geo, tolerance, masters):
 def _rows_master(lp, masters):
     """What ``solve_lp`` solves for ``lp``: a Master in ``masters`` whose
     LP has the same rows, relations, rhs and bounds, re-costed, else
-    ``lp`` on a new Master that joins the list (``lp`` itself without
-    one)."""
-    if masters is None:
-        return lp
+    ``lp`` on a new Master that joins the list."""
     for old, master in masters:
         if (old.rows.shape == lp.rows.shape and (old.rows != lp.rows).nnz == 0
                 and all(np.array_equal(getattr(old, a), getattr(lp, a))
@@ -562,8 +560,10 @@ def solve_scenario(scenario: PlannerScenario, tolerance: float = 1e-7,
     ``masters``, one list passed to each scenario of an estimation unit
     in turn, keeps the rows LPs solved so far, so a later scenario whose
     rows LP differs from one of them only in its costs re-solves it warm
-    (see ``_solve_rows``).  The Masters live as long as the list.
+    (see ``_solve_rows``); none gives a fresh one.  The Masters live as
+    long as the list.
     """
+    masters = [] if masters is None else masters
     geo = _geometry(scenario)
     if scenario.is_entry_exit:
         y, x, b, obj = _solve_entry_counts(scenario, geo, tolerance)

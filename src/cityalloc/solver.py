@@ -6,10 +6,12 @@ The pivots in between form a dense block (their entering columns, pivot
 rows and a small lower-triangular matrix), so a solve with the basis is
 one LU solve, one triangular solve and one dense product, with no loop
 over the pivots (Bisschop & Meeraus 1977).  Every row has a logical
-column, its slack or, on an equality row, one fixed at zero.  A cold
-start crashes a basis by a singleton-column pass and a greedy triangular
-pass, and each row they leave uncovered takes its logical, so the basis
-factors and no artificial column is ever built.  Pricing is devex
+column, its slack or, on an equality row, one fixed at zero; a row with
+no coefficients keeps only its logical, and a row-free LP runs the same
+loops on an empty basis.  A cold start crashes a basis by a
+singleton-column pass and a greedy triangular pass, and each row they
+leave uncovered takes its logical, so the basis factors and no
+artificial column is ever built.  Pricing is devex
 (reference-weight steepest-edge estimates) with reduced costs updated
 incrementally from the pivot row; whenever the objective stalls on
 degenerate pivots the rule switches to Bland's, which rules out
@@ -150,7 +152,8 @@ class SolveResult:
     that it approximates the change in ``objective_value`` per unit
     increase of that row's right-hand side (None for integer programs
     and non-optimal statuses).  ``column_status``/``row_status`` give the
-    optimal basis in BASIS_* codes for LPs (None otherwise).
+    optimal basis in BASIS_* codes for LPs (None otherwise); a row with
+    no coefficients reads basic, its logical being its only column.
     ``warm_started`` is True when the solve began from a Master's kept
     basis (directly or through a dual re-entry) rather than from a cold
     crash.  ``iteration_count`` and ``refactorizations`` count this
@@ -159,7 +162,7 @@ class SolveResult:
     ``iteration_count`` spent in the dual simplex, whether it re-entered
     from a kept basis or from a cold crash (which leaves
     ``warm_started`` False), a kept basis's re-entry that fell back to a
-    cold start included.
+    cold start included.  A row-free LP counts its bound flips.
     """
 
     status: str  # "optimal" | "infeasible" | "unbounded"
@@ -199,8 +202,8 @@ class Master:
     it in place and keep basis and factors valid.  Each row is scaled
     once, to unit max-norm: by ``row_norm`` when given (the largest
     |a_ij| the row will ever hold, appended columns included), else by
-    the rows of ``lp``.  Rows with no coefficients are constant assertions, checked
-    at solve time and otherwise dropped.
+    the rows of ``lp``.  A row with no coefficients gets scale 1 and
+    only its logical; no column can mend it, so a violated one is infeasible.
     """
 
     def __init__(self, lp: LinearProgram, row_norm=None):
@@ -212,16 +215,11 @@ class Master:
             if rows.nnz:
                 row_norm = np.asarray(abs(rows).max(axis=1).todense()).ravel()
         norms = np.asarray(row_norm, dtype=np.float64)
-        keep = norms > 0.0
-        rel, b = lp.relations[~keep], lp.rhs[~keep]
-        self.empty_violation = float(np.max(
-            np.where(rel == LE, -b, np.where(rel == GE, b, np.abs(b))), initial=0.0))
-        self.n_rows_orig = rows.shape[0]
-        self.keep = keep
-        self.rel, b = lp.relations[keep], lp.rhs[keep]
+        self.rel = lp.relations
         self.m = self.rel.size
-        self.scale = 1.0 / norms[keep]  # feasibility tolerances apply after it
-        self.b = self.scale * b
+        # feasibility tolerances apply after the scale; a constant row keeps 1
+        self.scale = 1.0 / np.where(norms > 0.0, norms, 1.0)
+        self.b = self.scale * lp.rhs
 
         # logical k sits on row logical_rows[k]: the slacks in row order,
         # then the equality rows' logicals, so no slack's index moved
@@ -246,9 +244,7 @@ class Master:
         self.n_eta = 0
 
     def _scaled(self, cols) -> sp.csc_matrix:
-        """Columns given over the LP's rows, on the kept rows, scaled."""
-        if not self.keep.all():
-            cols = sp.csr_matrix(cols)[self.keep]
+        """Columns given over the LP's rows, scaled."""
         cols = sp.csc_matrix(cols, dtype=np.float64, copy=True)
         cols.data *= self.scale[cols.indices]
         cols.eliminate_zeros()
@@ -588,11 +584,32 @@ class Master:
         rise[j] = s == _AT_LOWER or s == _FREE
         fall[j] = s == _AT_UPPER or s == _FREE
 
-    def _leave(self, j: int, lower: bool, rise, fall):
-        """Basic column j leaves at its lower bound, else its upper one."""
+    def _pivot(self, r: int, q: int, d: np.ndarray, theta: float, lower: bool, rise, fall):
+        """Column q, d = B^-1 a_q, enters on row r, moving by theta and the
+        basics by -theta d; row r's column leaves at lower, else upper."""
+        j = int(self.basis[r])
+        self.x[self.basis] -= theta * d
         self.x[j] = self.lo[j] if lower else self.hi[j]
         s = _AT_LOWER if lower else _AT_UPPER
         self._set_status(j, _FIXED if self.lo[j] == self.hi[j] else s, rise, fall)
+        self.x[q] += theta
+        self._set_status(q, _BASIC, rise, fall)
+        self.basis[r] = q
+        self._push_eta(r, d)
+        self.iters += 1
+
+    @staticmethod
+    def _devex(weight: np.ndarray, v: np.ndarray, pivot: float, src: int, dst: int):
+        """Devex weights after a pivot, v its row (primal) or column (dual);
+        past 1e8 all reset to 1, a new reference framework."""
+        w = weight[src]
+        grow = v / pivot
+        np.square(grow, out=grow)
+        grow *= w
+        np.maximum(weight, grow, out=weight)
+        weight[dst] = max(w / (pivot * pivot), 1.0)
+        if weight.max() > 1e8:
+            weight[:] = 1.0
 
     def _optimize(self, cost: np.ndarray) -> str:
         bland = False
@@ -667,31 +684,15 @@ class Master:
                 i = int(sel[np.lexsort((bb[sel], -aeff[sel]))[0]])
             r, leaving, step = int(blk[i]), int(bb[i]), theta[i]
 
-            self.x[self.basis] = xB - step * eff
-            self._leave(leaving, e[i] > 0.0, rise, fall)
-            self.x[q] = self.x[q] + delta * step
-
             # Pivot row through the current basis inverse, shared by the
             # devex weight update and the incremental reduced-cost update.
             alpha_row = self.AT @ self._btran_unit(r)
-            pivot = d[r]
-            w_enter = weight[q]
-            grow = alpha_row / pivot
-            np.square(grow, out=grow)
-            grow *= w_enter
-            np.maximum(weight, grow, out=weight)
-            weight[leaving] = max(w_enter / (pivot * pivot), 1.0)
-            if weight.max() > 1e8:
-                weight[:] = 1.0  # reset the reference framework
-            alpha_row *= z[q] / pivot
+            self._pivot(r, q, d, delta * step, e[i] > 0.0, rise, fall)
+            self._devex(weight, alpha_row, d[r], q, leaving)
+            alpha_row *= z[q] / d[r]
             z -= alpha_row
             z[q] = 0.0
             z_fresh = False
-
-            self._set_status(q, _BASIC, rise, fall)
-            self.basis[r] = q
-            self._push_eta(r, d)
-            self.iters += 1
 
             stall = stall + 1 if step <= 1e-12 else 0
             bland = stall > stall_limit
@@ -783,29 +784,13 @@ class Master:
                 continue
 
             target = self.lo[leaving] if to_lower else self.hi[leaving]
-            theta = (self.x[leaving] - target) / pivot
-            self.x[self.basis] -= theta * d
-            self._leave(leaving, to_lower, rise, fall)
-            self.x[q] += theta
-
-            w_leave = weight[r]
-            grow = d / pivot
-            np.square(grow, out=grow)
-            grow *= w_leave
-            np.maximum(weight, grow, out=weight)
-            weight[r] = max(w_leave / (pivot * pivot), 1.0)
-            if weight.max() > 1e8:
-                weight[:] = 1.0  # reset the reference framework
+            self._pivot(r, q, d, (self.x[leaving] - target) / pivot, to_lower, rise, fall)
+            self.dual_iters += 1
+            self._devex(weight, d, pivot, r, r)
             alpha_row *= sign * step
             z += alpha_row
             z[q] = 0.0
             z[leaving] = sign * step
-
-            self._set_status(q, _BASIC, rise, fall)
-            self.basis[r] = q
-            self._push_eta(r, d)
-            self.iters += 1
-            self.dual_iters += 1
 
             stall = stall + 1 if step <= 1e-12 else 0
             bland = stall > stall_limit
@@ -816,10 +801,6 @@ class Master:
         """One solve, from the kept basis when there is one."""
         self.tol = float(tolerance)
         self.iters = self.dual_iters = self.refactors = 0
-        if self.empty_violation > self.tol:
-            return _failed("infeasible", self.n, 0)
-        if self.m == 0:
-            return self._solve_unconstrained()
         warm = self.basis is not None and (state := self._reenter()) != "unsafe"
         if not warm:
             state = self._cold_start()
@@ -841,40 +822,17 @@ class Master:
         self._verify(x)
         objective = self.sense_sign * float(self.cost[: self.n] @ x)
         y = self._btran(self.cost[self.basis])
-        duals = np.zeros(self.n_rows_orig)
-        duals[self.keep] = self.sense_sign * self.scale * y
         stat = np.where(self.status == _FIXED, _AT_LOWER, self.status).astype(np.int8)
-        col_stat = stat[: self.n]
-        row_stat = np.full(self.n_rows_orig, _AT_LOWER, dtype=np.int8)
-        row_stat[self.keep] = stat[self.n + self.row_logical]
-        return SolveResult("optimal", x, objective, self.iters, duals, col_stat, row_stat,
+        return SolveResult("optimal", x, objective, self.iters, self.sense_sign * self.scale * y,
+                           stat[: self.n], stat[self.n + self.row_logical],
                            warm, self.refactors, self.dual_iters)
 
     def _verify(self, x: np.ndarray):
         resid = self.A[:, : self.n] @ x - self.b
-        ok = np.ones(self.m, dtype=bool)
-        le = self.rel == LE
-        ge = self.rel == GE
-        eq = self.rel == EQ
-        tol = self.tol + 1e-9
-        ok[le] = resid[le] <= tol
-        ok[ge] = resid[ge] >= -tol
-        ok[eq] = np.abs(resid[eq]) <= tol
-        if not ok.all():
-            worst = float(np.max(np.abs(resid[~ok])))
+        viol = np.where(self.rel == LE, resid, np.where(self.rel == GE, -resid, np.abs(resid)))
+        worst = float(viol.max(initial=0.0))
+        if not worst <= self.tol + 1e-9:  # NaN fails too
             raise SolverError(f"optimal basis violates a row by {worst:.2e} after scaling")
-
-    def _solve_unconstrained(self) -> SolveResult:
-        self._at_bounds()  # no rows, so no logicals either
-        c, lo, hi = self.cost, self.lo, self.hi
-        if np.any((c < 0) & ~np.isfinite(hi)) or np.any((c > 0) & ~np.isfinite(lo)):
-            return _failed("unbounded", self.n, 0)
-        x = np.where(c < 0, hi, self.x)
-        col_stat = np.where(c < 0, _AT_UPPER, np.where(self.status == _FIXED, _AT_LOWER,
-                                                       self.status)).astype(np.int8)
-        return SolveResult("optimal", x, self.sense_sign * float(c @ x), 0,
-                           np.zeros(self.n_rows_orig),
-                           col_stat, np.full(self.n_rows_orig, _AT_LOWER, dtype=np.int8))
 
 
 def solve_lp(problem: LinearProgram | Master, tolerance: float = 1e-7) -> SolveResult:

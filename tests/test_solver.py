@@ -41,7 +41,6 @@ def kept(lp, column_status, row_status):
     would leave it: nonbasic columns at the bound their code names, basic
     values from a fresh factorization."""
     master = Master(lp)
-    assert master.keep.all()
     logical = np.empty(master.m, dtype=np.int8)
     logical[master.row_logical] = row_status
     status = np.concatenate([column_status, logical])
@@ -150,6 +149,51 @@ def test_unbounded_detected():
     # unbounded ray inside a feasible cone
     lp2 = LinearProgram("max", [1.0, 1.0], [[1.0, -1.0]], [LE], [1.0])
     assert solve_lp(lp2).status == "unbounded"
+
+
+def test_row_free_lp_flips_to_its_bounds():
+    # no rows: the primal loop flips each improving column to its bound
+    lp = LinearProgram("min", [1.0, -2.0, 0.0, 3.0], np.zeros((0, 4)), [], [],
+                       lower=[-1.0, 0.0, -np.inf, 2.0], upper=[4.0, 5.0, np.inf, 6.0])
+    res = solve_lp(lp)
+    assert res.status == "optimal"
+    assert np.array_equal(res.primal_values, [-1.0, 5.0, 0.0, 2.0])
+    assert res.objective_value == -5.0
+    assert res.iteration_count == 1  # column 1's flip
+    assert res.dual_values.size == res.row_status.size == 0
+    assert list(res.column_status) == [BASIS_AT_LOWER, BASIS_AT_UPPER, cityalloc.BASIS_FREE,
+                                       BASIS_AT_LOWER]
+
+
+def test_constant_rows_keep_their_logicals():
+    # rows with no coefficients stand beside x0 + x1 <= 4; satisfied, each
+    # keeps its logical basic and a zero dual
+    rows = [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 1.0]]
+    lp = LinearProgram("max", [1.0, 2.0], rows, [LE, GE, EQ, LE], [1.0, -1.0, 0.0, 4.0])
+    res = solve_lp(lp)
+    assert res.status == "optimal"
+    assert abs(res.objective_value - 8.0) <= 1e-12
+    assert np.array_equal(res.dual_values[:3], np.zeros(3))
+    assert abs(res.dual_values[3] - 2.0) <= 1e-12
+    assert list(res.row_status[:3]) == [BASIS_BASIC] * 3
+    # violated, no column can mend one: the dual loop's Farkas test
+    for rel, b in ((LE, -1.0), (GE, 1.0), (EQ, 1e-3)):
+        lp = LinearProgram("max", [1.0, 2.0], rows[2:], [rel, LE], [b, 4.0])
+        assert solve_lp(lp).status == "infeasible"
+
+
+def test_constant_row_master_reenters_warm():
+    # max x0 + x1, x0 + x1 >= 2 beside a constant row: shrinking the boxes
+    # makes it infeasible, widening them again re-solves warm to 3
+    lp = LinearProgram("max", [1.0, 1.0], [[0.0, 0.0], [1.0, 1.0]], [LE, GE], [1.0, 2.0],
+                       upper=[1.0, 1.0])
+    master = Master(lp)
+    assert solve_lp(master).status == "optimal"
+    for upper, want in (([0.5, 0.5], "infeasible"), ([2.0, 1.0], "optimal")):
+        master.set_bounds([0, 1], 0.0, upper)
+        res = solve_lp(master)
+        assert res.status == want and res.warm_started
+    assert abs(res.objective_value - 3.0) <= 1e-12
 
 
 def test_malformed_problems_rejected():
