@@ -12,6 +12,7 @@ from cityalloc import (
     BASIS_AT_LOWER,
     BASIS_AT_UPPER,
     BASIS_BASIC,
+    BASIS_FREE,
     EQ,
     GE,
     LE,
@@ -161,8 +162,7 @@ def test_row_free_lp_flips_to_its_bounds():
     assert res.objective_value == -5.0
     assert res.iteration_count == 1  # column 1's flip
     assert res.dual_values.size == res.row_status.size == 0
-    assert list(res.column_status) == [BASIS_AT_LOWER, BASIS_AT_UPPER, cityalloc.BASIS_FREE,
-                                       BASIS_AT_LOWER]
+    assert list(res.column_status) == [BASIS_AT_LOWER, BASIS_AT_UPPER, BASIS_FREE, BASIS_AT_LOWER]
 
 
 def test_constant_rows_keep_their_logicals():
