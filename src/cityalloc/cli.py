@@ -3,7 +3,9 @@
 Commands: ingest, estimate, allocate, gain, run, synth, validate.
 Global flags: --input, --out, --seed, --jobs, --config. Values resolve
 as explicit flags over config-file entries over built-in defaults; the
-config file is plain ``key = value`` text with # comments.
+config file is plain ``key = value`` text with # comments. The decile
+grid (``cqr.DEFAULT_QUANTILES``, plus the median) and the LP tolerance
+(``solver.LP_TOLERANCE``) are fixed, not options.
 
 Exit codes: 0 success, 2 validation failure, 3 solver failure,
 4 I/O failure. Artifacts are staged in a temporary directory and moved
@@ -34,7 +36,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import __version__
-from .cqr import DecileAssignment, QuantileFit
+from .cqr import DEFAULT_QUANTILES, N_DECILES, DecileAssignment, QuantileFit
 from .gains import (
     BootstrapConfig,
     EstimationSettings,
@@ -52,7 +54,7 @@ from .gains import (
 )
 from .panel import CAPITAL_VARIANTS, CapitalRule, Panel, load_panel
 from .planner import ENTRY_MODES, certify
-from .solver import SolverError
+from .solver import LP_TOLERANCE, SolverError
 from .synth import SyntheticSpec, generate, rows_to_csv, truth_to_json
 
 EXIT_OK = 0
@@ -81,7 +83,6 @@ class RunConfig:
     synthetic: str | None = None
     base_year: int = 2003
     capital_rule: str = "baseline"
-    quantiles: tuple = EstimationSettings().quantiles
     crs: bool = False
     scenarios: tuple = ("perfect", "imperfect", "entry_exit", "local")
     iceberg: float = 0.05
@@ -91,7 +92,6 @@ class RunConfig:
     bootstrap: int = 0
     seed: int = 7
     jobs: int = 0
-    tolerance: float = 1e-7
 
     def __post_init__(self):
         if self.capital_rule not in CAPITAL_VARIANTS:
@@ -121,9 +121,7 @@ class RunConfig:
 
     @property
     def estimation(self) -> EstimationSettings:
-        """The estimation settings; raises GainError on a bad grid or tolerance."""
-        return EstimationSettings(self.fixed_effects, self.quantiles, self.crs,
-                                  self.tolerance)
+        return EstimationSettings(self.fixed_effects, self.crs)
 
 
 def scenario_templates(config: RunConfig) -> list:
@@ -172,10 +170,9 @@ def _parse_tuple(text):
 _FIELD_PARSERS = {
     "input": str, "out": str, "synthetic": str, "capital_rule": str,
     "base_year": int, "bootstrap": int, "seed": int, "jobs": int,
-    "iceberg": float, "depletion": float, "tolerance": float,
+    "iceberg": float, "depletion": float,
     "crs": _parse_bool, "fixed_effects": _parse_bool,
     "scenarios": _parse_tuple, "inputs": _parse_tuple,
-    "quantiles": lambda text: tuple(float(v) for v in _parse_tuple(text)),
 }
 
 
@@ -212,8 +209,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="generate the input panel ('default' = synth defaults)")
     pipeline.add_argument("--base-year", type=int)
     pipeline.add_argument("--capital-rule", choices=sorted(CAPITAL_VARIANTS))
-    pipeline.add_argument("--quantiles", type=_FIELD_PARSERS["quantiles"],
-                          metavar="Q1,Q2,...")
     pipeline.add_argument("--crs", action=argparse.BooleanOptionalAction,
                           default=None, help="constant returns to scale")
     pipeline.add_argument("--scenarios", type=_parse_tuple,
@@ -228,7 +223,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pipeline.add_argument("--bootstrap", type=int, nargs="?",
                           const=100, metavar="N",
                           help="bootstrap replicates (bare flag: 100)")
-    pipeline.add_argument("--tolerance", type=float)
 
     parser = argparse.ArgumentParser(
         prog="cityalloc",
@@ -355,9 +349,8 @@ def fits_to_csv(fits, path):
 def fits_from_csv(path):
     """Reload fits written by fits_to_csv, grouped by (year, tau).
 
-    The table does not carry the returns-to-scale flag; reloaded fits
-    report crs=False. Objectives are rebuilt from the residual columns.
-    A blank cell reads as NaN.
+    Objectives are rebuilt from the residual columns. A blank cell reads
+    as NaN.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -385,7 +378,6 @@ def fits_from_csv(path):
             beta=np.column_stack([col[f"beta_{f + 1}"][a:b] for f in range(d)]),
             eps_plus=ep,
             eps_minus=em,
-            crs=False,
             objective=float(tau[a] * ep.sum() + (1 - tau[a]) * em.sum()),
         ))
     return fits
@@ -401,9 +393,7 @@ def gains_to_csv(results, path) -> None:
 def _write_estimates(audits, staging):
     flat = []
     for a in audits:
-        # one fit per tau: a grid that holds .5 shares its fit with the median
-        by_tau = {f.tau: f for f in a.fits + (a.median_fit,)}
-        flat.extend(by_tau[t] for t in sorted(by_tau))
+        flat.extend(sorted(a.fits + (a.median_fit,), key=lambda f: f.tau))
     fits_to_csv(flat, os.path.join(staging, "fits.csv"))
     _write_csv(os.path.join(staging, "deciles.csv"), ["year", "city_id", "decile", "score"],
                ([a.year, cid, int(dec), score]
@@ -455,8 +445,13 @@ def _config_echo(config) -> dict:
 
 
 def _config_from_echo(echo) -> RunConfig:
-    """The RunConfig a manifest's config echo records."""
+    """The RunConfig a manifest's config echo records. Older manifests
+    echo ``quantiles`` and ``tolerance`` too, which must be the fixed
+    decile grid and LP tolerance."""
     echo = dict(echo)
+    for key, fixed in (("quantiles", DEFAULT_QUANTILES.tolist()), ("tolerance", LP_TOLERANCE)):
+        if key in echo and echo.pop(key) != fixed:
+            raise ValueError(f"manifest config: {key} is not the fixed {fixed!r}")
     unknown = sorted(set(echo) - set(_FIELD_PARSERS))
     if unknown:
         raise ValueError(f"manifest config: unknown key {unknown[0]!r}")
@@ -492,8 +487,7 @@ def cmd_pipeline(config: RunConfig, stage: int) -> int:
         if stage == _STAGE["estimate"]:
             audits = estimate_panel(panel, settings, jobs=jobs)
             _write_estimates(audits, staging)
-            fits = len(np.union1d(settings.quantiles, [0.5]))
-            print(f"estimate: {len(audits)} units x {fits} fits")
+            print(f"estimate: {len(audits)} units x {N_DECILES + 1} fits")
             return EXIT_OK
 
         audits = []
@@ -658,7 +652,6 @@ def cmd_validate(config: RunConfig) -> int:
         # each unit's scenarios rebuilt as the pipeline built them, then
         # the planner's own certificate on every written allocation
         names, blocks = units()
-        grid = set(run_config.quantiles)
         ranks = _read_csv_rows(os.path.join(run_dir, "deciles.csv"))
         written = {t.label: _read_csv_rows(os.path.join(run_dir, f"allocations_{t.label}.csv"))
                    for t in templates}
@@ -669,8 +662,8 @@ def cmd_validate(config: RunConfig) -> int:
                 year, np.array([r["city_id"] for r in rank], dtype=object),
                 np.array([int(r["decile"]) for r in rank]),
                 np.array([float(r["score"]) for r in rank]))
-            techs = unit_technologies([f for f in fits() if f.year == year and f.tau in grid],
-                                      assignment)
+            techs = unit_technologies(
+                [f for f in fits() if f.year == year and f.tau in DEFAULT_QUANTILES], assignment)
             for t in templates:
                 rows = [r for r in written[t.label] if int(r["year"]) == year]
                 found = certify(unit_scenario(t, year, techs, names, x, assignment),
@@ -703,7 +696,7 @@ def cmd_validate(config: RunConfig) -> int:
     if os.path.exists(os.path.join(run_dir, "gains.csv")):
         checks.append(("gain-arithmetic", lambda: gain_results()[1]))
         checks.append(("order", lambda: order_problems(
-            gain_results()[0], templates, run_config.tolerance)))
+            gain_results()[0], templates, LP_TOLERANCE)))
     if os.path.exists(os.path.join(run_dir, "plot_gains.json")):
         checks.append(("plot-data", check_plots))
     return _report(checks)

@@ -45,6 +45,7 @@ from .solver import (
 )
 
 DEFAULT_QUANTILES = np.arange(1, 20, 2) / 20.0
+N_DECILES = len(DEFAULT_QUANTILES)  # decile d pairs with DEFAULT_QUANTILES[d - 1]
 
 _VIOL_TOL = 1e-6
 _MAX_ROUNDS = 5000   # master solves per fit before giving up
@@ -61,7 +62,6 @@ class QuantileFit:
     beta: np.ndarray
     eps_plus: np.ndarray
     eps_minus: np.ndarray
-    crs: bool = False
     objective: float = 0.0
 
     @property
@@ -89,7 +89,7 @@ class DecileAssignment:
 
     @property
     def sizes(self) -> np.ndarray:
-        return np.bincount(self.decile, minlength=11)[1:]
+        return np.bincount(self.decile, minlength=N_DECILES + 1)[1:]
 
     def members(self, d: int) -> np.ndarray:
         """Positional indices of decile d, ascending score order preserved."""
@@ -214,7 +214,7 @@ class _Carry:
     master: Master | None = None
 
 
-def _generate(x, y, tau, weights, crs, tolerance, carry=None):
+def _generate(x, y, tau, weights, crs, carry=None):
     """Delayed cross-row generation; returns (alpha, beta, objective).
 
     Each round appends the most violated cross rows to the master and
@@ -233,7 +233,7 @@ def _generate(x, y, tau, weights, crs, tolerance, carry=None):
         master = _dual_master(x, y, tau, weights, pairs, crs)
 
     for _ in range(_MAX_ROUNDS):
-        res = solve_lp(master, tolerance)
+        res = solve_lp(master)
         if res.status != "optimal":
             raise SolverError(f"generation master came back {res.status}")
         alpha = np.zeros(n) if crs else res.dual_values[:n]
@@ -253,8 +253,7 @@ def _generate(x, y, tau, weights, crs, tolerance, carry=None):
     raise SolverError(f"delayed generation did not converge within {_MAX_ROUNDS} rounds")
 
 
-def fit_cqr(x, y, tau, crs=False, year=0, tolerance=1e-7,
-            weights=None, *, _carry=None) -> QuantileFit:
+def fit_cqr(x, y, tau, crs=False, year=0, weights=None, *, _carry=None) -> QuantileFit:
     """Fit the shape-constrained quantile frontier for one year.
 
     Parameters
@@ -275,7 +274,7 @@ def fit_cqr(x, y, tau, crs=False, year=0, tolerance=1e-7,
     hand-over of the previous tau's master and working set.
     """
     x, y, weights = _check_inputs(x, y, tau, weights)
-    alpha, beta, obj = _generate(x, y, tau, weights, crs, tolerance, _carry)
+    alpha, beta, obj = _generate(x, y, tau, weights, crs, _carry)
     beta = np.clip(beta, 0.0, None)  # scrub dual roundoff at the sign bound
     resid = y - (alpha + np.sum(x * beta, axis=1))
     return QuantileFit(
@@ -285,7 +284,6 @@ def fit_cqr(x, y, tau, crs=False, year=0, tolerance=1e-7,
         beta=beta,
         eps_plus=np.clip(resid, 0.0, None),
         eps_minus=np.clip(-resid, 0.0, None),
-        crs=bool(crs),
         objective=float(obj),
     )
 
@@ -302,8 +300,7 @@ def _as_grid(quantile_grid):
     return grid
 
 
-def fit_all_quantiles(x, y, quantile_grid=None, crs=False, year=0,
-                      tolerance=1e-7, weights=None):
+def fit_all_quantiles(x, y, quantile_grid=None, crs=False, year=0, weights=None):
     """Fit one frontier per grid value; default grid 0.05, 0.15, ..., 0.95.
 
     The fits run in descending tau on one master and come back in
@@ -315,13 +312,11 @@ def fit_all_quantiles(x, y, quantile_grid=None, crs=False, year=0,
     """
     grid = _as_grid(quantile_grid)
     carry = _Carry()
-    return [fit_cqr(x, y, t, crs=crs, year=year, tolerance=tolerance,
-                    weights=weights, _carry=carry)
+    return [fit_cqr(x, y, t, crs=crs, year=year, weights=weights, _carry=carry)
             for t in grid[::-1]][::-1]
 
 
-def assign_deciles(x, y, median_fit: QuantileFit, city_id=None,
-                   year=None) -> DecileAssignment:
+def assign_deciles(x, y, median_fit: QuantileFit, city_id=None) -> DecileAssignment:
     """Rank cities by residual efficiency and cut into ten deciles.
 
     Score is y_i minus the median-frontier envelope at x_i; ranking is
@@ -339,10 +334,10 @@ def assign_deciles(x, y, median_fit: QuantileFit, city_id=None,
     score = y - median_fit.frontier(x)
     order = np.lexsort((city_id, score))
     decile = np.empty(n, dtype=np.int64)
-    for d, chunk in enumerate(np.array_split(order, 10), start=1):
+    for d, chunk in enumerate(np.array_split(order, N_DECILES), start=1):
         decile[chunk] = d
     return DecileAssignment(
-        year=median_fit.year if year is None else year,
+        year=median_fit.year,
         city_id=city_id,
         decile=decile,
         score=score,

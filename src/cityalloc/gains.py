@@ -16,9 +16,9 @@ import numpy as np
 
 from .cqr import (
     DEFAULT_QUANTILES,
+    N_DECILES,
     DecileAssignment,
     QuantileFit,
-    _as_grid,
     assign_deciles,
     fit_all_quantiles,
 )
@@ -33,8 +33,6 @@ from .planner import (
     solve_scenario,
     technology_from_fit,
 )
-
-_N_DECILES = 10
 
 
 class GainError(ValueError):
@@ -144,28 +142,13 @@ class EstimationSettings:
     """How every estimation unit is fitted, as one hashable value.
 
     ``fixed_effects`` pools the panel into one unit of city time-means;
-    ``quantiles`` is the ten-point decile grid, ascending in (0, 1);
-    ``crs`` fits constant-returns frontiers; ``tolerance`` is the LP
-    tolerance of every fit and planner solve.
+    ``crs`` fits constant-returns frontiers. Every unit fits the decile
+    grid ``cqr.DEFAULT_QUANTILES`` and the median, and every LP solves
+    to ``solver.LP_TOLERANCE``.
     """
 
     fixed_effects: bool = False
-    quantiles: tuple = tuple(float(q) for q in DEFAULT_QUANTILES)
     crs: bool = False
-    tolerance: float = 1e-7
-
-    def __post_init__(self):
-        try:
-            grid = _as_grid(self.quantiles)
-        except ValueError as exc:
-            raise GainError(str(exc)) from exc
-        if len(grid) != _N_DECILES:
-            raise GainError("decile matching needs a ten-point quantile grid")
-        tolerance = float(self.tolerance)
-        if not (np.isfinite(tolerance) and tolerance > 0.0):
-            raise GainError("tolerance must be finite and positive")
-        object.__setattr__(self, "quantiles", tuple(float(q) for q in grid))
-        object.__setattr__(self, "tolerance", tolerance)
 
 
 @dataclass(frozen=True)
@@ -231,7 +214,7 @@ def order_problems(gains, templates, rtol=1e-9) -> list:
     (imperfect, local and perfect:F under perfect; perfect under
     entry_exit; local under local_entry_exit under entry_exit) must not
     gain more than it, beyond ``rtol`` of its gain. ``validate`` passes
-    the run's LP tolerance, on the assumption that a planner solved to
+    ``solver.LP_TOLERANCE``, on the assumption that a planner solved to
     tolerance t falls short of its optimum by no more than about that
     fraction; on the 284-city fixture years the tightest pairs tie to
     2.1e-16, so that slack has not been exercised.
@@ -300,7 +283,7 @@ def unit_scenario(template, year, technologies, names, x, assignment):
     in decile order: deciles ascending, members in rank order inside.
     """
     moved = template.reallocated_factors or names
-    order = np.concatenate([assignment.members(d) for d in range(1, _N_DECILES + 1)])
+    order = np.concatenate([assignment.members(d) for d in range(1, N_DECILES + 1)])
     fixed = {f: x[order, names.index(f)] for f in names if f not in moved} or None
     return PlannerScenario(
         year, template.mode, technologies, names,
@@ -312,31 +295,30 @@ def unit_scenario(template, year, technologies, names, x, assignment):
 def _run_unit(x, y, city_id, year, names, templates, settings):
     """Estimate and solve one cross-section; returns (gains, audit).
 
-    The grid and the median tau = .5 are fitted in one sweep from the
-    top tau down, each fit warm-started from the previous one's working
-    set and basis, so the one cold fit lands where it is cheapest (see
-    ``cqr.fit_all_quantiles``); a grid that holds .5 shares its fit with
-    the median. Identical (x, y) rows, as a resample holds, are fitted
-    once with their multiplicity as weight; every fit is expanded back
-    to all rows before ranking. The scenarios are solved in template
-    order on one ``masters`` list, so a rows LP that an earlier template
-    solved re-solves warm on a cost change (see ``solve_scenario``).
+    The decile grid and the median tau = .5 are fitted in one sweep from
+    the top tau down, each fit warm-started from the previous one's
+    working set and basis, so the one cold fit lands where it is
+    cheapest (see ``cqr.fit_all_quantiles``). Identical (x, y) rows, as
+    a resample holds, are fitted once with their multiplicity as weight;
+    every fit is expanded back to all rows before ranking. The scenarios
+    are solved in template order on one ``masters`` list, so a rows LP
+    that an earlier template solved re-solves warm on a cost change (see
+    ``solve_scenario``).
     """
     n = len(y)
-    if n < _N_DECILES:
-        raise PipelineError(f"year {year}: need at least {_N_DECILES} cities, got {n}",
+    if n < N_DECILES:
+        raise PipelineError(f"year {year}: need at least {N_DECILES} cities, got {n}",
                             stage="ingest", year=year)
     keep, counts, back = _distinct_rows(x, y)
     xd, yd = x[keep], y[keep]
-    grid = settings.quantiles
     try:
         swept = [_expand(f, back) for f in fit_all_quantiles(
-            xd, yd, np.union1d(grid, [0.5]), crs=settings.crs, year=year,
-            tolerance=settings.tolerance, weights=counts)]
+            xd, yd, np.union1d(DEFAULT_QUANTILES, [0.5]), crs=settings.crs, year=year,
+            weights=counts)]
     except Exception as exc:
         raise PipelineError(f"year {year}: quantile estimation failed: {exc}",
                             stage="estimate", year=year) from exc
-    fits = [f for f in swept if f.tau in grid]
+    fits = [f for f in swept if f.tau != 0.5]
 
     try:
         median = next(f for f in swept if f.tau == 0.5)
@@ -355,7 +337,7 @@ def _run_unit(x, y, city_id, year, names, templates, settings):
     for t in templates:
         try:
             scenario = unit_scenario(t, year, techs, names, x, assignment)
-            solution = solve_scenario(scenario, settings.tolerance, masters)
+            solution = solve_scenario(scenario, masters)
             gains.append(compute_gain(solution, y, label=t.label))
         except PipelineError:
             raise

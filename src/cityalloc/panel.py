@@ -127,7 +127,7 @@ def human_capital(s_primary, s_secondary, s_higher):
     return 6.0 * s1 + 10.0 * s2 + 16.0 * s3
 
 
-def build_capital_stock(real_investment, years, rule: CapitalRule):
+def build_capital_stock(real_investment, rule: CapitalRule):
     """Perpetual inventory K_t = (1 - delta) K_{t-1} + I_t, deflated units.
 
     The first year's stock comes from the rule's initialization; the
@@ -135,7 +135,6 @@ def build_capital_stock(real_investment, years, rule: CapitalRule):
     are year-over-year ratios of the real investment series.
     """
     inv = np.asarray(real_investment, dtype=float)
-    years = np.asarray(years)
     t = len(inv)
     if t < 2:
         raise PanelError("capital construction needs at least two years")
@@ -248,7 +247,7 @@ def load_panel(path, base_year=None, capital_rule: CapitalRule | None = None,
     for i in range(c_n):
         y[i] = deflate_series(grdp[i], grdp_idx[i], base_pos)
         inv_real = deflate_series(invest[i], inv_idx[i], base_pos)
-        k[i] = build_capital_stock(inv_real, years, rule)
+        k[i] = build_capital_stock(inv_real, rule)
     inputs = {"K": k, "L": emp.copy()}
     if has_students and with_human_capital:
         h = human_capital(grid[:, :, 5], grid[:, :, 6], grid[:, :, 7])

@@ -46,7 +46,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .cqr import QuantileFit, dedup_hyperplanes
-from .solver import EQ, GE, LinearProgram, Master, solve_integer, solve_lp
+from .solver import EQ, GE, LP_TOLERANCE, LinearProgram, Master, solve_integer, solve_lp
 
 # unused here: kept only for perfbench/trace.py, which patches
 # cityalloc.planner.solve_milp, until ROADMAP item 10 drops that site
@@ -360,7 +360,7 @@ def _build_solution(scn, geo, y, x, b, objective) -> AllocationSolution:
         efficient_output=float(objective))
 
 
-def _solve_rows(scn, geo, tolerance, masters):
+def _solve_rows(scn, geo, masters):
     """Per-city LP through its dual, built whole.
 
     The LP is max sum_i y_i over planes y_i - beta_h . x_i <= alpha_eff[i, h]
@@ -395,7 +395,7 @@ def _solve_rows(scn, geo, tolerance, masters):
                         shape=(m, cost.size))
     lp = LinearProgram("min", cost, mat, [EQ] * n + [GE] * (m - n),
                        np.concatenate([np.ones(n), np.zeros(m - n)]))
-    res = solve_lp(_rows_master(lp, masters), tolerance)
+    res = solve_lp(_rows_master(lp, masters))
     if res.status != "optimal":
         raise PlannerError(f"scenario solve failed with status {res.status!r}")
     y = res.dual_values[:n]
@@ -417,7 +417,7 @@ def _rows_master(lp, masters):
     return masters[-1][1]
 
 
-def _solve_entry_counts(scn: PlannerScenario, geo: _Geo, tolerance):
+def _solve_entry_counts(scn: PlannerScenario, geo: _Geo):
     """Entry/exit as a MILP over per-decile activity counts.
 
     Within a decile only the number of active pseudo-cities matters, so
@@ -465,7 +465,7 @@ def _solve_entry_counts(scn: PlannerScenario, geo: _Geo, tolerance):
                        sp.csr_matrix((vals, (rows_i, cols)),
                                      shape=(len(rhs), ncols)),
                        ["<="] * len(rhs), rhs, lower, upper)
-    res = solve_integer(lp, range(m_off, m_off + n_dec), tolerance)
+    res = solve_integer(lp, range(m_off, m_off + n_dec))
     if res.status != "optimal":
         raise PlannerError(f"scenario solve failed with status {res.status!r}")
 
@@ -553,7 +553,7 @@ def _solve_separable(scn: PlannerScenario, geo: _Geo):
     return y, alloc[:, None], np.ones(n), float(y.sum())
 
 
-def solve_scenario(scenario: PlannerScenario, tolerance: float = 1e-7,
+def solve_scenario(scenario: PlannerScenario,
                    masters: list | None = None) -> AllocationSolution:
     """Solve any scenario, dispatching on its mode and shape.
 
@@ -566,23 +566,23 @@ def solve_scenario(scenario: PlannerScenario, tolerance: float = 1e-7,
     masters = [] if masters is None else masters
     geo = _geometry(scenario)
     if scenario.is_entry_exit:
-        y, x, b, obj = _solve_entry_counts(scenario, geo, tolerance)
+        y, x, b, obj = _solve_entry_counts(scenario, geo)
     elif not scenario.fixed_input_values:
         # pseudo-cities in a decile are interchangeable: solve one city per
         # decile with its intercepts scaled by the count, then split evenly
         k = len(geo.counts)
         one = geo._replace(counts=np.ones(k, dtype=np.int64), starts=np.arange(k + 1),
                            alpha_eff=[c * a[:1] for c, a in zip(geo.counts, geo.alpha_eff)])
-        y, x, b, obj = _solve_rows(scenario, one, tolerance, masters)
+        y, x, b, obj = _solve_rows(scenario, one, masters)
         y = np.repeat(y / geo.counts, geo.counts)
         x = np.repeat(x / geo.counts[:, None], geo.counts, axis=0)
         b = np.repeat(b, geo.counts)
     elif geo.rcols.size == 1:
         y, x, b, obj = _solve_separable(scenario, geo)
     else:
-        y, x, b, obj = _solve_rows(scenario, geo, tolerance, masters)
+        y, x, b, obj = _solve_rows(scenario, geo, masters)
     solution = _build_solution(scenario, geo, y, x, b, obj)
-    problems = certify(scenario, solution.inputs, solution.output, solution.active, tolerance)
+    problems = certify(scenario, solution.inputs, solution.output, solution.active, LP_TOLERANCE)
     if problems:
         raise PlannerError(problems[0])
     return solution

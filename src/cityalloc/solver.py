@@ -35,6 +35,8 @@ basis stays for the next solve.  Integer programs run depth-first
 branch and bound on one Master, bounding with the relaxation
 objective: each node moves the integer columns' bounds and re-solves
 warm from the basis the last node left, an infeasible one's included.
+Every solve holds rows and reduced costs to one tolerance,
+``LP_TOLERANCE``, which the callers' certificates read too.
 """
 from __future__ import annotations
 
@@ -61,6 +63,8 @@ BASIS_AT_UPPER = _AT_UPPER = 2
 BASIS_FREE = _FREE = 3
 _FIXED = 4
 
+# Primal and dual feasibility tolerance of every solve, after row scaling
+LP_TOLERANCE = 1e-7
 _REFACTOR_EVERY = 64
 _PIVOT_TOL = 1e-9
 _MAX_ITERS = 500_000
@@ -197,7 +201,7 @@ class Master:
     equality row), bounds, costs, the basis, x
     and its factors: the LU of the last refactorized basis and the dense
     eta block of the pivots since then (see ``_ftran``).
-    ``solve_lp(master, tolerance)`` resumes from the basis the previous
+    ``solve_lp(master)`` resumes from the basis the previous
     solve left; ``append_columns``, ``set_bounds`` and ``set_costs`` edit
     it in place and keep basis and factors valid.  Each row is scaled
     once, to unit max-norm: by ``row_norm`` when given (the largest
@@ -547,11 +551,11 @@ class Master:
     def _dual_tol(self, cost: np.ndarray) -> float:
         """Reduced costs within this of zero count as zero.
 
-        It is tol, or the roundoff floor of the costs when that is larger:
-        with costs near 1e9 a reduced cost of 1e-7 is noise, and pivoting
-        on noise can alternate between two bases for ever.
+        It is LP_TOLERANCE, or the costs' roundoff floor when larger: with
+        costs near 1e9 a reduced cost at the tolerance is noise, and pivoting on
+        noise can alternate between two bases for ever.
         """
-        return max(self.tol, _COST_ROUNDOFF * float(np.abs(cost).max(initial=0.0)))
+        return max(LP_TOLERANCE, _COST_ROUNDOFF * float(np.abs(cost).max(initial=0.0)))
 
     def _movable(self):
         """Masks of the columns that may rise (at lower or free) and that
@@ -567,10 +571,10 @@ class Master:
         return ((rise & (v < -tol)) | (fall & (v > tol))).nonzero()[0]
 
     def _infeasible_rows(self):
-        """Basic rows whose value lies more than tol outside its bounds,
-        and by how much more."""
+        """Basic rows whose value lies more than LP_TOLERANCE outside its
+        bounds, and by how much more."""
         xb = self.x[self.basis]
-        infeas = np.maximum(self.lo[self.basis] - xb, xb - self.hi[self.basis]) - self.tol
+        infeas = np.maximum(self.lo[self.basis] - xb, xb - self.hi[self.basis]) - LP_TOLERANCE
         rows = (infeas > 0.0).nonzero()[0]
         return rows, infeas[rows]
 
@@ -738,7 +742,7 @@ class Master:
             if bland:
                 k = self._lowest_basic(rows)
             else:
-                gap = infeas + self.tol
+                gap = infeas + LP_TOLERANCE
                 k = int((gap * gap / weight[rows]).argmax())
             r = int(rows[k])
             leaving = int(self.basis[r])
@@ -797,9 +801,8 @@ class Master:
 
     # -- driver -----------------------------------------------------------------
 
-    def solve(self, tolerance: float) -> SolveResult:
+    def solve(self) -> SolveResult:
         """One solve, from the kept basis when there is one."""
-        self.tol = float(tolerance)
         self.iters = self.dual_iters = self.refactors = 0
         warm = self.basis is not None and (state := self._reenter()) != "unsafe"
         if not warm:
@@ -831,11 +834,11 @@ class Master:
         resid = self.A[:, : self.n] @ x - self.b
         viol = np.where(self.rel == LE, resid, np.where(self.rel == GE, -resid, np.abs(resid)))
         worst = float(viol.max(initial=0.0))
-        if not worst <= self.tol + 1e-9:  # NaN fails too
+        if not worst <= LP_TOLERANCE + 1e-9:  # NaN fails too
             raise SolverError(f"optimal basis violates a row by {worst:.2e} after scaling")
 
 
-def solve_lp(problem: LinearProgram | Master, tolerance: float = 1e-7) -> SolveResult:
+def solve_lp(problem: LinearProgram | Master) -> SolveResult:
     """Solve an LP to a vertex optimum; statuses are returned, never raised.
 
     A LinearProgram is solved once, cold.  A Master is re-solved from the
@@ -843,10 +846,10 @@ def solve_lp(problem: LinearProgram | Master, tolerance: float = 1e-7) -> SolveR
     ``iteration_count`` counts this solve's dual and primal pivots alike.
     """
     master = problem if isinstance(problem, Master) else Master(problem)
-    return master.solve(tolerance)
+    return master.solve()
 
 
-def solve_integer(lp: LinearProgram, integer_indices, tolerance: float = 1e-7) -> SolveResult:
+def solve_integer(lp: LinearProgram, integer_indices) -> SolveResult:
     """Depth-first branch and bound over general integer variables.
 
     Every node is the one Master of ``lp`` with new bounds on the
@@ -886,7 +889,7 @@ def solve_integer(lp: LinearProgram, integer_indices, tolerance: float = 1e-7) -
     while stack:
         lo, hi = stack.pop()
         master.set_bounds(ints, lo, hi)
-        res = solve_lp(master, tolerance)
+        res = solve_lp(master)
         total_iters += res.iteration_count
         total_dual += res.dual_iterations
         total_refactors += res.refactorizations

@@ -167,6 +167,34 @@ def test_validate_rejects_unknown_manifest_key(run_dir, tmp_path, capsys):
     assert "unknown key 'freeze_deciles'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value, code", [
+    (None, None, cli.EXIT_OK),
+    ("quantiles", [0.05, 0.15, 0.25, 0.35, 0.5, 0.55, 0.65, 0.75, 0.85, 0.95],
+     cli.EXIT_VALIDATION),
+    ("tolerance", 1e-8, cli.EXIT_VALIDATION),
+], ids=["fixed_values", "other_grid", "other_tolerance"])
+def test_validate_reads_an_echoed_grid_and_tolerance(run_dir, tmp_path, capsys,
+                                                      key, value, code):
+    # a manifest written when the grid and the LP tolerance were options
+    # echoes both; it validates only when they hold the values now fixed
+    copy = str(tmp_path / "run")
+    shutil.copytree(run_dir, copy)
+    path = os.path.join(copy, "manifest.json")
+    with open(path, encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    manifest["config"].update(
+        quantiles=[0.05, 0.15, 0.25, 0.35, 0.45, 0.55, 0.65, 0.75, 0.85, 0.95],
+        tolerance=1e-7)
+    if key is not None:
+        manifest["config"][key] = value
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh)
+    capsys.readouterr()
+    assert cli.main(["validate", "--input", copy]) == code
+    if key is not None:
+        assert f"manifest config: {key}" in capsys.readouterr().err
+
+
 def _edit_rows(path, edit):
     """Rewrite the CSV at `path` after `edit(rows)` changed its rows in place."""
     rows = _rows(path)
@@ -424,30 +452,10 @@ def test_command_paths_complete_and_validate(small_panel, tmp_path, argv):
     assert cli.main(["validate", "--input", out]) == cli.EXIT_OK
 
 
-def test_grid_holding_the_median_writes_it_once(tmp_path):
-    # the median is then the grid's own fit; writing it twice made
-    # validate merge two copies into one fit of twice the rows
-    synth_out = str(tmp_path / "synth")
-    assert cli.main(["synth", "--cities", "12", "--years", "2",
-                     "--out", synth_out]) == cli.EXIT_OK
-    out = str(tmp_path / "out")
-    grid = "0.05,0.15,0.25,0.35,0.5,0.55,0.65,0.75,0.85,0.95"
-    assert cli.main(["run", "--input", os.path.join(synth_out, "synthetic_panel.csv"),
-                     "--out", out, "--quantiles", grid, "--jobs", "1"]) == cli.EXIT_OK
-    taus = [float(r["tau"]) for r in _rows(os.path.join(out, "fits.csv"))]
-    assert set(taus) == {float(t) for t in grid.split(",")}
-    assert len(taus) == 2 * 10 * 12  # years x taus x cities
-    assert cli.main(["validate", "--input", out]) == cli.EXIT_OK
-
-
 @pytest.mark.parametrize("argv", [
-    ["--tolerance", "0"],
-    ["--quantiles", "0.5,0.25"],
-    ["--quantiles", "0.1,0.3,0.5,0.7,0.9"],
     ["--scenarios", "perfect:Z"],
     ["--scenarios", "entry_exit:K"],
-], ids=["zero_tolerance", "descending_grid", "five_point_grid", "unknown_factor",
-        "restricted_entry_mode"])
+], ids=["unknown_factor", "restricted_entry_mode"])
 def test_config_errors_exit_2_before_any_fit(small_panel, tmp_path, monkeypatch, argv):
     fitted = []
     monkeypatch.setattr("cityalloc.gains.fit_all_quantiles",
@@ -464,6 +472,8 @@ def test_config_errors_exit_2_before_any_fit(small_panel, tmp_path, monkeypatch,
     ("--factors=K", "factors = K"),
     ("--entry-exit", "entry_exit = true"),
     ("--local", "local = true"),
+    ("--tolerance=1e-8", "tolerance = 1e-8"),
+    ("--quantiles=0.1,0.3,0.5,0.7,0.9", "quantiles = 0.1,0.3,0.5,0.7,0.9"),
 ])
 def test_scenario_knobs_besides_scenarios_are_gone(tmp_path, capsys, flag, line):
     with pytest.raises(SystemExit) as err:

@@ -128,9 +128,9 @@ def test_grid_sweep_makes_one_cold_master_solve(monkeypatch):
     original = cityalloc.cqr.solve_lp
     program = cityalloc.cqr.LinearProgram
 
-    def recording(master, tolerance=1e-7):
+    def recording(master):
         boxes.append((master.lo[:n].copy(), master.hi[:n].copy()))
-        res = original(master, tolerance)
+        res = original(master)
         calls.append((master, res.warm_started))
         return res
 
@@ -166,13 +166,13 @@ def test_grid_sweep_working_set_only_grows(monkeypatch):
     sizes, missing = [], []
     original = cityalloc.cqr.solve_lp
 
-    def recording(master, tolerance=1e-7):
+    def recording(master):
         # a w column (i, h) holds -1 on alpha row i and +1 on alpha row h
         w = master.A[:n, n:master.n].toarray()
         pairs = set(zip(w.argmin(axis=0).tolist(), w.argmax(axis=0).tolist()))
         sizes.append(master.n)
         missing.append(len(seed - pairs))
-        return original(master, tolerance)
+        return original(master)
 
     monkeypatch.setattr("cityalloc.cqr.solve_lp", recording)
     fit_all_quantiles(x, y)

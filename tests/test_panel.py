@@ -71,22 +71,19 @@ def test_deflation_base_in_the_middle():
 
 
 def test_capital_no_depreciation_accumulates():
-    years = np.arange(2003, 2006)
-    k = build_capital_stock([10.0, 10.0, 10.0], years, CapitalRule("zhang2004"))
+    k = build_capital_stock([10.0, 10.0, 10.0], CapitalRule("zhang2004"))
     # K0 = 10 / 0.10 = 100, then K_t = 0.904 K_{t-1} + 10 accumulates
     assert np.allclose(k, [100.0, 100.4, 100.7616], atol=1e-9)
 
 
 def test_capital_steady_state():
-    years = np.arange(2003, 2009)
-    k = build_capital_stock([10.0] * 6, years, CapitalRule("baseline"))
+    k = build_capital_stock([10.0] * 6, CapitalRule("baseline"))
     # g_bar = 0 so K0 = 10 / 0.1096 and the stock never moves
     assert np.allclose(k, 10.0 / 0.1096, atol=1e-9)
 
 
 def test_capital_variants_match_recursion_oracle():
     rng = np.random.default_rng(211)
-    years = np.arange(2003, 2008)
     for _ in range(40):
         inv = 10.0 * np.cumprod(rng.uniform(0.9, 1.3, 5))
         for variant in ("baseline", "zhang2004", "shan2008"):
@@ -99,16 +96,15 @@ def test_capital_variants_match_recursion_oracle():
                 g = (inv[1:] / inv[:-1] - 1.0).mean()
                 k0 = inv[1] / (g + delta)
             ref = capital_series(inv, delta, k0)
-            got = build_capital_stock(inv, years, rule)
+            got = build_capital_stock(inv, rule)
             assert np.max(np.abs(got - ref)) <= 1e-9
 
 
 def test_capital_window_difference():
     # 7 years: shan2008 averages only the first five post-initial ratios
-    years = np.arange(2003, 2010)
     inv = np.array([10.0, 10.0, 10.0, 10.0, 10.0, 10.0, 40.0])
-    base = build_capital_stock(inv, years, CapitalRule("baseline"))
-    shan = build_capital_stock(inv, years, CapitalRule("shan2008"))
+    base = build_capital_stock(inv, CapitalRule("baseline"))
+    shan = build_capital_stock(inv, CapitalRule("shan2008"))
     g_all = (inv[1:] / inv[:-1] - 1.0).mean()
     assert abs(base[0] - inv[1] / (g_all + 0.1096)) <= 1e-9
     assert abs(shan[0] - inv[1] / 0.1096) <= 1e-9  # flat window, g_bar = 0
@@ -116,14 +112,13 @@ def test_capital_window_difference():
 
 
 def test_capital_errors():
-    years = np.arange(2003, 2006)
     with pytest.raises(PanelError):
-        build_capital_stock([10.0, -1.0, 10.0], years, CapitalRule())
+        build_capital_stock([10.0, -1.0, 10.0], CapitalRule())
     with pytest.raises(PanelError):
         CapitalRule("other")
     # strong shrinkage drives g_bar + delta negative
     with pytest.raises(PanelError):
-        build_capital_stock([100.0, 10.0, 1.0], years, CapitalRule())
+        build_capital_stock([100.0, 10.0, 1.0], CapitalRule())
 
 
 def test_human_capital_values():

@@ -550,8 +550,8 @@ def test_pinned_rows_lp_reenters_its_crash_and_matches_scipy(monkeypatch):
     # still equals the dense oracle's
     results = []
 
-    def recording(problem, tolerance=1e-7):
-        results.append(solve_lp(problem, tolerance))
+    def recording(problem):
+        results.append(solve_lp(problem))
         return results[-1]
 
     monkeypatch.setattr("cityalloc.planner.solve_lp", recording)
@@ -581,8 +581,8 @@ def test_pinned_pair_shares_one_master(monkeypatch):
     # its own; each Y_e equals a cold solve's and the dense oracle's
     results = []
 
-    def recording(problem, tolerance=1e-7):
-        results.append(solve_lp(problem, tolerance))
+    def recording(problem):
+        results.append(solve_lp(problem))
         return results[-1]
 
     monkeypatch.setattr("cityalloc.planner.solve_lp", recording)
@@ -595,7 +595,7 @@ def test_pinned_pair_shares_one_master(monkeypatch):
         for mode, frictions in (("imperfect", {"iceberg": 0.05, "depletion": 0.1}),
                                 ("local", {}))]
     masters = []
-    shared = [solve_scenario(scn, 1e-7, masters) for scn in scenarios]
+    shared = [solve_scenario(scn, masters) for scn in scenarios]
     assert len(masters) == 2
     assert [r.warm_started for r in results] == [False, True, False]
     assert results[1].dual_iterations == 0
@@ -617,9 +617,9 @@ def test_every_lp_regime_builds_and_solves_one_lp(monkeypatch):
     calls, built = [], []
     program = cityalloc.planner.LinearProgram
 
-    def recording(problem, tolerance=1e-7):
+    def recording(problem):
         calls.append(problem)
-        return solve_lp(problem, tolerance)
+        return solve_lp(problem)
 
     def building(*args, **kwargs):
         built.append(1)

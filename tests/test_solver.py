@@ -371,8 +371,8 @@ def test_branch_and_bound_nodes_share_one_warm_master(monkeypatch):
     calls = []
     original = cityalloc.solver.solve_lp
 
-    def recorded(problem, tolerance=1e-7):
-        res = original(problem, tolerance)
+    def recorded(problem):
+        res = original(problem)
         calls.append((problem, res))
         return res
 
