@@ -17,16 +17,17 @@ it from its kept basis until no violation exceeds 1e-6. Generated
 columns are never dropped: the working set only grows, so generation
 ends within the N(N-1) cross rows.
 
-A grid of taus is fitted on that one master from the highest tau down,
-each fit carrying the previous one's working set and final basis
-(Koenker & d'Orey 1987 solve linear quantile regression parametrically
-in tau the same way, in either direction). A new tau moves only the box
-bounds of the dual's u block in place, so the old basis stays dual
-feasible and the solver re-enters it through the dual simplex; only the
-first tau of a grid starts cold. That cold fit is the dearest of the
-sweep, and it costs about half as many pivots at the top of the grid as
-at the bottom (on the CLI fixture's 284-city years, about 2,500-2,900
-against 6,700 at tau = .05), so the sweep starts there.
+The decile grid and the median are fitted on that one master from the
+highest tau down, each fit carrying the previous one's working set and
+final basis (Koenker & d'Orey 1987 solve linear quantile regression
+parametrically in tau the same way, in either direction). A new tau
+moves only the box bounds of the dual's u block in place, so the old
+basis stays dual feasible and the solver re-enters it through the dual
+simplex; only the first tau of the sweep starts cold. That cold fit
+is the dearest of the sweep, and it costs about half as many pivots at
+the top of the grid as at the bottom (on the CLI fixture's 284-city
+years, about 2,500-2,900 against 6,700 at tau = .05), so the sweep
+starts there.
 """
 
 import math
@@ -46,6 +47,7 @@ from .solver import (
 
 DEFAULT_QUANTILES = np.arange(1, 20, 2) / 20.0
 N_DECILES = len(DEFAULT_QUANTILES)  # decile d pairs with DEFAULT_QUANTILES[d - 1]
+_SWEEP = np.union1d(DEFAULT_QUANTILES, [0.5])  # fit_all_quantiles' taus
 
 _VIOL_TOL = 1e-6
 _MAX_ROUNDS = 5000   # master solves per fit before giving up
@@ -288,32 +290,20 @@ def fit_cqr(x, y, tau, crs=False, year=0, weights=None, *, _carry=None) -> Quant
     )
 
 
-def _as_grid(quantile_grid):
-    """The grid as a float array, default 0.05, 0.15, ..., 0.95; raises
-    ValueError unless it is nonempty, 1-d and strictly increasing in (0, 1)."""
-    grid = DEFAULT_QUANTILES if quantile_grid is None else np.asarray(
-        quantile_grid, dtype=float)
-    if grid.ndim != 1 or len(grid) == 0:
-        raise ValueError("quantile grid must be a nonempty 1-d sequence")
-    if np.any(grid <= 0.0) or np.any(grid >= 1.0) or np.any(np.diff(grid) <= 0):
-        raise ValueError("quantile grid must be strictly increasing within (0, 1)")
-    return grid
-
-
-def fit_all_quantiles(x, y, quantile_grid=None, crs=False, year=0, weights=None):
-    """Fit one frontier per grid value; default grid 0.05, 0.15, ..., 0.95.
+def fit_all_quantiles(x, y, crs=False, year=0, weights=None):
+    """Fit one frontier per tau of the decile grid ``DEFAULT_QUANTILES``
+    and the median .5, which ranks the cities: eleven fits.
 
     The fits run in descending tau on one master and come back in
-    ascending tau. The first, at the top of the grid, starts cold from
-    the nearest-neighbour seed, where a cold solve costs the fewest
+    ascending tau. The first, at tau = .95, starts cold from the
+    nearest-neighbour seed, where a cold solve costs the fewest
     pivots; each later one moves the u bounds down to its tau and
     resumes from the previous fit's final working set and basis, which
     the solver re-enters through the dual simplex.
     """
-    grid = _as_grid(quantile_grid)
     carry = _Carry()
     return [fit_cqr(x, y, t, crs=crs, year=year, weights=weights, _carry=carry)
-            for t in grid[::-1]][::-1]
+            for t in _SWEEP[::-1]][::-1]
 
 
 def assign_deciles(x, y, median_fit: QuantileFit, city_id=None) -> DecileAssignment:

@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cqr import (
-    DEFAULT_QUANTILES,
     N_DECILES,
     DecileAssignment,
     QuantileFit,
@@ -301,9 +300,11 @@ def _run_unit(x, y, city_id, year, names, templates, settings):
     cheapest (see ``cqr.fit_all_quantiles``). Identical (x, y) rows, as
     a resample holds, are fitted once with their multiplicity as weight;
     every fit is expanded back to all rows before ranking. The scenarios
-    are solved in template order on one ``masters`` list, so a rows LP
-    that an earlier template solved re-solves warm on a cost change (see
-    ``solve_scenario``).
+    are solved in template order on one ``masters`` list, so an LP whose
+    rows an earlier template solved re-solves that Master warm after new
+    costs and bounds: ``perfect``, ``imperfect``, ``entry_exit`` and
+    ``local_entry_exit`` share one, which only the first of them enters
+    cold, and ``local`` keeps its own (see ``solve_scenario``).
     """
     n = len(y)
     if n < N_DECILES:
@@ -313,8 +314,7 @@ def _run_unit(x, y, city_id, year, names, templates, settings):
     xd, yd = x[keep], y[keep]
     try:
         swept = [_expand(f, back) for f in fit_all_quantiles(
-            xd, yd, np.union1d(DEFAULT_QUANTILES, [0.5]), crs=settings.crs, year=year,
-            weights=counts)]
+            xd, yd, crs=settings.crs, year=year, weights=counts)]
     except Exception as exc:
         raise PipelineError(f"year {year}: quantile estimation failed: {exc}",
                             stage="estimate", year=year) from exc

@@ -9,21 +9,23 @@ depletion on labor, single-factor reallocation with the remaining
 factors pinned in place, per-decile (local) resource caps, and an
 entry/exit variant where pseudo-cities may deactivate entirely.
 
-Every regime without entry/exit is one linear program over per-city
-outputs and inputs.  A friction only shrinks its factor's total, to
-T_r / (1 + friction_r), so every strategy below sees frictionless
-totals.  Four exact solution strategies split the work:
+Every regime is one linear program over per-city outputs and inputs,
+with integral activity counts under entry/exit.  A friction only
+shrinks its factor's total, to T_r / (1 + friction_r), so every
+strategy below sees frictionless totals.  Four exact solution
+strategies split the work:
 
-* full reallocation collapses each decile to a single aggregate city
-  (pseudo-cities within a decile are identical, so an equal split is
-  optimal by concavity) and solves the per-city LP below at one city
-  per decile;
-* a single reallocated factor makes the problem separable and concave
-  in one dimension per city, solved by filling the steepest envelope
-  segments first;
-* entry/exit solves a small MILP over per-decile aggregates with an
-  integral count of active pseudo-cities per decile, exact at any size
-  by concavity;
+* every pin-free regime but ``local`` solves one LP over per-decile
+  aggregates (pseudo-cities within a decile are identical, so an equal
+  split of the active ones is optimal by concavity): outputs, inputs
+  and activity counts, the counts fixed at the decile sizes unless
+  entry/exit makes them integers that branch and bound settles, exact
+  at any size;
+* ``local`` collapses each decile to a single aggregate city and solves
+  the per-city LP below at one city per decile;
+* a single reallocated factor with the others pinned makes the problem
+  separable and concave in one dimension per city, solved by filling
+  the steepest envelope segments first;
 * everything else runs the per-city LP through its dual, built whole
   (one column per city and plane).
 
@@ -32,9 +34,11 @@ All four land on one post-solve certificate, ``certify``, which
 resource rows, pinned factors, idle cities at rest).
 
 Scenarios solved on one ``masters`` list, as an estimation unit's
-are, share their rows LPs: one that differs from an earlier one only
-in its totals, so only in its costs, re-solves that Master warm
-(``perfect`` and ``imperfect``, pinned or not).
+are, share their LPs: one with the same rows as an earlier one
+re-solves that Master warm after a change of costs and bounds.  So
+``perfect``, ``imperfect``, ``entry_exit`` and ``local_entry_exit``
+share one aggregate LP whose modes differ only in bounds, and pinned
+``perfect`` and ``imperfect`` one per-city LP whose costs differ.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .cqr import QuantileFit, dedup_hyperplanes
-from .solver import EQ, GE, LP_TOLERANCE, LinearProgram, Master, solve_integer, solve_lp
+from .solver import EQ, GE, LE, LP_TOLERANCE, LinearProgram, Master, solve_integer, solve_lp
 
 # unused here: kept only for perfbench/trace.py, which patches
 # cityalloc.planner.solve_milp, until ROADMAP item 10 drops that site
@@ -404,72 +408,96 @@ def _solve_rows(scn, geo, masters):
 
 
 def _rows_master(lp, masters):
-    """What ``solve_lp`` solves for ``lp``: a Master in ``masters`` whose
-    LP has the same rows, relations, rhs and bounds, re-costed, else
-    ``lp`` on a new Master that joins the list."""
-    for old, master in masters:
+    """What the planner solves for ``lp``: a Master in ``masters`` whose
+    LP has the same sense, rows, relations and rhs, given ``lp``'s costs
+    and then its bounds on the columns where they differ (each Master
+    holds the bounds of the last LP it took), else ``lp`` on a new
+    Master that joins the list."""
+    for k, (old, master) in enumerate(masters):
         if (old.rows.shape == lp.rows.shape and (old.rows != lp.rows).nnz == 0
                 and all(np.array_equal(getattr(old, a), getattr(lp, a))
-                        for a in ("relations", "rhs", "lower", "upper"))):
+                        for a in ("sense", "relations", "rhs"))):
             master.set_costs(lp.objective)
+            moved = np.flatnonzero((old.lower != lp.lower) | (old.upper != lp.upper))
+            if moved.size:
+                master.set_bounds(moved, lp.lower[moved], lp.upper[moved])
+            masters[k] = (lp, master)
             return master
     masters.append((lp, Master(lp)))
     return masters[-1][1]
 
 
-def _solve_entry_counts(scn: PlannerScenario, geo: _Geo):
-    """Entry/exit as a MILP over per-decile activity counts.
+def _solve_entry_counts(scn: PlannerScenario, geo: _Geo, masters):
+    """Every pin-free scenario but ``local``, as an LP (a MILP under
+    entry/exit) over per-decile aggregates.
 
     Within a decile only the number of active pseudo-cities matters, so
-    optimize per-decile aggregates: output Y_d, inputs X_d, and an
-    integral activity count m_d in [0, n_d], tied by the perspective
-    rows Y_d <= alpha_h . m_d + beta_h . X_d of the scaled envelope.
+    optimize per-decile aggregates: output Y_d, inputs X_dr and an
+    activity count m_d, tied by the perspective rows
+    Y_d <= alpha_h . m_d + beta_h . X_d of the scaled envelope and
+    X_dr <= M_r . m_d, with M_r the unfolded total.  Each folded total
+    is a column t_r fixed at T_r / (1 + friction_r), on the row
+    sum_d X_dr + s_r - t_r = 0.  The modes differ in bounds alone, so
+    a unit's scenarios share one Master (``_rows_master``), and branch
+    and bound enters its root warm from the last LP solved on it:
+
+    * outside entry/exit m_d is fixed at n_d and the slack s_r at 0:
+      the per-city LP at one city per decile, intercepts scaled by
+      n_d, with every unit used, which loses nothing as slopes are
+      nonnegative and keeps the full-allocation corner;
+    * under entry/exit m_d is an integer in [0, n_d] and s_r >= 0;
+      local entry/exit caps each X_dr at its tenth T_r / 10.
+
     Exact by concavity; active pseudo-cities split X_d evenly.
     """
-    n_dec = len(geo.counts)
-    nr = geo.rcols.size
+    n_dec, nr = len(geo.counts), geo.rcols.size
     x_off, m_off = n_dec, n_dec + n_dec * nr
-    ncols = m_off + n_dec
+    t_off, s_off = m_off + n_dec, m_off + n_dec + nr
+    ncols = s_off + nr
+    entry = scn.is_entry_exit
 
     objective = np.zeros(ncols)
     objective[:n_dec] = 1.0
     lower = np.zeros(ncols)
     lower[:n_dec] = -np.inf
     upper = np.full(ncols, np.inf)
-    upper[m_off:] = geo.counts
+    upper[m_off:t_off] = geo.counts
+    lower[t_off:s_off] = upper[t_off:s_off] = geo.totals
+    if not entry:
+        lower[m_off:t_off] = geo.counts
+        upper[s_off:] = 0.0
+    elif scn.is_local:
+        upper[x_off:m_off] = np.tile(geo.totals / _LOCAL_SHARES, n_dec)
 
-    rows_i, cols, vals, rhs = [], [], [], []
+    rows_i, cols, vals = [], [], []
 
-    def put(row_cols, row_vals, row_rhs):
-        rows_i.extend([len(rhs)] * len(row_cols))
+    def put(row_cols, row_vals):
+        rows_i.extend([rows_i[-1] + 1 if rows_i else 0] * len(row_cols))
         cols.extend(row_cols)
         vals.extend(row_vals)
-        rhs.append(row_rhs)
 
     for d, t in enumerate(scn.technologies):
         alpha = geo.alpha_eff[d][0]
         for h in range(t.n_planes):
             put([d, m_off + d] + [x_off + d * nr + r for r in range(nr)],
-                [1.0, -alpha[h]] + list(-geo.beta_r[d][h]), 0.0)
-    for r in range(nr):
-        cap = geo.totals[r]
+                [1.0, -alpha[h]] + list(-geo.beta_r[d][h]))
+    for r, f in enumerate(scn.reallocated_factors):
         for d in range(n_dec):
-            put([x_off + d * nr + r, m_off + d], [1.0, -cap], 0.0)
-        if scn.is_local:
-            for d in range(n_dec):
-                put([x_off + d * nr + r], [1.0], cap / _LOCAL_SHARES)
-        else:
-            put([x_off + d * nr + r for d in range(n_dec)], [1.0] * n_dec, cap)
+            put([x_off + d * nr + r, m_off + d], [1.0, -scn.aggregate_resources[f]])
+    for r in range(nr):
+        put([x_off + d * nr + r for d in range(n_dec)] + [s_off + r, t_off + r],
+            [1.0] * n_dec + [1.0, -1.0])
 
+    n_rows = rows_i[-1] + 1
     lp = LinearProgram("max", objective,
-                       sp.csr_matrix((vals, (rows_i, cols)),
-                                     shape=(len(rhs), ncols)),
-                       ["<="] * len(rhs), rhs, lower, upper)
-    res = solve_integer(lp, range(m_off, m_off + n_dec))
+                       sp.csr_matrix((vals, (rows_i, cols)), shape=(n_rows, ncols)),
+                       [LE] * (n_rows - nr) + [EQ] * nr, np.zeros(n_rows), lower, upper)
+    master = _rows_master(lp, masters)
+    res = solve_integer(master, range(m_off, t_off)) if entry else solve_lp(master)
     if res.status != "optimal":
         raise PlannerError(f"scenario solve failed with status {res.status!r}")
 
-    m = np.round(res.primal_values[m_off:]).astype(np.int64)
+    m = np.round(res.primal_values[m_off:t_off]).astype(np.int64)
     agg_x = res.primal_values[x_off:m_off].reshape(n_dec, nr)
     agg_y = res.primal_values[:n_dec]
     n = int(geo.counts.sum())
@@ -558,15 +586,17 @@ def solve_scenario(scenario: PlannerScenario,
     """Solve any scenario, dispatching on its mode and shape.
 
     ``masters``, one list passed to each scenario of an estimation unit
-    in turn, keeps the rows LPs solved so far, so a later scenario whose
-    rows LP differs from one of them only in its costs re-solves it warm
-    (see ``_solve_rows``); none gives a fresh one.  The Masters live as
-    long as the list.
+    in turn, keeps the LPs solved so far, so a later scenario whose LP
+    has the rows of one of them re-solves it warm after new costs and
+    bounds (see ``_rows_master``): all pin-free modes but ``local`` share
+    ``_solve_entry_counts``' LP, entry/exit's branch-and-bound root
+    included.  None gives a fresh list.  The Masters live as long as
+    the list.
     """
     masters = [] if masters is None else masters
     geo = _geometry(scenario)
-    if scenario.is_entry_exit:
-        y, x, b, obj = _solve_entry_counts(scenario, geo)
+    if not scenario.fixed_input_values and scenario.mode != "local":
+        y, x, b, obj = _solve_entry_counts(scenario, geo, masters)
     elif not scenario.fixed_input_values:
         # pseudo-cities in a decile are interchangeable: solve one city per
         # decile with its intercepts scaled by the count, then split evenly

@@ -34,7 +34,8 @@ pivot row that no column can mend proves the LP infeasible, and the
 basis stays for the next solve.  Integer programs run depth-first
 branch and bound on one Master, bounding with the relaxation
 objective: each node moves the integer columns' bounds and re-solves
-warm from the basis the last node left, an infeasible one's included.
+warm from the basis the last node left, an infeasible one's included,
+and a Master already solved enters the root warm too.
 Every solve holds rows and reduced costs to one tolerance,
 ``LP_TOLERANCE``, which the callers' certificates read too.
 """
@@ -280,9 +281,11 @@ class Master:
             self.basis[self.basis >= at] += k
 
     def set_bounds(self, cols, lower, upper):
-        """New bounds on structural columns ``cols``.  Nonbasic ones move
-        to the matching bound and the basic values follow through the
-        kept factors; the next solve re-enters from there."""
+        """New bounds on structural columns ``cols``.  A nonbasic one
+        whose value is one of its new bounds stays there (a fixed column
+        relaxed to a range holding its value does not move); any other
+        moves to the matching bound.  The basic values follow through
+        the kept factors; the next solve re-enters from there."""
         cols = np.asarray(cols, dtype=np.int64).ravel()
         lower = np.broadcast_to(np.asarray(lower, dtype=np.float64), cols.shape)
         upper = np.broadcast_to(np.asarray(upper, dtype=np.float64), cols.shape)
@@ -291,11 +294,11 @@ class Master:
             raise ValueError("bounds must be ordered, not NaN and on existing columns")
         self.lo[cols] = lower
         self.hi[cols] = upper
-        st = self.status[cols]
+        st, x = self.status[cols], self.x[cols]
         lo_f, hi_f = np.isfinite(lower), np.isfinite(upper)
+        up = (x == upper) | ((x != lower) & hi_f & ((st == _AT_UPPER) | ~lo_f))
         new = np.where(lower == upper, _FIXED,
-                       np.where(hi_f & ((st == _AT_UPPER) | ~lo_f), _AT_UPPER,
-                                np.where(lo_f, _AT_LOWER, _FREE)))
+                       np.where(up, _AT_UPPER, np.where(lo_f, _AT_LOWER, _FREE)))
         new = np.where(st == _BASIC, _BASIC, new)
         self.status[cols] = new
         self.x[cols] = np.where(new == _BASIC, self.x[cols],
@@ -849,37 +852,41 @@ def solve_lp(problem: LinearProgram | Master) -> SolveResult:
     return master.solve()
 
 
-def solve_integer(lp: LinearProgram, integer_indices) -> SolveResult:
+def solve_integer(problem: LinearProgram | Master, integer_indices) -> SolveResult:
     """Depth-first branch and bound over general integer variables.
 
-    Every node is the one Master of ``lp`` with new bounds on the
-    integer columns (``Master.set_bounds``), so a node re-enters from
-    the basis the previous node left, through the dual simplex when the
-    bound change cut its vertex off; an infeasible node keeps the basis
-    its proof ended on, so the next node re-enters from it too.  The
-    result sums every node's iterations, dual iterations and
-    refactorizations.  Nodes are bounded by
+    Every node is one Master with new bounds on the integer columns
+    (``Master.set_bounds``): a LinearProgram's own, or the Master given,
+    whose costs and bounds are the problem's and whose kept basis the
+    root re-enters warm, as ``solve_lp`` would.  So a node re-enters
+    from the basis the previous node left, through the dual simplex when
+    the bound change cut its vertex off; an infeasible node keeps the
+    basis its proof ended on, so the next node re-enters from it too.
+    The search ends with the root's bounds back on the Master and the
+    last node's basis kept.  The result sums every node's iterations,
+    dual iterations and refactorizations.  Nodes are bounded by
     their LP relaxation and pruned against the incumbent; branching
     picks the most fractional variable, tightens its bounds to the floor
     or ceiling, and explores the nearer side first.  Every integer
     variable needs finite bounds that are already integral, which also
     bounds the search depth.
     """
+    master = problem if isinstance(problem, Master) else Master(problem)
     ints = np.array(sorted(int(j) for j in integer_indices), dtype=np.int64)
-    n = lp.n_variables
+    n = master.n
     if np.any((ints < 0) | (ints >= n)):
         raise ValueError(f"integer indices must lie in [0, {n})")
     if np.any(ints[1:] == ints[:-1]):
         raise ValueError("duplicate integer indices")
-    lo, hi = lp.lower[ints], lp.upper[ints]
+    root = master.lo[ints].copy(), master.hi[ints].copy()
+    lo, hi = root
     for j, lo_j, hi_j in zip(ints, lo, hi):
         if not (np.isfinite(lo_j) and np.isfinite(hi_j)):
             raise ValueError(f"integer variable {j} needs finite bounds")
         if abs(lo_j - round(lo_j)) > 1e-9 or abs(hi_j - round(hi_j)) > 1e-9:
             raise ValueError(f"integer variable {j} needs integral bounds")
-    sign = 1.0 if lp.sense == "min" else -1.0  # scores are minimized
+    sign = master.sense_sign  # scores are minimized
 
-    master = Master(lp)
     total_iters = total_dual = total_refactors = 0
     incumbent = None
     incumbent_score = np.inf
@@ -916,10 +923,11 @@ def solve_integer(lp: LinearProgram, integer_indices) -> SolveResult:
         stack.append(far)
         stack.append(near)
 
+    master.set_bounds(ints, *root)
     if saw_unbounded or incumbent is None:
         return _failed("unbounded" if saw_unbounded else "infeasible", n, total_iters,
                        total_dual, total_refactors)
     x = incumbent.primal_values.copy()
     x[ints] = np.round(x[ints])
-    return SolveResult("optimal", x, float(lp.objective @ x), total_iters,
+    return SolveResult("optimal", x, sign * float(master.cost[:n] @ x), total_iters,
                        refactorizations=total_refactors, dual_iterations=total_dual)

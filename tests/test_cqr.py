@@ -17,6 +17,9 @@ from cityalloc.cli import fits_from_csv, fits_to_csv
 
 from oracles import dense_cqr, envelope, linear_qr, pinball
 
+# the taus of every sweep: the decile grid and the median
+SWEEP = np.union1d(DEFAULT_QUANTILES, [0.5])
+
 
 def cobb_douglas_year(rng, n, noise=0.25):
     x = rng.lognormal(1.0, 0.4, (n, 2))
@@ -111,7 +114,7 @@ def test_grid_sweep_matches_separate_fits(case):
     if case == "weighted":
         kw["weights"] = rng.integers(1, 4, 30).astype(float)
     swept = fit_all_quantiles(x, y, **kw)
-    assert [f.tau for f in swept] == list(DEFAULT_QUANTILES)
+    assert [f.tau for f in swept] == SWEEP.tolist()
     for fit in swept:
         alone = fit_cqr(x, y, fit.tau, **kw)
         assert abs(fit.objective - alone.objective) <= 1e-9 * abs(alone.objective)
@@ -152,8 +155,8 @@ def test_grid_sweep_makes_one_cold_master_solve(monkeypatch):
         assert np.all(hi == hi[0]) and np.allclose(lo, hi - 1.0)
         if not taus or hi[0] != taus[-1]:
             taus.append(hi[0])
-    assert taus == pytest.approx(DEFAULT_QUANTILES[::-1], abs=1e-15)
-    assert [f.tau for f in fits] == DEFAULT_QUANTILES.tolist()
+    assert taus == pytest.approx(SWEEP[::-1], abs=1e-15)
+    assert [f.tau for f in fits] == SWEEP.tolist()
 
 
 def test_grid_sweep_working_set_only_grows(monkeypatch):
@@ -246,7 +249,8 @@ def test_duplicated_point_reduces_to_sample_median():
 def test_objective_never_exceeds_single_plane_fit():
     rng = np.random.default_rng(107)
     x, y = cobb_douglas_year(rng, 40)
-    for tau, fit in zip(DEFAULT_QUANTILES, fit_all_quantiles(x, y)):
+    for fit in fit_all_quantiles(x, y):
+        tau = fit.tau
         ref_obj, _, _ = linear_qr(x, y, tau)
         # the one-plane fit is a feasible point of the frontier program,
         # so the frontier loss can only be lower
@@ -305,13 +309,9 @@ def test_grid_and_input_validation():
     with pytest.raises(ValueError):
         fit_cqr(x, y, 0.5, weights=np.r_[0.0, np.ones(7)])
     with pytest.raises(ValueError):
-        fit_all_quantiles(x, y, [0.25, 0.5], weights=np.r_[-1.0, np.ones(7)])
-    with pytest.raises(ValueError):
-        fit_all_quantiles(x, y, [0.5, 0.25])
-    with pytest.raises(ValueError):
-        fit_all_quantiles(x, y, [0.0, 0.5])
+        fit_all_quantiles(x, y, weights=np.r_[-1.0, np.ones(7)])
     fits = fit_all_quantiles(x, y, year=1999)
-    assert [f.tau for f in fits] == list(DEFAULT_QUANTILES)
+    assert [f.tau for f in fits] == SWEEP.tolist()
     assert all(f.year == 1999 for f in fits)
 
 
@@ -416,7 +416,7 @@ def test_dedup_matches_the_loop():
 def test_fit_csv_round_trip(tmp_path):
     rng = np.random.default_rng(149)
     x, y = cobb_douglas_year(rng, 12)
-    fits = fit_all_quantiles(x, y, [0.25, 0.5, 0.75], year=2007)
+    fits = [fit_cqr(x, y, tau, year=2007) for tau in (0.25, 0.5, 0.75)]
     path = tmp_path / "fits.csv"
     fits_to_csv(fits, path)
     header = path.read_text().splitlines()[0]

@@ -138,33 +138,58 @@ def test_parallel_matches_serial(fixture_panel):
 
 
 def test_unit_scenarios_share_their_rows_master(fixture_panel, monkeypatch):
-    # perfect and imperfect build one rows LP but for its mu costs, so in
-    # each unit the later of the two re-solves the earlier one's Master
-    # warm, with no dual pivot; gains do not depend on the order or on
-    # the company of another template
+    # perfect, imperfect and entry_exit build one counts LP but for its
+    # bounds, so each unit solves them all on one Master: its first solve
+    # starts cold and every later one, branch-and-bound nodes included,
+    # re-enters warm; gains do not depend on the order or on the company
+    # of another template
     panel, _ = fixture_panel
-    perfect = ScenarioTemplate("perfect")
-    imperfect = ScenarioTemplate("imperfect", iceberg=0.05, depletion=0.05)
-    results = []
+    templates = (ScenarioTemplate("perfect"),
+                 ScenarioTemplate("imperfect", iceberg=0.05, depletion=0.05),
+                 ScenarioTemplate("entry_exit"))
+    calls = []
 
     def recording(problem):
-        results.append(solve_lp(problem))
-        return results[-1]
+        calls.append((problem, solve_lp(problem)))
+        return calls[-1][1]
 
+    # planner.solve_lp takes the LPs, solver.solve_lp the branch-and-bound nodes
     monkeypatch.setattr("cityalloc.planner.solve_lp", recording)
+    monkeypatch.setattr("cityalloc.solver.solve_lp", recording)
     runs = {}
-    for order in ((perfect, imperfect), (imperfect, perfect)):
-        results.clear()
+    for order in (templates, templates[::-1]):
+        calls.clear()
         runs[order[0].label] = run_pipeline(panel, order)
-        assert [r.warm_started for r in results] == [False, True] * len(panel.years)
-        assert all(r.dual_iterations == 0 for r in results[1::2])
-    runs["alone"] = run_pipeline(panel, perfect) + run_pipeline(panel, imperfect)
+        masters = list(dict.fromkeys(problem for problem, _ in calls))
+        assert len(masters) == len(panel.years)
+        for master in masters:
+            warm = [res.warm_started for problem, res in calls if problem is master]
+            assert len(warm) >= len(templates) and warm == [False] + [True] * (len(warm) - 1)
+    runs["alone"] = [g for t in templates for g in run_pipeline(panel, t)]
     gains = {k: {(g.year, g.scenario): g.gain for g in v} for k, v in runs.items()}
     want = gains["alone"]
-    assert len(want) == 2 * len(panel.years)
+    assert len(want) == len(templates) * len(panel.years)
     for got in gains.values():
         assert got.keys() == want.keys()
         assert all(abs(got[k] - want[k]) <= 1e-9 * want[k] for k in want)
+
+
+def test_pin_free_gains_do_not_depend_on_template_order(fixture_panel):
+    # the five pin-free modes share Masters in whatever order they come,
+    # entry/exit bounds before or after the fixed counts, and land on the
+    # same gains either way
+    panel, _ = fixture_panel
+    templates = (ScenarioTemplate("perfect"),
+                 ScenarioTemplate("imperfect", iceberg=0.05, depletion=0.05),
+                 ScenarioTemplate("entry_exit"), ScenarioTemplate("local"),
+                 ScenarioTemplate("local_entry_exit"))
+    forward = run_pipeline(panel, templates)
+    backward = run_pipeline(panel, templates[::-1])
+    assert order_problems(forward, templates) == order_problems(backward, templates) == []
+    want = {(g.year, g.scenario): g.gain for g in forward}
+    got = {(g.year, g.scenario): g.gain for g in backward}
+    assert got.keys() == want.keys() and len(want) == len(templates) * len(panel.years)
+    assert all(abs(got[k] - want[k]) <= 1e-9 * want[k] for k in want)
 
 
 def test_audit_retains_artifacts(fixture_panel):

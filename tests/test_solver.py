@@ -392,6 +392,63 @@ def test_branch_and_bound_nodes_share_one_warm_master(monkeypatch):
     assert res.refactorizations == sum(r.refactorizations for _, r in calls) > 0
 
 
+def test_branch_and_bound_enters_a_solved_master_warm(monkeypatch):
+    # a Master solved with its binaries fixed has them relaxed, as the
+    # planner's counts are between perfect and entry/exit: branch and
+    # bound reads their bounds and the costs off it, enters its root warm
+    # and ends on the cold search's optimum, the root bounds back in place
+    calls = []
+    original = cityalloc.solver.solve_lp
+
+    def recorded(problem):
+        calls.append(original(problem))
+        return calls[-1]
+
+    monkeypatch.setattr(cityalloc.solver, "solve_lp", recorded)
+    rng = np.random.default_rng(59)
+    for _ in range(20):
+        n_bin, n = 4, 6
+        a = rng.normal(0.0, 1.0, (4, n))
+        x0 = np.concatenate([rng.integers(0, 2, n_bin), rng.uniform(0.2, 1.5, n - n_bin)])
+        b = a @ x0 + rng.uniform(0.05, 0.8, 4)
+        c = rng.normal(0.0, 1.0, n)
+        hi = np.concatenate([np.ones(n_bin), np.full(n - n_bin, 3.0)])
+        lp = LinearProgram("max", c, a, [LE] * 4, b, upper=hi)
+        pinned = np.concatenate([x0[:n_bin], np.zeros(n - n_bin)])
+        master = Master(LinearProgram("max", c, a, [LE] * 4, b, lower=pinned,
+                                      upper=np.where(np.arange(n) < n_bin, x0, hi)))
+        assert solve_lp(master).status == "optimal"
+        master.set_bounds(range(n_bin), 0.0, 1.0)
+        calls.clear()
+        warm = solve_integer(master, range(n_bin))
+        assert calls and all(r.warm_started for r in calls)
+        cold = solve_integer(lp, range(n_bin))
+        assert warm.status == cold.status == "optimal"
+        assert abs(warm.objective_value - cold.objective_value) <= 1e-9 * (1 + abs(cold.objective_value))
+        assert np.array_equal(master.lo[:n], lp.lower) and np.array_equal(master.hi[:n], lp.upper)
+
+
+def test_relaxed_fixed_column_stays_put():
+    # x0 fixed at 2 is nonbasic in the optimum; relaxed to [0, 2] it stays
+    # at 2, now its upper bound, so the kept basis is still optimal and the
+    # warm re-solve takes no pivot. A new range that does not hold the
+    # value moves it to the matching bound, here the upper one
+    lp = LinearProgram("max", [2.0, 1.0], [[1.0, 1.0]], [LE], [3.0],
+                       lower=[2.0, 0.0], upper=[2.0, np.inf])
+    master = Master(lp)
+    first = solve_lp(master)
+    assert first.status == "optimal" and np.allclose(first.primal_values, [2.0, 1.0])
+    master.set_bounds([0], 0.0, 2.0)
+    again = solve_lp(master)
+    assert again.warm_started and again.iteration_count == 0
+    assert again.column_status[0] == BASIS_AT_UPPER
+    assert np.array_equal(again.primal_values, first.primal_values)
+    master.set_bounds([0], 0.0, 2.5)
+    moved = solve_lp(master)
+    assert moved.warm_started and moved.iteration_count == 0
+    assert np.allclose(moved.primal_values, [2.5, 0.5])
+
+
 def test_milp_infeasible():
     lp = LinearProgram("max", [1.0, 1.0], [[1.0, 1.0], [-1.0, -1.0]],
                        [LE, LE], [0.4, -0.3], upper=[1.0, 1.0])
