@@ -900,9 +900,9 @@ def test_set_costs_rejects_bad_vectors():
 
 def test_cost_change_resolves_in_the_primal_loop():
     # new costs leave the kept optimal basis primal feasible (the
-    # planner's imperfect scenario is its perfect one with smaller mu
-    # costs), so the re-solve starts warm, takes no dual pivot, and lands
-    # on the optimum of a cold solve of the new LP
+    # planner's pinned imperfect scenario is its pinned perfect one with
+    # smaller mu costs), so the re-solve starts warm, takes no dual
+    # pivot, and lands on the optimum of a cold solve of the new LP
     rng = np.random.default_rng(113)
     pivots = 0
     for _ in range(10):
