@@ -6,6 +6,7 @@ import pathlib
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 import cityalloc.solver
 from cityalloc import (
@@ -20,6 +21,7 @@ from cityalloc import (
     solve_integer,
     solve_lp,
 )
+from cityalloc.cqr import _Carry, fit_cqr
 from cityalloc.solver import Master
 
 from oracles import milp_enumerate, scipy_lp, vertex_enumerate
@@ -675,11 +677,11 @@ def test_failed_reentry_falls_back_to_cold(monkeypatch):
     dual = Master._dual_optimize
     failed = []
 
-    def fail_once(self, cost, z):
+    def fail_once(self, cost, z, steepest):
         if not failed:
             failed.append(self.basis.copy())
             raise cityalloc.solver.SolverError("basis factorization failed")
-        return dual(self, cost, z)
+        return dual(self, cost, z, steepest)
 
     kept_basis = master.basis.copy()
     monkeypatch.setattr(Master, "_dual_optimize", fail_once)
@@ -792,6 +794,59 @@ def test_primal_and_dual_loops_run_past_the_eta_buffer():
         _, ref, _ = scipy_lp(c, a, b, bounds=[(0.0, u) for u in hi])
         assert res.status == "optimal"
         assert abs(res.objective_value - ref) <= 1e-9 * abs(ref)
+
+
+def recording_steepest_edge(monkeypatch):
+    """Record, after every steepest-edge update of the dual loop, the
+    largest relative gap between its weights and ||e_i^T B^-1||^2 taken
+    from fresh factors of the basis the pivot left."""
+    gaps = []
+    update = Master._steepest_edge
+
+    def checking(self, weight, *args):
+        update(self, weight, *args)
+        rho = splu(self.A[:, self.basis].tocsc()).solve(np.eye(self.m), trans="T")
+        exact = np.einsum("ij,ij->j", rho, rho)
+        gaps.append(float((np.abs(weight - exact) / exact).max()))
+
+    monkeypatch.setattr(Master, "_steepest_edge", checking)
+    return gaps
+
+
+def test_kept_basis_reenters_on_exact_steepest_edge_weights(monkeypatch):
+    # the tau sweep's carried CQR master at 40 cities: each new tau moves
+    # the u bounds and re-enters the kept basis through the dual loop,
+    # whose weights after every pivot are the exact row norms of B^-1
+    rng = np.random.default_rng(5)
+    n = 40
+    x = np.exp(rng.normal(0.0, 0.5, (n, 2)))
+    y = x[:, 0] ** 0.35 * x[:, 1] ** 0.45 * np.exp(rng.normal(0.0, 0.1, n))
+    carry = _Carry()
+    fit_cqr(x, y, 0.95, _carry=carry)
+    master = carry.master
+    gaps = recording_steepest_edge(monkeypatch)
+    dual = 0
+    for tau in (0.85, 0.75, 0.65):
+        master.set_bounds(np.arange(n), -(1.0 - tau), tau)
+        res = solve_lp(master)
+        assert res.status == "optimal" and res.warm_started
+        dual += res.dual_iterations
+    assert dual == len(gaps) > 0
+    assert max(gaps) <= 1e-8
+
+
+def test_crash_reenters_on_devex(monkeypatch):
+    # a cold solve's crash re-enters on dual devex, not steepest edge:
+    # its dual pivots stay those of the devex loop
+    gaps = recording_steepest_edge(monkeypatch)
+    lp, _ = anchored_lp(np.random.default_rng(0), 150, 200)
+    res = solve_lp(lp)
+    assert res.status == "optimal" and not res.warm_started
+    assert (res.iteration_count, res.dual_iterations) == (711, 437)
+    lp, _ = rows_lp(np.random.default_rng(97), cities=30, planes=8)
+    res = solve_lp(lp)
+    assert res.status == "optimal" and (res.iteration_count, res.dual_iterations) == (60, 55)
+    assert gaps == []
 
 
 def test_dual_iterations_count_the_reentry():
@@ -945,9 +1000,9 @@ def recording_reentry(monkeypatch):
     calls = []
     dual = Master._dual_optimize
 
-    def recording(self, cost, z):
+    def recording(self, cost, z, steepest):
         calls.append(int(np.count_nonzero(cost != self.cost)))
-        return dual(self, cost, z)
+        return dual(self, cost, z, steepest)
 
     monkeypatch.setattr(Master, "_dual_optimize", recording)
     return calls
