@@ -746,9 +746,8 @@ class Master:
         largest |alpha_rj|, ties to the lowest index.  After the shared
         stall count of degenerate steps both choices switch to lowest
         index.  Returns "feasible"; or "infeasible" when a pivot row has
-        no usable entering column on fresh factors and the full range of
-        the columns that would help it cannot close its violation, a
-        Farkas proof; or "unsafe" for any other pivot it cannot take.
+        no usable entering column on fresh factors, a Farkas proof; or
+        "unsafe" for any other pivot it cannot take.
         """
         # Shift each nonbasic cost away from its bound's zero reduced cost,
         # the way that keeps it dual feasible: ties in the ratio test break,
@@ -802,14 +801,11 @@ class Master:
                     self._refactor()  # judge the row on fresh factors
                     z = self._reduced_costs(cost)
                     continue
-                # Farkas: the row's reach, every nonbasic column that helps
-                # it (sa_j < 0 rising, sa_j > 0 falling) moved across its
-                # whole range, falls short of its violation.
-                nb = self.status != _BASIC
-                up, down = nb & (sa < 0.0), nb & (sa > 0.0)
-                reach = (sa[down] @ (self.x[down] - self.lo[down])
-                         - sa[up] @ (self.hi[up] - self.x[up]))
-                return "infeasible" if reach < infeas[k] else "unsafe"
+                # Farkas: every column that would help the row beyond the
+                # pivot tolerance (sa_j < 0 rising, sa_j > 0 falling) sits
+                # at the bound it would have to leave.  Smaller entries are
+                # roundoff to the loops, also on columns of unbounded range.
+                return "infeasible"
             zc = z[cols]
             slack = np.maximum(np.where(sa[cols] < 0.0, zc, -zc), 0.0)
             aabs = np.abs(alpha_row[cols])

@@ -43,10 +43,11 @@ def matrices(rows, cols):
 
 @st.composite
 def programs(draw):
-    """A small LP: LE, GE and EQ rows, now and then one with no
-    coefficients, over boxed, fixed, free and one-sided columns.  An
-    integer point inside the bounds satisfies the rows, each inequality
-    with a slack of 0-2, so the LP starts feasible."""
+    """A small LP (sense, c, a, relations, b, lower, upper): LE, GE and
+    EQ rows, now and then one with no coefficients, over boxed, fixed,
+    free and one-sided columns.  An integer point inside the bounds
+    satisfies the rows, each inequality with a slack of 0-2, so the LP
+    starts feasible."""
     m = draw(st.integers(1, MAX_ROWS))
     n = draw(st.integers(1, MAX_COLS - 2))
     a = draw(matrices(m, n))
@@ -57,15 +58,14 @@ def programs(draw):
                        for lo, hi in bounds], dtype=np.float64)
     rel = np.array(draw(st.lists(st.sampled_from((LE, GE, EQ)), min_size=m, max_size=m)))
     slack = np.array(draw(st.lists(st.integers(0, 2), min_size=m, max_size=m)))
-    return {"sense": draw(st.sampled_from(("min", "max"))),
-            "c": np.array(draw(st.lists(ints, min_size=n, max_size=n)), dtype=np.float64),
-            "a": a, "rel": rel,
-            "b": a @ anchor + np.where(rel == LE, slack, np.where(rel == GE, -slack, 0.0)),
-            "lo": bounds[:, 0], "hi": bounds[:, 1]}
+    return (draw(st.sampled_from(("min", "max"))),
+            np.array(draw(st.lists(ints, min_size=n, max_size=n)), dtype=np.float64),
+            a, rel, a @ anchor + np.where(rel == LE, slack, np.where(rel == GE, -slack, 0.0)),
+            bounds[:, 0], bounds[:, 1])
 
 
-def close(value, ref):
-    return abs(value - ref) <= 1e-9 * max(1.0, abs(ref))
+def close(value, ref, tol=1e-9):
+    return abs(value - ref) <= tol * max(1.0, abs(ref))
 
 
 class WarmMaster(RuleBasedStateMachine):
@@ -74,7 +74,7 @@ class WarmMaster(RuleBasedStateMachine):
 
     @initialize(lp=programs())
     def build(self, lp):
-        self.__dict__.update(lp)
+        self.sense, self.c, self.a, self.rel, self.b, self.lo, self.hi = lp
         # every coefficient, appended ones included, is at most COEF
         self.master = Master(self.program(), row_norm=np.full(len(self.b), float(COEF)))
 
@@ -114,22 +114,17 @@ class WarmMaster(RuleBasedStateMachine):
 
     # -- solves -----------------------------------------------------------------
 
-    def oracle_parts(self):
-        le, ge, eq = self.rel == LE, self.rel == GE, self.rel == EQ
-        a_ub = np.vstack([self.a[le], -self.a[ge]])
-        b_ub = np.concatenate([self.b[le], -self.b[ge]])
-        return dict(a_ub=a_ub if len(b_ub) else None, b_ub=b_ub if len(b_ub) else None,
-                    a_eq=self.a[eq] if eq.any() else None, b_eq=self.b[eq] if eq.any() else None,
-                    bounds=[(None if np.isinf(l) else l, None if np.isinf(h) else h)
-                            for l, h in zip(self.lo, self.hi)])
-
     def relaxation(self):
         """(status, objective) of the LP by HiGHS; a feasibility solve
         first, since its presolve may call an unbounded LP infeasible."""
-        parts = self.oracle_parts()
-        if scipy_lp(np.zeros(self.n), sense=self.sense, **parts)[0] == "infeasible":
+        le, ge, eq = self.rel == LE, self.rel == GE, self.rel == EQ
+        rows = dict(a_ub=np.vstack([self.a[le], -self.a[ge]]),
+                    b_ub=np.concatenate([self.b[le], -self.b[ge]]),
+                    a_eq=self.a[eq], b_eq=self.b[eq],
+                    bounds=np.column_stack([self.lo, self.hi]), sense=self.sense)
+        if scipy_lp(np.zeros(self.n), **rows)[0] == "infeasible":
             return "infeasible", None
-        status, value, _ = scipy_lp(self.c, sense=self.sense, **parts)
+        status, value, _ = scipy_lp(self.c, **rows)
         return ("optimal", value) if status == "optimal" else ("unbounded", None)
 
     def check_point(self, res):
@@ -169,8 +164,10 @@ class WarmMaster(RuleBasedStateMachine):
                                   constraints=rows)
         assert warm.status == {0: "optimal", 2: "infeasible"}[ref.status]
         if warm.status == "optimal":
-            assert close(warm.objective_value, sign * ref.fun)
-            assert close(cold.objective_value, sign * ref.fun)
+            # HiGHS holds a MIP's rows to its 1e-6 feasibility tolerance, so
+            # its optimum may lie that far past the vertex optimum
+            assert close(warm.objective_value, cold.objective_value)
+            assert close(warm.objective_value, sign * ref.fun, tol=1e-6)
             self.check_point(warm)
 
 

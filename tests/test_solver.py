@@ -910,6 +910,26 @@ def test_infeasible_lps_are_proved_by_a_pivot_row():
     assert abs(res.objective_value - ref) <= 1e-9 * abs(ref)
 
 
+def test_roundoff_on_an_unbounded_column_is_no_way_to_mend_a_row():
+    # found by tests/test_master_stateful.py: columns 4 and 5 are equal
+    # and unbounded above, so once 4 is basic a pivot row holds roundoff
+    # (4e-16) on 5; counting it times an infinite range as a way to mend
+    # the row made the proof of the branch-and-bound node x1 = 1 "unsafe"
+    # from every start, and the integer solve raised
+    a = np.array([[1, 2, 3, -3, -2, -2], [2, -1, -3, -2, -2, -2], [1, 0, -1, 1, -2, -2],
+                  [2, -3, 3, -2, -1, -1], [0, 0, 0, 0, -1, -1], [-2, -3, -3, 1, -3, -3]], float)
+    c, b = np.array([1.0, -1.0, 2.0, -1.0, 3.0, -3.0]), np.array([8.0, -2.0, -7.0, -6.0, 0.0, -3.0])
+    rel = [GE, LE, GE, LE, EQ, EQ]
+    lo, hi = np.array([-np.inf, 1, -2, -3, 0, 0]), np.array([3, 3, 1, 3, np.inf, np.inf])
+    node_hi = np.where(np.arange(6) == 1, 1.0, hi)
+    assert solve_lp(LinearProgram("max", c, a, rel, b, lo, node_hi)).status == "infeasible"
+    sign = np.array([-1.0, 1.0, -1.0, 1.0])
+    bounds = [(None if np.isinf(l) else l, None if np.isinf(h) else h) for l, h in zip(lo, node_hi)]
+    assert scipy_lp(c, sign[:, None] * a[:4], sign * b[:4], a[4:], b[4:], bounds)[0] == "infeasible"
+    res = solve_integer(LinearProgram("max", c, a, rel, b, lo, hi), [1, 2, 3])
+    assert res.status == "optimal" and abs(res.objective_value + 2.0) <= 1e-9  # scipy.optimize.milp
+
+
 def rows_lp(rng, cities=5, planes=4, factors=2, flat=False):
     """The planner's per-city rows LP (``planner._solve_rows``): min
     sum T mu + sum alpha lambda over mu, lambda >= 0, with one EQ row
