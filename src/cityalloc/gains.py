@@ -302,9 +302,8 @@ def _run_unit(x, y, city_id, year, names, templates, settings):
     every fit is expanded back to all rows before ranking. The scenarios
     are solved in template order on one ``masters`` list, so an LP whose
     rows an earlier template solved re-solves that Master warm after new
-    costs and bounds: ``perfect``, ``imperfect``, ``entry_exit`` and
-    ``local_entry_exit`` share one, which only the first of them enters
-    cold, and ``local`` keeps its own (see ``solve_scenario``).
+    costs and bounds: the five pin-free modes share one, which only the
+    first of them enters cold (see ``solve_scenario``).
     """
     n = len(y)
     if n < N_DECILES:

@@ -12,33 +12,32 @@ entry/exit variant where pseudo-cities may deactivate entirely.
 Every regime is one linear program over per-city outputs and inputs,
 with integral activity counts under entry/exit.  A friction only
 shrinks its factor's total, to T_r / (1 + friction_r), so every
-strategy below sees frictionless totals.  Four exact solution
+strategy below sees frictionless totals.  Three exact solution
 strategies split the work:
 
-* every pin-free regime but ``local`` solves one LP over per-decile
-  aggregates (pseudo-cities within a decile are identical, so an equal
-  split of the active ones is optimal by concavity): outputs, inputs
-  and activity counts, the counts fixed at the decile sizes unless
-  entry/exit makes them integers that branch and bound settles, exact
-  at any size;
-* ``local`` collapses each decile to a single aggregate city and solves
-  the per-city LP below at one city per decile;
+* every pin-free regime solves one LP over per-decile aggregates
+  (pseudo-cities within a decile are identical, so an equal split of
+  the active ones is optimal by concavity): outputs, inputs and
+  activity counts, the counts fixed at the decile sizes unless
+  entry/exit makes them integers that branch and bound settles, and
+  local caps as bounds on the inputs, exact at any size;
 * a single reallocated factor with the others pinned makes the problem
   separable and concave in one dimension per city, solved by filling
   the steepest envelope segments first;
 * everything else runs the per-city LP through its dual, built whole
   (one column per city and plane).
 
-All four land on one post-solve certificate, ``certify``, which
+All three land on one post-solve certificate, ``certify``, which
 ``cityalloc validate`` also runs on every written allocation (envelope,
 resource rows, pinned factors, idle cities at rest).
 
 Scenarios solved on one ``masters`` list, as an estimation unit's
 are, share their LPs: one with the same rows as an earlier one
 re-solves that Master warm after a change of costs and bounds.  So
-``perfect``, ``imperfect``, ``entry_exit`` and ``local_entry_exit``
-share one aggregate LP whose modes differ only in bounds, and pinned
-``perfect`` and ``imperfect`` one per-city LP whose costs differ.
+``perfect``, ``imperfect``, ``entry_exit``, ``local`` and
+``local_entry_exit`` share one aggregate LP whose modes differ only in
+bounds, and pinned ``perfect`` and ``imperfect`` one per-city LP whose
+costs differ.
 """
 
 from __future__ import annotations
@@ -428,8 +427,8 @@ def _rows_master(lp, masters):
 
 
 def _solve_entry_counts(scn: PlannerScenario, geo: _Geo, masters):
-    """Every pin-free scenario but ``local``, as an LP (a MILP under
-    entry/exit) over per-decile aggregates.
+    """Every pin-free scenario, as an LP (a MILP under entry/exit) over
+    per-decile aggregates.
 
     Within a decile only the number of active pseudo-cities matters, so
     optimize per-decile aggregates: output Y_d, inputs X_dr and an
@@ -441,12 +440,15 @@ def _solve_entry_counts(scn: PlannerScenario, geo: _Geo, masters):
     a unit's scenarios share one Master (``_rows_master``), and branch
     and bound enters its root warm from the last LP solved on it:
 
-    * outside entry/exit m_d is fixed at n_d and the slack s_r at 0:
-      the per-city LP at one city per decile, intercepts scaled by
-      n_d, with every unit used, which loses nothing as slopes are
-      nonnegative and keeps the full-allocation corner;
-    * under entry/exit m_d is an integer in [0, n_d] and s_r >= 0;
-      local entry/exit caps each X_dr at its tenth T_r / 10.
+    * outside entry/exit m_d is fixed at n_d: the per-city LP at one
+      city per decile, intercepts scaled by n_d;
+    * under entry/exit m_d is an integer in [0, n_d];
+    * ``perfect`` and ``imperfect`` fix the slack s_r at 0, so every
+      unit is used, which loses nothing as slopes are nonnegative and
+      keeps the full-allocation corner; elsewhere s_r >= 0;
+    * the local modes cap each X_dr at its tenth T_r / 10 by a column
+      bound, which leaves part of each total unused under fewer than
+      ten deciles.
 
     Exact by concavity; active pseudo-cities split X_d evenly.
     """
@@ -465,8 +467,9 @@ def _solve_entry_counts(scn: PlannerScenario, geo: _Geo, masters):
     lower[t_off:s_off] = upper[t_off:s_off] = geo.totals
     if not entry:
         lower[m_off:t_off] = geo.counts
+    if scn.mode in ("perfect", "imperfect"):
         upper[s_off:] = 0.0
-    elif scn.is_local:
+    if scn.is_local:
         upper[x_off:m_off] = np.tile(geo.totals / _LOCAL_SHARES, n_dec)
 
     rows_i, cols, vals = [], [], []
@@ -583,30 +586,23 @@ def _solve_separable(scn: PlannerScenario, geo: _Geo):
 
 def solve_scenario(scenario: PlannerScenario,
                    masters: list | None = None) -> AllocationSolution:
-    """Solve any scenario, dispatching on its mode and shape.
+    """Solve any scenario, dispatching on its shape: every pin-free
+    scenario on ``_solve_entry_counts``' LP, one reallocated factor with
+    the rest pinned by ``_solve_separable``, anything else pinned by
+    ``_solve_rows``.
 
     ``masters``, one list passed to each scenario of an estimation unit
     in turn, keeps the LPs solved so far, so a later scenario whose LP
     has the rows of one of them re-solves it warm after new costs and
-    bounds (see ``_rows_master``): all pin-free modes but ``local`` share
+    bounds (see ``_rows_master``): all five pin-free modes share
     ``_solve_entry_counts``' LP, entry/exit's branch-and-bound root
     included.  None gives a fresh list.  The Masters live as long as
     the list.
     """
     masters = [] if masters is None else masters
     geo = _geometry(scenario)
-    if not scenario.fixed_input_values and scenario.mode != "local":
+    if not scenario.fixed_input_values:
         y, x, b, obj = _solve_entry_counts(scenario, geo, masters)
-    elif not scenario.fixed_input_values:
-        # pseudo-cities in a decile are interchangeable: solve one city per
-        # decile with its intercepts scaled by the count, then split evenly
-        k = len(geo.counts)
-        one = geo._replace(counts=np.ones(k, dtype=np.int64), starts=np.arange(k + 1),
-                           alpha_eff=[c * a[:1] for c, a in zip(geo.counts, geo.alpha_eff)])
-        y, x, b, obj = _solve_rows(scenario, one, masters)
-        y = np.repeat(y / geo.counts, geo.counts)
-        x = np.repeat(x / geo.counts[:, None], geo.counts, axis=0)
-        b = np.repeat(b, geo.counts)
     elif geo.rcols.size == 1:
         y, x, b, obj = _solve_separable(scenario, geo)
     else:

@@ -138,15 +138,16 @@ def test_parallel_matches_serial(fixture_panel):
 
 
 def test_unit_scenarios_share_their_rows_master(fixture_panel, monkeypatch):
-    # perfect, imperfect and entry_exit build one counts LP but for its
-    # bounds, so each unit solves them all on one Master: its first solve
-    # starts cold and every later one, branch-and-bound nodes included,
-    # re-enters warm; gains do not depend on the order or on the company
-    # of another template
+    # the five pin-free modes build one counts LP but for its bounds, so
+    # each unit solves them all on one Master: its first solve starts cold
+    # and every later one, branch-and-bound nodes included, re-enters
+    # warm; gains do not depend on the order or on the company of another
+    # template
     panel, _ = fixture_panel
     templates = (ScenarioTemplate("perfect"),
                  ScenarioTemplate("imperfect", iceberg=0.05, depletion=0.05),
-                 ScenarioTemplate("entry_exit"))
+                 ScenarioTemplate("entry_exit"), ScenarioTemplate("local"),
+                 ScenarioTemplate("local_entry_exit"))
     calls = []
 
     def recording(problem):
