@@ -44,7 +44,6 @@ from .gains import (
     GainResult,
     ScenarioTemplate,
     bootstrap_gain,
-    estimate_panel,
     estimation_units,
     order_problems,
     plot_payloads,
@@ -114,6 +113,8 @@ class RunConfig:
             raise ValueError("jobs cannot be negative")
         object.__setattr__(self, "scenarios",
                            tuple(str(s) for s in self.scenarios))
+        if not self.scenarios:
+            raise ValueError("at least one scenario is required")
 
     @property
     def effective_jobs(self) -> int:
@@ -485,11 +486,7 @@ def cmd_pipeline(config: RunConfig, stage: int) -> int:
             print(f"ingest: {panel.n_cities} cities x {len(panel.years)} years")
             return EXIT_OK
         if stage == _STAGE["estimate"]:
-            audits = estimate_panel(panel, settings, jobs=jobs)
-            _write_estimates(audits, staging)
-            print(f"estimate: {len(audits)} units x {N_DECILES + 1} fits")
-            return EXIT_OK
-
+            templates = ()
         audits = []
         if stage >= _STAGE["gain"] and config.bootstrap > 0:
             if config.bootstrap < _REFERENCE_REPLICATES:
@@ -503,6 +500,9 @@ def cmd_pipeline(config: RunConfig, stage: int) -> int:
         else:
             gains = run_pipeline(panel, templates, settings, jobs=jobs, audit=audits)
         _write_estimates(audits, staging)
+        if not templates:
+            print(f"estimate: {len(audits)} units x {N_DECILES + 1} fits")
+            return EXIT_OK
         _write_solutions(audits, templates, staging)
         if stage >= _STAGE["gain"]:
             gains_to_csv(gains, os.path.join(staging, "gains.csv"))

@@ -24,12 +24,11 @@ parametrically in tau the same way, in either direction). A new tau
 moves only the box bounds of the dual's u block in place, so the old
 basis stays dual feasible and the solver re-enters it through the dual
 simplex, pricing rows by dual steepest edge; only the first tau of the
-sweep starts cold. On the CLI fixture's 284-city years a re-entry
-takes 1,150-3,500 pivots, 600-2,200 of them dual and the rest the
-primal clean-up, about what the one cold first solve takes at the top
-of the grid (1,600-1,800). A cold fit costs about half as many pivots
-at the top of the grid as at the bottom (on those years, about
-2,500-2,900 against 6,700 at tau = .05), so the sweep starts there.
+sweep starts cold, at the top of the grid, where a cold fit costs
+about half the pivots it costs at the bottom. ``scripts/paper_sweep.py``
+splits a paper-scale sweep's pivots into the cold solve, the generation
+rounds and each re-entry's dual pivots and primal clean-up; ROADMAP
+item 12 records its counts.
 """
 
 import math

@@ -237,8 +237,6 @@ def _as_templates(templates):
     if isinstance(templates, ScenarioTemplate):
         templates = (templates,)
     templates = tuple(templates)
-    if not templates:
-        raise GainError("at least one scenario template is required")
     for t in templates:
         if not isinstance(t, ScenarioTemplate):
             raise GainError("templates must be ScenarioTemplate values")
@@ -368,13 +366,6 @@ def estimation_units(panel: Panel, settings: EstimationSettings):
     return list(panel.input_names), {int(yr): panel.year_slice(yr) for yr in panel.years}
 
 
-def _fan_units(panel, templates, settings, jobs):
-    names, units = estimation_units(panel, settings)
-    payloads = [(x, y, city_id, year, names, templates, settings)
-                for year, (x, y, city_id) in units.items()]
-    return _fan_out(_run_unit, payloads, jobs)
-
-
 def run_pipeline(panel: Panel, templates,
                  settings: EstimationSettings = EstimationSettings(),
                  jobs: int = 1, audit=None) -> list:
@@ -384,30 +375,21 @@ def run_pipeline(panel: Panel, templates,
     ``settings.fixed_effects`` the panel collapses to city time-means
     first and a single pooled unit runs (reported under year 0).
     ``templates`` is one ScenarioTemplate or a sequence; all scenarios
-    in a unit share that unit's frontier fits. ``audit``, when a list, receives one
-    PipelineAudit per unit. Units run in up to ``jobs`` worker
+    in a unit share that unit's frontier fits; with no templates a run
+    estimates only and returns no gains. ``audit``, when a list, receives
+    one PipelineAudit per unit. Units run in up to ``jobs`` worker
     processes; results are identical to a serial run.
     """
     templates = _as_templates(templates)
-    results = _fan_units(panel, templates, settings, jobs)
+    names, units = estimation_units(panel, settings)
+    payloads = [(x, y, city_id, year, names, templates, settings)
+                for year, (x, y, city_id) in units.items()]
     out = []
-    for gains, unit_audit in results:
+    for gains, unit_audit in _fan_out(_run_unit, payloads, jobs):
         out.extend(gains)
         if audit is not None:
             audit.append(unit_audit)
     return out
-
-
-def estimate_panel(panel: Panel,
-                   settings: EstimationSettings = EstimationSettings(),
-                   jobs: int = 1) -> list:
-    """Estimation-only pass: one PipelineAudit per unit, no scenarios.
-
-    Runs the frontier fits, decile ranking, and technology build of
-    run_pipeline but solves nothing; audits carry empty solution maps.
-    """
-    results = _fan_units(panel, (), settings, jobs)
-    return [unit_audit for _, unit_audit in results]
 
 
 def _replicate_entry(panel, templates, seed, rep, settings):

@@ -135,6 +135,47 @@ def test_config_precedence_flag_over_file_over_default(tmp_path):
     assert resolved.depletion == cli.RunConfig().depletion  # default
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--synthetic", "default"], "an --out directory is required"),
+    (["run", "--synthetic", "other", "--out", "out"], "unknown synthetic preset 'other'"),
+    (["run", "--synthetic", "default", "--input", "panel.csv", "--out", "out"],
+     "--input and --synthetic are mutually exclusive"),
+    (["run", "--out", "out"], "an --input panel is required"),
+    (["validate", "--out", "out"], "validate needs --input"),
+], ids=["no_out", "unknown_preset", "input_and_synthetic", "no_input",
+        "validate_without_input"])
+def test_input_errors_exit_2_with_no_outputs(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    assert cli.main(argv + ["--jobs", "1"]) == cli.EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("line, value, flag", [
+    ("crs = yes", True, "--crs"),
+    ("crs = off", False, "--no-crs"),
+])
+def test_config_booleans_resolve_as_flags_do(tmp_path, line, value, flag):
+    config = tmp_path / "run.conf"
+    config.write_text(line + "\n", encoding="utf-8")
+    assert cli._read_config_file(config) == {"crs": value}
+    parser = cli._build_parser()
+    assert cli._make_config(parser.parse_args(["run", "--config", str(config)])) \
+        == cli._make_config(parser.parse_args(["run", flag]))
+
+
+def test_config_bad_boolean_names_its_line(tmp_path, capsys):
+    config = tmp_path / "run.conf"
+    config.write_text("seed = 3\ncrs = maybe\n", encoding="utf-8")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert cli.main(["ingest", "--synthetic", "default", "--out", str(out),
+                     "--config", str(config)]) == cli.EXIT_VALIDATION
+    assert f"{config}:2: expected a boolean, got 'maybe'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solver_failure_is_exit_3_with_no_outputs(tmp_path, monkeypatch, capsys):
     synth_out = str(tmp_path / "synth")
     assert cli.main(["synth", "--cities", "12", "--years", "2",
@@ -165,6 +206,20 @@ def test_validate_rejects_unknown_manifest_key(run_dir, tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["validate", "--input", copy]) == cli.EXIT_VALIDATION
     assert "unknown key 'freeze_deciles'" in capsys.readouterr().err
+
+
+def test_validate_rejects_a_manifest_with_no_scenarios(run_dir, tmp_path, capsys):
+    copy = str(tmp_path / "run")
+    shutil.copytree(run_dir, copy)
+    path = os.path.join(copy, "manifest.json")
+    with open(path, encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    manifest["config"]["scenarios"] = []
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh)
+    capsys.readouterr()
+    assert cli.main(["validate", "--input", copy]) == cli.EXIT_VALIDATION
+    assert "at least one scenario is required" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key, value, code", [
@@ -450,6 +505,15 @@ def test_command_paths_complete_and_validate(small_panel, tmp_path, argv):
         assert "plot_single_factor.json" in written
     assert "manifest.json" in written
     assert cli.main(["validate", "--input", out]) == cli.EXIT_OK
+
+
+def test_estimate_writes_the_tables_run_writes(small_panel, tmp_path):
+    outs = {command: tmp_path / command for command in ("estimate", "run")}
+    for command, out in outs.items():
+        assert cli.main([command, "--input", small_panel, "--out", str(out),
+                         "--jobs", "1"]) == cli.EXIT_OK
+    for name in ("panel.csv", "fits.csv", "deciles.csv"):
+        assert (outs["estimate"] / name).read_bytes() == (outs["run"] / name).read_bytes()
 
 
 @pytest.mark.parametrize("argv", [

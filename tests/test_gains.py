@@ -203,6 +203,15 @@ def test_audit_retains_artifacts(fixture_panel):
         assert a.median_fit is not None
         assert set(a.solutions) == {"perfect"}
         assert a.assignment.sizes.sum() == panel.n_cities
+    # with no templates a run estimates only: the same fits and deciles,
+    # no gains and no solutions
+    estimated = []
+    assert run_pipeline(panel, [], audit=estimated) == []
+    for a, e in zip(audit, estimated, strict=True):
+        assert e.solutions == {}
+        for fa, fe in zip(a.fits + (a.median_fit,), e.fits + (e.median_fit,), strict=True):
+            assert np.array_equal(fa.alpha, fe.alpha) and np.array_equal(fa.beta, fe.beta)
+        assert np.array_equal(a.assignment.decile, e.assignment.decile)
 
 
 def test_repeated_cities_fit_as_expanded_rows(fixture_panel):
@@ -292,10 +301,34 @@ def test_pipeline_stage_errors(fixture_panel):
         run_pipeline(small, ScenarioTemplate("perfect"))
     assert err.value.stage == "ingest"
     with pytest.raises(GainError):
-        run_pipeline(panel, [])
-    with pytest.raises(GainError):
         run_pipeline(panel, [ScenarioTemplate("perfect"),
                              ScenarioTemplate("perfect")])
+
+
+def test_allocate_failures_name_the_year_and_scenario(fixture_panel, monkeypatch):
+    panel, _ = fixture_panel
+    template = ScenarioTemplate("perfect", label="base")
+
+    def infeasible(scenario, masters):
+        raise ValueError("no feasible allocation")
+
+    monkeypatch.setattr("cityalloc.gains.solve_scenario", infeasible)
+    with pytest.raises(PipelineError) as err:
+        run_pipeline(panel, template)
+    assert (err.value.stage, err.value.year) == ("allocate", 2003)
+    assert str(err.value) == "year 2003, scenario base: no feasible allocation"
+    assert isinstance(err.value.__cause__, ValueError)
+
+    # a failure already classified passes through as it was raised
+    classified = PipelineError("technology build failed", stage="technology", year=2003)
+
+    def annotated(scenario, masters):
+        raise classified
+
+    monkeypatch.setattr("cityalloc.gains.solve_scenario", annotated)
+    with pytest.raises(PipelineError) as err:
+        run_pipeline(panel, template)
+    assert err.value is classified
 
 
 def test_estimation_settings_are_one_checked_value():
