@@ -1,6 +1,8 @@
 """Command-line entry point.
 
-Commands: ingest, estimate, allocate, gain, run, synth, validate.
+Commands: ingest, estimate, run, synth, validate. Each pipeline command
+writes its tables (ingest the panel, estimate the fits and deciles too,
+run all) and a manifest.json over them, which ``validate`` checks.
 Global flags: --input, --out, --seed, --jobs, --config. Values resolve
 as explicit flags over config-file entries over built-in defaults; the
 config file is plain ``key = value`` text with # comments. The decile
@@ -17,7 +19,9 @@ its tables (``_write_csv``): floats as their repr, None as an empty
 cell, csv quoting where a cell needs it, LF line ends. ``validate``
 reads the same tables back. Each ``allocations_*.csv`` is one optimal
 vertex, the one the simplex reached: where the planner's LP has an
-optimal face, another vertex at the same Y_e is as optimal.
+optimal face, another vertex at the same Y_e is as optimal. Under
+--crs, ``allocations_entry_exit.csv``'s ``b`` is the solver's pick among
+tied optima too: an active pseudo-city with no inputs produces nothing.
 """
 
 import argparse
@@ -61,7 +65,7 @@ EXIT_VALIDATION = 2
 EXIT_SOLVER = 3
 EXIT_IO = 4
 
-_STAGE = {"ingest": 0, "estimate": 1, "allocate": 2, "gain": 3, "run": 4}
+_STAGE = {"ingest": 0, "estimate": 1, "run": 2}
 _REFERENCE_REPLICATES = 1000
 _SYNTHETIC_PANEL = "synthetic_panel.csv"
 
@@ -234,10 +238,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="build and echo the constructed panel")
     sub.add_parser("estimate", parents=[common, pipeline],
                    help="fit quantile frontiers and rank deciles")
-    sub.add_parser("allocate", parents=[common, pipeline],
-                   help="solve the planner scenarios")
-    sub.add_parser("gain", parents=[common, pipeline],
-                   help="compute gain ratios (optionally bootstrapped)")
     sub.add_parser("run", parents=[common, pipeline],
                    help="full pipeline with plot data and manifest")
     synth = sub.add_parser("synth", parents=[common],
@@ -484,43 +484,39 @@ def cmd_pipeline(config: RunConfig, stage: int) -> int:
 
         if stage == _STAGE["ingest"]:
             print(f"ingest: {panel.n_cities} cities x {len(panel.years)} years")
-            return EXIT_OK
-        if stage == _STAGE["estimate"]:
-            templates = ()
-        audits = []
-        if stage >= _STAGE["gain"] and config.bootstrap > 0:
-            if config.bootstrap < _REFERENCE_REPLICATES:
-                print(f"note: {config.bootstrap} bootstrap replicates "
-                      f"(reference configuration: {_REFERENCE_REPLICATES})",
-                      file=sys.stderr)
-            gains = bootstrap_gain(panel, templates,
-                                   BootstrapConfig(replicates=config.bootstrap,
-                                                   seed=config.seed),
-                                   settings, jobs=jobs, audit=audits)
         else:
-            gains = run_pipeline(panel, templates, settings, jobs=jobs, audit=audits)
-        _write_estimates(audits, staging)
-        if not templates:
-            print(f"estimate: {len(audits)} units x {N_DECILES + 1} fits")
-            return EXIT_OK
-        _write_solutions(audits, templates, staging)
-        if stage >= _STAGE["gain"]:
-            gains_to_csv(gains, os.path.join(staging, "gains.csv"))
-        if stage >= _STAGE["run"]:
-            _write_plots(gains, templates, staging)
-            artifacts = {name: _sha256(os.path.join(staging, name))
-                         for name in sorted(os.listdir(staging))}
-            manifest = {
-                "version": __version__,
-                "config": _config_echo(config),
-                "seed": config.seed,
-                "input": {"path": os.fspath(recorded),
-                          "sha256": _sha256(input_path)},
-                "artifacts": artifacts,
-            }
-            _write_json(os.path.join(staging, "manifest.json"), manifest)
-        for g in gains if stage >= _STAGE["gain"] else []:
-            print(f"{g.year} {g.scenario}: gain {g.gain:.4f}")
+            if stage == _STAGE["estimate"]:
+                templates = ()
+            audits = []
+            if templates and config.bootstrap > 0:
+                if config.bootstrap < _REFERENCE_REPLICATES:
+                    print(f"note: {config.bootstrap} bootstrap replicates "
+                          f"(reference configuration: {_REFERENCE_REPLICATES})",
+                          file=sys.stderr)
+                gains = bootstrap_gain(panel, templates,
+                                       BootstrapConfig(replicates=config.bootstrap,
+                                                       seed=config.seed),
+                                       settings, jobs=jobs, audit=audits)
+            else:
+                gains = run_pipeline(panel, templates, settings, jobs=jobs, audit=audits)
+            _write_estimates(audits, staging)
+            if templates:
+                _write_solutions(audits, templates, staging)
+                gains_to_csv(gains, os.path.join(staging, "gains.csv"))
+                _write_plots(gains, templates, staging)
+                for g in gains:
+                    print(f"{g.year} {g.scenario}: gain {g.gain:.4f}")
+            else:
+                print(f"estimate: {len(audits)} units x {N_DECILES + 1} fits")
+        _write_json(os.path.join(staging, "manifest.json"), {
+            "version": __version__,
+            "config": _config_echo(config),
+            "seed": config.seed,
+            "input": {"path": os.fspath(recorded),
+                      "sha256": _sha256(input_path)},
+            "artifacts": {name: _sha256(os.path.join(staging, name))
+                          for name in sorted(os.listdir(staging))},
+        })
         print(f"wrote {out_dir}")
     return EXIT_OK
 
@@ -691,8 +687,11 @@ def cmd_validate(config: RunConfig) -> int:
                     or [f"{name} differs from gains.csv"]
         return problems
 
-    checks = [("artifact-hashes", check_hashes), ("afriat-rows", check_afriat),
-              ("resource-rows", check_resources)]
+    checks = [("artifact-hashes", check_hashes)]
+    if "fits.csv" in manifest["artifacts"]:
+        checks.append(("afriat-rows", check_afriat))
+    if "summary.csv" in manifest["artifacts"]:
+        checks.append(("resource-rows", check_resources))
     if os.path.exists(os.path.join(run_dir, "gains.csv")):
         checks.append(("gain-arithmetic", lambda: gain_results()[1]))
         checks.append(("order", lambda: order_problems(

@@ -254,7 +254,10 @@ class AllocationSolution:
     their pinned values), ``active`` the 0/1 activity indicator (all
     ones outside entry/exit), and ``efficient_output`` the optimal
     aggregate output.  Where the LP has an optimal face, ``inputs`` is
-    the one vertex of it that the pivot path reached, not a rule's pick.
+    the one vertex of it that the pivot path reached, not a rule's pick;
+    so is ``active`` under entry/exit with planes through the origin,
+    where an active pseudo-city with no inputs produces what an idle one
+    does.
     """
 
     year: int
@@ -448,7 +451,12 @@ def _solve_entry_counts(scn: PlannerScenario, geo: _Geo, masters):
       keeps the full-allocation corner; elsewhere s_r >= 0;
     * the local modes cap each X_dr at its tenth T_r / 10 by a column
       bound, which leaves part of each total unused under fewer than
-      ten deciles.
+      ten deciles;
+    * two neighbouring deciles with equal planes are interchangeable,
+      so a row keeps the larger's count at least the smaller's: it cuts
+      only symmetric copies of an optimum, which branch and bound could
+      not prune, and as it reads the technologies alone every mode
+      shares it.
 
     Exact by concavity; active pseudo-cities split X_d evenly.
     """
@@ -472,12 +480,13 @@ def _solve_entry_counts(scn: PlannerScenario, geo: _Geo, masters):
     if scn.is_local:
         upper[x_off:m_off] = np.tile(geo.totals / _LOCAL_SHARES, n_dec)
 
-    rows_i, cols, vals = [], [], []
+    rows_i, cols, vals, rels = [], [], [], []
 
-    def put(row_cols, row_vals):
-        rows_i.extend([rows_i[-1] + 1 if rows_i else 0] * len(row_cols))
+    def put(row_cols, row_vals, rel=LE):
+        rows_i.extend([len(rels)] * len(row_cols))
         cols.extend(row_cols)
         vals.extend(row_vals)
+        rels.append(rel)
 
     for d, t in enumerate(scn.technologies):
         alpha = geo.alpha_eff[d][0]
@@ -489,12 +498,15 @@ def _solve_entry_counts(scn: PlannerScenario, geo: _Geo, masters):
             put([x_off + d * nr + r, m_off + d], [1.0, -scn.aggregate_resources[f]])
     for r in range(nr):
         put([x_off + d * nr + r for d in range(n_dec)] + [s_off + r, t_off + r],
-            [1.0] * n_dec + [1.0, -1.0])
+            [1.0] * n_dec + [1.0, -1.0], EQ)
+    for d, (s, t) in enumerate(zip(scn.technologies, scn.technologies[1:])):
+        if np.array_equal(s.alpha, t.alpha) and np.array_equal(s.beta, t.beta):
+            few, many = (d, d + 1) if geo.counts[d] < geo.counts[d + 1] else (d + 1, d)
+            put([m_off + few, m_off + many], [1.0, -1.0])
 
-    n_rows = rows_i[-1] + 1
     lp = LinearProgram("max", objective,
-                       sp.csr_matrix((vals, (rows_i, cols)), shape=(n_rows, ncols)),
-                       [LE] * (n_rows - nr) + [EQ] * nr, np.zeros(n_rows), lower, upper)
+                       sp.csr_matrix((vals, (rows_i, cols)), shape=(len(rels), ncols)),
+                       rels, np.zeros(len(rels)), lower, upper)
     master = _rows_master(lp, masters)
     res = solve_integer(master, range(m_off, t_off)) if entry else solve_lp(master)
     if res.status != "optimal":

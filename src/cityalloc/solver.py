@@ -40,7 +40,8 @@ basis stays for the next solve.  Integer programs run depth-first
 branch and bound on one Master, bounding with the relaxation
 objective: each node moves the integer columns' bounds and re-solves
 warm from the basis the last node left, an infeasible one's included,
-and a Master already solved enters the root warm too.
+and a Master already solved enters the root warm too; a search that
+passes a fixed node count raises instead of running on.
 Every solve holds rows and reduced costs to one tolerance,
 ``LP_TOLERANCE``, which the callers' certificates read too.
 """
@@ -74,6 +75,7 @@ LP_TOLERANCE = 1e-7
 _REFACTOR_EVERY = 64
 _PIVOT_TOL = 1e-9
 _MAX_ITERS = 500_000
+_MAX_NODES = 5_000  # branch-and-bound nodes before solve_integer gives up
 _STALL_MIN = 100  # see Master._stall_limit
 _COST_ROUNDOFF = 1e-13  # relative roundoff floor on reduced costs
 _PERTURB = 1e-3  # dual-loop cost shift, as a share of the cost scale
@@ -911,7 +913,10 @@ def solve_integer(problem: LinearProgram | Master, integer_indices) -> SolveResu
     picks the most fractional variable, tightens its bounds to the floor
     or ceiling, and explores the nearer side first.  Every integer
     variable needs finite bounds that are already integral, which also
-    bounds the search depth.
+    bounds the search depth.  A search past ``_MAX_NODES`` nodes raises
+    SolverError with the root's bounds back on the Master: where the
+    relaxation bound cannot prune, as among nearly equal planner
+    deciles, a search can otherwise pass tens of thousands of nodes.
     """
     master = problem if isinstance(problem, Master) else Master(problem)
     ints = np.array(sorted(int(j) for j in integer_indices), dtype=np.int64)
@@ -935,7 +940,12 @@ def solve_integer(problem: LinearProgram | Master, integer_indices) -> SolveResu
     saw_unbounded = False
 
     stack = [(lo, hi)]
+    nodes = 0
     while stack:
+        nodes += 1
+        if nodes > _MAX_NODES:
+            master.set_bounds(ints, *root)
+            raise SolverError(f"branch and bound passed {_MAX_NODES:,} nodes unfinished")
         lo, hi = stack.pop()
         master.set_bounds(ints, lo, hi)
         res = solve_lp(master)

@@ -307,6 +307,58 @@ def planner_lp(techs, counts, totals, weights=None, local=False, fixed=None):
     return -float(res.fun)
 
 
+def planner_entry_milp(techs, counts, totals):
+    """scipy MILP oracle for the planner's entry/exit mode, per city.
+
+    City i is active when its binary b_i is 1: its output obeys the
+    perspective rows y_i <= alpha_h b_i + beta_h . x_i and each input
+    x_ir <= T_r b_i, so an idle city holds and makes nothing; the inputs
+    sum to at most T_r. Returns the optimal total output.
+    """
+    totals = np.asarray(totals, dtype=float)
+    nf = totals.size
+    n = int(sum(counts))
+    x_off, b_off = n, n + n * nf
+    nv = b_off + n
+    rows, rhs = [], []
+    city = 0
+    for (alpha, beta), cnt in zip(techs, counts):
+        beta = np.atleast_2d(np.asarray(beta, dtype=float))
+        for _ in range(cnt):
+            for a, b in zip(np.asarray(alpha, dtype=float), beta):
+                row = np.zeros(nv)
+                row[[city, b_off + city]] = 1.0, -a
+                row[x_off + city * nf:x_off + (city + 1) * nf] = -b
+                rows.append(row)
+                rhs.append(0.0)
+            for r in range(nf):
+                row = np.zeros(nv)
+                row[[x_off + city * nf + r, b_off + city]] = 1.0, -totals[r]
+                rows.append(row)
+                rhs.append(0.0)
+            city += 1
+    for r in range(nf):
+        row = np.zeros(nv)
+        row[x_off + r:b_off:nf] = 1.0
+        rows.append(row)
+        rhs.append(totals[r])
+    c = np.zeros(nv)
+    c[:n] = -1.0
+    lower = np.zeros(nv)
+    lower[:n] = -np.inf
+    upper = np.full(nv, np.inf)
+    upper[b_off:] = 1.0
+    integrality = np.zeros(nv)
+    integrality[b_off:] = 1
+    res = scipy.optimize.milp(
+        c, constraints=scipy.optimize.LinearConstraint(np.array(rows), -np.inf, rhs),
+        bounds=scipy.optimize.Bounds(lower, upper), integrality=integrality,
+        options={"mip_rel_gap": 1e-12})
+    if res.status != 0:
+        raise RuntimeError(f"oracle MILP failed: {res.message}")
+    return -float(res.fun)
+
+
 def cobb_douglas_grid_two(scale, exponents, totals, step):
     """Best split of two aggregate factors across TWO identical
     Cobb-Douglas cities, by exhaustive share grid."""

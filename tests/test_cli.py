@@ -82,14 +82,12 @@ def test_run_in_large_output_units_validates(tmp_path):
     assert cli.main(["validate", "--input", out]) == cli.EXIT_OK
 
 
-def test_validate_rejects_a_unit_scale_cross_row_miss(run_dir, tmp_path, capsys):
-    # at unit scale the relative slack is still 1e-6: a plane raised until
-    # one cross row misses by 1e-5 fails, with the residual split intact
-    copy = str(tmp_path / "run")
-    shutil.copytree(run_dir, copy)
-    fits = fits_from_csv(os.path.join(copy, "fits.csv"))
+def _lift_a_plane(run_dir):
+    """Raise the first fit's plane i until one cross row misses by 1e-5,
+    keeping the residual split intact; returns the fit."""
+    fits = fits_from_csv(os.path.join(run_dir, "fits.csv"))
     fit = fits[0]
-    x = cli._read_panel(copy).year_slice(fit.year)[0]
+    x = cli._read_panel(run_dir).year_slice(fit.year)[0]
     planes = fit.alpha[None, :] + x @ fit.beta.T
     gap = planes - planes.diagonal()[:, None]  # cross-row slack, row i, plane h
     np.fill_diagonal(gap, np.inf)
@@ -98,7 +96,16 @@ def test_validate_rejects_a_unit_scale_cross_row_miss(run_dir, tmp_path, capsys)
     fit.alpha[i] += shift
     resid = fit.eps_plus[i] - fit.eps_minus[i] - shift
     fit.eps_plus[i], fit.eps_minus[i] = max(resid, 0.0), max(-resid, 0.0)
-    fits_to_csv(fits, os.path.join(copy, "fits.csv"))
+    fits_to_csv(fits, os.path.join(run_dir, "fits.csv"))
+    return fit
+
+
+def test_validate_rejects_a_unit_scale_cross_row_miss(run_dir, tmp_path, capsys):
+    # at unit scale the relative slack is still 1e-6: a plane raised until
+    # one cross row misses by 1e-5 fails, with the residual split intact
+    copy = str(tmp_path / "run")
+    shutil.copytree(run_dir, copy)
+    fit = _lift_a_plane(copy)
     capsys.readouterr()
     assert cli.main(["validate", "--input", copy]) == cli.EXIT_VALIDATION
     report = capsys.readouterr().out
@@ -477,34 +484,89 @@ def small_panel(tmp_path_factory):
     return os.path.join(out, "synthetic_panel.csv")
 
 
-@pytest.mark.parametrize("argv", [
-    ["estimate"],
-    ["allocate"],
-    ["gain"],
-    ["run", "--bootstrap", "2"],
-    ["run", "--fixed-effects"],
-    ["run", "--scenarios", "perfect,local:L,imperfect:K"],
-], ids=["estimate", "allocate", "gain", "bootstrap", "fixed_effects",
-        "single_factor"])
-def test_command_paths_complete_and_validate(small_panel, tmp_path, argv):
+@pytest.mark.parametrize("argv, checks", [
+    (["ingest"], ["artifact-hashes"]),
+    (["estimate"], ["artifact-hashes", "afriat-rows"]),
+    (["run", "--bootstrap", "2"], None),
+    (["run", "--fixed-effects"], None),
+    (["run", "--scenarios", "perfect,local:L,imperfect:K"], None),
+], ids=["ingest", "estimate", "bootstrap", "fixed_effects", "single_factor"])
+def test_command_paths_complete_and_validate(small_panel, tmp_path, capsys, argv, checks):
+    # every command's manifest lists what it wrote, and validate runs the
+    # checks whose tables it lists (all six after run)
     out = str(tmp_path / "out")
     assert cli.main(argv + ["--input", small_panel, "--out", out,
                             "--jobs", "1"]) == cli.EXIT_OK
     written = set(os.listdir(out))
+    with open(os.path.join(out, "manifest.json"), encoding="utf-8") as fh:
+        assert set(json.load(fh)["artifacts"]) == written - {"manifest.json"}
+    if argv[0] == "ingest":
+        assert written == {"panel.csv", "manifest.json"}
     if argv[0] == "estimate":
-        assert {"fits.csv", "deciles.csv"} <= written
-        return
-    if argv[0] in ("allocate", "gain"):
-        labels = [t.label for t in cli.scenario_templates(cli.RunConfig())]
-        assert {f"allocations_{label}.csv" for label in labels} | {"summary.csv"} \
-            <= written
-        assert ("gains.csv" in written) == (argv[0] == "gain")
-        assert "manifest.json" not in written
-        return
+        assert written == {"panel.csv", "fits.csv", "deciles.csv", "manifest.json"}
     if "--scenarios" in argv:
         assert "plot_single_factor.json" in written
-    assert "manifest.json" in written
+    capsys.readouterr()
     assert cli.main(["validate", "--input", out]) == cli.EXIT_OK
+    ran = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+    assert ran == (checks or ["artifact-hashes", "afriat-rows", "resource-rows",
+                              "gain-arithmetic", "order", "plot-data"])
+
+
+def _raise_first_output(run_dir):
+    _edit_rows(os.path.join(run_dir, "panel.csv"),
+               lambda rows: rows[0].update(y=repr(float(rows[0]["y"]) * 1.01)))
+    return "artifact-hashes", "hash mismatch for panel.csv"
+
+
+def _lift_a_plane_rehashed(run_dir):
+    fit = _lift_a_plane(run_dir)
+    manifest_path = os.path.join(run_dir, "manifest.json")
+    with open(manifest_path, encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    manifest["artifacts"]["fits.csv"] = cli._sha256(os.path.join(run_dir, "fits.csv"))
+    with open(manifest_path, "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh)
+    return "afriat-rows", f"fit {fit.year}/{fit.tau}: concavity violated by 1.00e-05"
+
+
+@pytest.mark.parametrize("command, corrupt", [
+    ("ingest", _raise_first_output),
+    ("estimate", _lift_a_plane_rehashed),
+])
+def test_validate_fails_a_corrupted_partial_run(small_panel, tmp_path, capsys,
+                                                command, corrupt):
+    out = str(tmp_path / "out")
+    assert cli.main([command, "--input", small_panel, "--out", out,
+                     "--jobs", "1"]) == cli.EXIT_OK
+    check, message = corrupt(out)
+    capsys.readouterr()
+    assert cli.main(["validate", "--input", out]) == cli.EXIT_VALIDATION
+    report = capsys.readouterr().out
+    status = dict(line.split() for line in report.splitlines() if not line.startswith(" "))
+    assert status.pop(check) == "FAIL"
+    assert set(status.values()) <= {"PASS"}
+    assert message in report
+
+
+def test_branch_and_bound_past_its_node_cap_is_exit_3(tmp_path, monkeypatch, capsys):
+    # on noise-free output less a fixed cost the ten decile technologies
+    # are equal; with the node cap lowered the search reaches it and the
+    # run fails as a solver error instead of running on
+    synth_out = str(tmp_path / "synth")
+    assert cli.main(["synth", "--cities", "20", "--years", "2", "--noise-sigma", "0",
+                     "--out", synth_out]) == cli.EXIT_OK
+    panel = os.path.join(synth_out, "synthetic_panel.csv")
+    _edit_rows(panel, lambda rows: [r.update(grdp=repr(float(r["grdp"]) - 0.25))
+                                    for r in rows])
+    monkeypatch.setattr("cityalloc.solver._MAX_NODES", 5)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    code = cli.main(["run", "--input", panel, "--scenarios", "entry_exit",
+                     "--out", str(out), "--jobs", "1"])
+    assert code == cli.EXIT_SOLVER
+    assert "scenario entry_exit: branch and bound passed 5 nodes" in capsys.readouterr().err
+    assert not out.exists() or not os.listdir(out)
 
 
 def test_estimate_writes_the_tables_run_writes(small_panel, tmp_path):
@@ -549,6 +611,14 @@ def test_scenario_knobs_besides_scenarios_are_gone(tmp_path, capsys, flag, line)
     assert cli.main(["ingest", "--synthetic", "default", "--out", str(tmp_path / "out"),
                      "--config", str(config)]) == cli.EXIT_VALIDATION
     assert f"unknown key {line.split()[0]!r}" in capsys.readouterr().err
+
+
+def test_allocate_and_gain_are_folded_into_run():
+    # run writes every table the two commands wrote
+    for command in ("allocate", "gain"):
+        with pytest.raises(SystemExit) as err:
+            cli._build_parser().parse_args([command])
+        assert err.value.code == 2
 
 
 def test_crs_run_fits_through_the_origin_and_validates(small_panel, tmp_path):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from cityalloc import (
     BootstrapConfig,
     EstimationSettings,
@@ -383,3 +384,35 @@ def test_rescaled_units_complete_and_agree(tmp_path):
     # unique counterfactual technology (ROADMAP open item 4).
     for g, ref in zip(moved, base):
         assert abs(g.gain - ref.gain) <= 2e-3 * ref.gain
+
+
+def test_entry_exit_ends_on_interchangeable_deciles(tmp_path, monkeypatch):
+    # noise-free output less a fixed cost: every decile fits the one
+    # frontier, so all ten technologies are equal, and without rows that
+    # order their counts the branch and bound explores every symmetric
+    # copy of the fractional unit (past 2,000 nodes in one year)
+    rows, _ = generate(SyntheticSpec(20, 2, 1.0, (0.35, 0.45), 0.5, 0.0, 7))
+    for r in rows:
+        r["grdp"] -= 0.25
+    rows_to_csv(rows, tmp_path / "panel.csv")
+    panel = load_panel(tmp_path / "panel.csv", base_year=2003)
+    nodes = []
+
+    def counted(problem):
+        nodes.append(problem)
+        if len(nodes) > 300:
+            raise RuntimeError("branch and bound passed 300 nodes")
+        return solve_lp(problem)
+
+    monkeypatch.setattr("cityalloc.solver.solve_lp", counted)
+    audit = []
+    run_pipeline(panel, ScenarioTemplate("entry_exit"), audit=audit)
+    for unit in audit:
+        techs = unit.technologies
+        assert all(np.array_equal(t.alpha, techs[0].alpha)
+                   and np.array_equal(t.beta, techs[0].beta) for t in techs)
+        want = oracles.planner_entry_milp([(t.alpha, t.beta) for t in techs],
+                                          [t.pseudo_city_count for t in techs],
+                                          panel.year_slice(unit.year)[0].sum(axis=0))
+        got = unit.solutions["entry_exit"].efficient_output
+        assert got == pytest.approx(want, rel=1e-9, abs=0.0)

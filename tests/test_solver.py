@@ -258,6 +258,17 @@ def test_milp_two_item_knapsack():
     assert abs(res.primal_values[1] - 1.0) <= 1e-6
 
 
+def test_branch_and_bound_raises_past_its_node_cap(monkeypatch):
+    # the knapsack above takes three nodes: a cap of two stops the
+    # search with a SolverError and the root's bounds back on the Master
+    monkeypatch.setattr("cityalloc.solver._MAX_NODES", 2)
+    master = Master(LinearProgram("max", [3.0, 4.0], [[2.0, 3.0]], [LE], [3.0],
+                                  upper=[1.0, 1.0]))
+    with pytest.raises(cityalloc.solver.SolverError, match="passed 2 nodes"):
+        solve_integer(master, [0, 1])
+    assert master.lo[:2].tolist() == [0.0, 0.0] and master.hi[:2].tolist() == [1.0, 1.0]
+
+
 def test_milp_three_item_knapsack_regression():
     # max 3x+2y+2z s.t. 2x+y+2z <= 3: optimum picks x and y for 5,
     # not the greedy-by-ratio 4; guards a pricing defect caught once
