@@ -65,7 +65,6 @@ EXIT_VALIDATION = 2
 EXIT_SOLVER = 3
 EXIT_IO = 4
 
-_STAGE = {"ingest": 0, "estimate": 1, "run": 2}
 _REFERENCE_REPLICATES = 1000
 _SYNTHETIC_PANEL = "synthetic_panel.csv"
 
@@ -462,7 +461,7 @@ def _config_from_echo(echo) -> RunConfig:
     return RunConfig(**echo)
 
 
-def cmd_pipeline(config: RunConfig, stage: int) -> int:
+def cmd_pipeline(config: RunConfig, command: str) -> int:
     out_dir = _require_out(config)
     jobs = config.effective_jobs
     input_path = _resolve_input(config)
@@ -482,10 +481,10 @@ def cmd_pipeline(config: RunConfig, stage: int) -> int:
                            with_land="D" in config.inputs)
         panel_to_csv(panel, os.path.join(staging, "panel.csv"))
 
-        if stage == _STAGE["ingest"]:
+        if command == "ingest":
             print(f"ingest: {panel.n_cities} cities x {len(panel.years)} years")
         else:
-            if stage == _STAGE["estimate"]:
+            if command == "estimate":
                 templates = ()
             audits = []
             if templates and config.bootstrap > 0:
@@ -724,7 +723,7 @@ def main(argv=None) -> int:
             return cmd_synth(config, args)
         if args.command == "validate":
             return cmd_validate(config)
-        return cmd_pipeline(config, _STAGE[args.command])
+        return cmd_pipeline(config, args.command)
     except Exception as exc:
         code = _classify(exc)
         kind = {EXIT_VALIDATION: "validation", EXIT_SOLVER: "solver",
