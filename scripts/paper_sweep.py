@@ -12,20 +12,13 @@ replicate over both years, the resample drawn from
 of seed 1.  It prints one JSON line per year and one for the
 replicate.
 
-Each line splits the frontier fits' simplex pivots by kind, read off
-every ``SolveResult`` that ``cqr`` gets back:
-
-- ``cold``: solves that started from a crash (``warm_started`` False),
-  the crash's own dual pivots included;
-- ``rounds``: warm solves with no dual pivot, the generation rounds
-  after new columns;
-- ``reentry_dual`` and ``reentry_primal``: warm solves with dual
-  pivots, the re-entries after a new tau's bounds, split into the dual
-  pivots and the primal clean-up after them.
-
-It adds the fits' master solves, the planner's pivots and solves (its
-branch-and-bound nodes summed per call), the objective of each tau's
-fit, the gains and the wall time.  The counts repeat exactly from run
+Each line reads from the audit (``run_pipeline(..., audit=[])``) the
+frontier fits' master solves and pivots by kind, as ``cqr.FitWork``
+splits them (cold, generation rounds, re-entry dual pivots and their
+primal clean-up), the planner's pivots and solves (each
+``AllocationSolution``'s ``iteration_count`` and ``solve_count``,
+branch-and-bound nodes included), the objective of each tau's fit, the
+gains and the wall time.  The counts repeat exactly from run
 to run; the wall time drifts with the host, so compare it only between
 runs made in one window.  ``--cities`` draws a smaller economy, for a
 quick check that the tool runs.
@@ -41,80 +34,27 @@ import time
 
 import numpy as np
 
-import cityalloc.cqr
-import cityalloc.planner
 from cityalloc import cli
+from cityalloc.cqr import FitWork
 from cityalloc.gains import run_pipeline
 from cityalloc.panel import Panel, load_panel
 from cityalloc.synth import generate, rows_to_csv
 
 
-class Counts:
-    """Pivots by kind over the solves made while it is installed."""
-
-    def __init__(self):
-        self.cqr = dict(cold=0, rounds=0, reentry_dual=0, reentry_primal=0, master_solves=0)
-        self.planner = dict(pivots=0, solves=0)
-        self.objectives = {}
-
-    def _fit(self, solve):
-        def counted(problem):
-            res = solve(problem)
-            c = self.cqr
-            c["master_solves"] += 1
-            if not res.warm_started:
-                c["cold"] += res.iteration_count
-            elif res.dual_iterations:
-                c["reentry_dual"] += res.dual_iterations
-                c["reentry_primal"] += res.iteration_count - res.dual_iterations
-            else:
-                c["rounds"] += res.iteration_count
-            return res
-        return counted
-
-    def _planner(self, solve):
-        def counted(*args, **kwargs):
-            res = solve(*args, **kwargs)
-            self.planner["pivots"] += res.iteration_count
-            self.planner["solves"] += 1
-            return res
-        return counted
-
-    def _tau(self, fit):
-        def recorded(*args, **kwargs):
-            out = fit(*args, **kwargs)
-            self.objectives[f"{out.year}:{out.tau:g}"] = out.objective
-            return out
-        return recorded
-
-    def run(self, fn, *args):
-        """fn(*args) with the counting wrappers in place at the sites
-        where cqr and the planner look the solver up."""
-        sites = [(cityalloc.cqr, "solve_lp", self._fit),
-                 (cityalloc.cqr, "fit_cqr", self._tau),
-                 (cityalloc.planner, "solve_lp", self._planner),
-                 (cityalloc.planner, "solve_integer", self._planner)]
-        saved = [(mod, name, getattr(mod, name)) for mod, name, _ in sites]
-        for mod, name, wrap in sites:
-            setattr(mod, name, wrap(getattr(mod, name)))
-        try:
-            return fn(*args)
-        finally:
-            for mod, name, original in saved:
-                setattr(mod, name, original)
-
-
 def measure(label, panel, templates):
     """One JSON line: the pipeline on ``panel``, its pivots by kind and time."""
-    counts = Counts()
+    audit = []
     start = time.perf_counter()
-    gains = counts.run(run_pipeline, panel, templates)
+    gains = run_pipeline(panel, templates, audit=audit)
     wall = time.perf_counter() - start
-    line = {"unit": label, "cities": panel.n_cities, **counts.cqr,
-            "pivots": sum(v for k, v in counts.cqr.items() if k != "master_solves"),
-            "planner_pivots": counts.planner["pivots"],
-            "planner_solves": counts.planner["solves"],
-            "wall_s": round(wall, 3), "objectives": counts.objectives,
+    fits = [f for a in audit for f in sorted(a.fits + (a.median_fit,), key=lambda f: -f.tau)]
+    work = FitWork(*map(sum, zip(*(f.work for f in fits))))
+    solutions = [s for a in audit for s in a.solutions.values()]
+    line = {"unit": label, "cities": panel.n_cities, **work._asdict(), "pivots": work.pivots,
+            "planner_pivots": sum(s.iteration_count for s in solutions),
+            "planner_solves": sum(s.solve_count for s in solutions),
+            "wall_s": round(wall, 3),
+            "objectives": {f"{f.year}:{f.tau:g}": f.objective for f in fits},
             "gains": {f"{g.year}:{g.scenario}": g.gain for g in gains}}
     print(json.dumps(line), flush=True)
 

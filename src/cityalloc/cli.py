@@ -461,6 +461,14 @@ def _config_from_echo(echo) -> RunConfig:
     return RunConfig(**echo)
 
 
+def _build_panel(config: RunConfig, input_path) -> Panel:
+    """The panel a pipeline command builds from its input CSV."""
+    return load_panel(input_path, base_year=config.base_year,
+                      capital_rule=CapitalRule(config.capital_rule),
+                      with_human_capital="H" in config.inputs,
+                      with_land="D" in config.inputs)
+
+
 def cmd_pipeline(config: RunConfig, command: str) -> int:
     out_dir = _require_out(config)
     jobs = config.effective_jobs
@@ -474,11 +482,7 @@ def cmd_pipeline(config: RunConfig, command: str) -> int:
             input_path = os.path.join(staging, _SYNTHETIC_PANEL)
             recorded = os.path.join(out_dir, _SYNTHETIC_PANEL)
             rows_to_csv(generate(_FIXTURE)[0], input_path)
-        rule = CapitalRule(config.capital_rule)
-        panel = load_panel(input_path, base_year=config.base_year,
-                           capital_rule=rule,
-                           with_human_capital="H" in config.inputs,
-                           with_land="D" in config.inputs)
+        panel = _build_panel(config, input_path)
         panel_to_csv(panel, os.path.join(staging, "panel.csv"))
 
         if command == "ingest":
@@ -623,6 +627,21 @@ def cmd_validate(config: RunConfig) -> int:
                 problems.append(f"hash mismatch for {name}")
         return problems
 
+    def check_input():
+        # the recorded input, built as the run built it, writes panel.csv
+        # again (line ends aside: older runs wrote CRLF)
+        source = manifest["input"]
+        if _sha256(source["path"]) != source["sha256"]:
+            return [f"input {source['path']} does not match its recorded sha256"]
+        with tempfile.TemporaryDirectory() as tmp:
+            rebuilt = os.path.join(tmp, "panel.csv")
+            panel_to_csv(_build_panel(run_config, source["path"]), rebuilt)
+            with open(rebuilt, encoding="utf-8") as want, \
+                    open(os.path.join(run_dir, "panel.csv"), encoding="utf-8") as got:
+                if want.read() != got.read():
+                    return ["panel.csv differs from the panel built from the input"]
+        return []
+
     def check_afriat():
         problems = []
         blocks = units()[1]
@@ -687,6 +706,8 @@ def cmd_validate(config: RunConfig) -> int:
         return problems
 
     checks = [("artifact-hashes", check_hashes)]
+    if os.path.exists(manifest["input"]["path"]):
+        checks.append(("input-panel", check_input))
     if "fits.csv" in manifest["artifacts"]:
         checks.append(("afriat-rows", check_afriat))
     if "summary.csv" in manifest["artifacts"]:

@@ -25,14 +25,14 @@ moves only the box bounds of the dual's u block in place, so the old
 basis stays dual feasible and the solver re-enters it through the dual
 simplex, pricing rows by dual steepest edge; only the first tau of the
 sweep starts cold, at the top of the grid, where a cold fit costs
-about half the pivots it costs at the bottom. ``scripts/paper_sweep.py``
-splits a paper-scale sweep's pivots into the cold solve, the generation
-rounds and each re-entry's dual pivots and primal clean-up; ROADMAP
-item 12 records its counts.
+about half the pivots it costs at the bottom. Each fit records its
+pivots by kind (``FitWork``), which ``scripts/paper_sweep.py`` prints at
+paper scale; ROADMAP item 12 records its counts.
 """
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -55,9 +55,39 @@ _MAX_ROUNDS = 5000   # master solves per fit before giving up
 _DEDUP_TOL = 1e-6    # coefficient distance at which two planes are one
 
 
+class FitWork(NamedTuple):
+    """The simplex work of one fit: its master solves and their pivots by kind.
+
+    ``cold`` counts the solves that started from a crash (``warm_started``
+    False), the crash's own dual pivots included; ``rounds`` the warm
+    solves with no dual pivot, the generation rounds after new columns;
+    ``reentry_dual`` and ``reentry_primal`` split the warm solves with
+    dual pivots, the re-entries after a new tau's bounds, into those
+    dual pivots and the primal clean-up after them.
+    """
+
+    cold: int = 0
+    rounds: int = 0
+    reentry_dual: int = 0
+    reentry_primal: int = 0
+    master_solves: int = 0
+
+    @property
+    def pivots(self) -> int:
+        return self.cold + self.rounds + self.reentry_dual + self.reentry_primal
+
+    def add(self, res) -> "FitWork":
+        """This record with one more master solve's SolveResult."""
+        it, dual = res.iteration_count, res.dual_iterations
+        kind = (it, 0, 0, 0) if not res.warm_started else \
+            (0, 0, dual, it - dual) if dual else (0, it, 0, 0)
+        return FitWork(*map(sum, zip(self, kind + (1,))))
+
+
 @dataclass(frozen=True, eq=False)
 class QuantileFit:
-    """One fitted frontier: per-observation hyperplanes plus residual split."""
+    """One fitted frontier: per-observation hyperplanes plus residual split,
+    and the simplex work that found it (none when read from ``fits.csv``)."""
 
     year: int
     tau: float
@@ -66,6 +96,7 @@ class QuantileFit:
     eps_plus: np.ndarray
     eps_minus: np.ndarray
     objective: float = 0.0
+    work: FitWork = FitWork()
 
     @property
     def n_obs(self) -> int:
@@ -218,7 +249,7 @@ class _Carry:
 
 
 def _generate(x, y, tau, weights, crs, carry=None):
-    """Delayed cross-row generation; returns (alpha, beta, objective).
+    """Delayed cross-row generation; returns (alpha, beta, objective, work).
 
     Each round appends the most violated cross rows to the master and
     none ever leaves it. With a ``carry`` holding an earlier fit's
@@ -235,8 +266,10 @@ def _generate(x, y, tau, weights, crs, carry=None):
         pairs = _neighbour_pairs(x)
         master = _dual_master(x, y, tau, weights, pairs, crs)
 
+    work = FitWork()
     for _ in range(_MAX_ROUNDS):
         res = solve_lp(master)
+        work = work.add(res)
         if res.status != "optimal":
             raise SolverError(f"generation master came back {res.status}")
         alpha = np.zeros(n) if crs else res.dual_values[:n]
@@ -249,7 +282,7 @@ def _generate(x, y, tau, weights, crs, carry=None):
         if not (viol > _VIOL_TOL).any():
             if carry is not None:
                 carry.pairs, carry.master = pairs, master
-            return alpha, beta, res.objective_value
+            return alpha, beta, res.objective_value, work
         batch = _violated_pairs(viol, 3, 5 * n)
         _add_pairs(master, x, batch, crs)
         pairs = np.vstack([pairs, batch])
@@ -277,7 +310,7 @@ def fit_cqr(x, y, tau, crs=False, year=0, weights=None, *, _carry=None) -> Quant
     hand-over of the previous tau's master and working set.
     """
     x, y, weights = _check_inputs(x, y, tau, weights)
-    alpha, beta, obj = _generate(x, y, tau, weights, crs, _carry)
+    alpha, beta, obj, work = _generate(x, y, tau, weights, crs, _carry)
     beta = np.clip(beta, 0.0, None)  # scrub dual roundoff at the sign bound
     resid = y - (alpha + np.sum(x * beta, axis=1))
     return QuantileFit(
@@ -288,6 +321,7 @@ def fit_cqr(x, y, tau, crs=False, year=0, weights=None, *, _carry=None) -> Quant
         eps_plus=np.clip(resid, 0.0, None),
         eps_minus=np.clip(-resid, 0.0, None),
         objective=float(obj),
+        work=work,
     )
 
 

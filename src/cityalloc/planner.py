@@ -257,7 +257,10 @@ class AllocationSolution:
     the one vertex of it that the pivot path reached, not a rule's pick;
     so is ``active`` under entry/exit with planes through the origin,
     where an active pseudo-city with no inputs produces what an idle one
-    does.
+    does.  ``iteration_count`` sums the simplex pivots of the scenario's
+    ``solve_lp`` or ``solve_integer`` calls, branch-and-bound nodes
+    included, and ``solve_count`` counts those calls: both are 0 on the
+    separable path, which solves no LP.
     """
 
     year: int
@@ -269,6 +272,8 @@ class AllocationSolution:
     output: np.ndarray
     active: np.ndarray
     efficient_output: float
+    iteration_count: int = 0
+    solve_count: int = 0
 
     def __post_init__(self):
         for arr in (self.decile, self.pseudo_city, self.inputs,
@@ -349,7 +354,7 @@ def certify(scenario: PlannerScenario, inputs, output, active,
     return problems
 
 
-def _build_solution(scn, geo, y, x, b, objective) -> AllocationSolution:
+def _build_solution(scn, geo, y, x, b, objective, iterations=0, solves=0) -> AllocationSolution:
     n = int(geo.counts.sum())
     deciles = np.repeat([t.decile for t in scn.technologies], geo.counts)
     within = np.concatenate([np.arange(1, c + 1) for c in geo.counts])
@@ -363,7 +368,7 @@ def _build_solution(scn, geo, y, x, b, objective) -> AllocationSolution:
         decile=deciles.astype(np.int64), pseudo_city=within.astype(np.int64),
         inputs=inputs, output=np.asarray(y, dtype=np.float64).copy(),
         active=(np.asarray(b) > 0.5).astype(np.int8),
-        efficient_output=float(objective))
+        efficient_output=float(objective), iteration_count=iterations, solve_count=solves)
 
 
 def _solve_rows(scn, geo, masters):
@@ -406,7 +411,7 @@ def _solve_rows(scn, geo, masters):
         raise PlannerError(f"scenario solve failed with status {res.status!r}")
     y = res.dual_values[:n]
     x = np.maximum(res.dual_values[n:].reshape(n, nr), 0.0)
-    return y, x, np.ones(n), res.objective_value
+    return y, x, np.ones(n), res.objective_value, res.iteration_count, 1
 
 
 def _rows_master(lp, masters):
@@ -526,7 +531,7 @@ def _solve_entry_counts(scn: PlannerScenario, geo: _Geo, masters):
         y[lo:lo + m[d]] = agg_y[d] / m[d]
         x[lo:lo + m[d]] = agg_x[d] / m[d]
         b[lo:lo + m[d]] = 1.0
-    return y, x, b, res.objective_value
+    return y, x, b, res.objective_value, res.iteration_count, 1
 
 
 def _hull_1d(a, b):
@@ -614,12 +619,12 @@ def solve_scenario(scenario: PlannerScenario,
     masters = [] if masters is None else masters
     geo = _geometry(scenario)
     if not scenario.fixed_input_values:
-        y, x, b, obj = _solve_entry_counts(scenario, geo, masters)
+        out = _solve_entry_counts(scenario, geo, masters)
     elif geo.rcols.size == 1:
-        y, x, b, obj = _solve_separable(scenario, geo)
+        out = _solve_separable(scenario, geo)
     else:
-        y, x, b, obj = _solve_rows(scenario, geo, masters)
-    solution = _build_solution(scenario, geo, y, x, b, obj)
+        out = _solve_rows(scenario, geo, masters)
+    solution = _build_solution(scenario, geo, *out)
     problems = certify(scenario, solution.inputs, solution.output, solution.active, LP_TOLERANCE)
     if problems:
         raise PlannerError(problems[0])

@@ -485,15 +485,15 @@ def small_panel(tmp_path_factory):
 
 
 @pytest.mark.parametrize("argv, checks", [
-    (["ingest"], ["artifact-hashes"]),
-    (["estimate"], ["artifact-hashes", "afriat-rows"]),
+    (["ingest"], ["artifact-hashes", "input-panel"]),
+    (["estimate"], ["artifact-hashes", "input-panel", "afriat-rows"]),
     (["run", "--bootstrap", "2"], None),
     (["run", "--fixed-effects"], None),
     (["run", "--scenarios", "perfect,local:L,imperfect:K"], None),
 ], ids=["ingest", "estimate", "bootstrap", "fixed_effects", "single_factor"])
 def test_command_paths_complete_and_validate(small_panel, tmp_path, capsys, argv, checks):
     # every command's manifest lists what it wrote, and validate runs the
-    # checks whose tables it lists (all six after run)
+    # checks whose tables it lists (all seven after run)
     out = str(tmp_path / "out")
     assert cli.main(argv + ["--input", small_panel, "--out", out,
                             "--jobs", "1"]) == cli.EXIT_OK
@@ -509,29 +509,44 @@ def test_command_paths_complete_and_validate(small_panel, tmp_path, capsys, argv
     capsys.readouterr()
     assert cli.main(["validate", "--input", out]) == cli.EXIT_OK
     ran = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
-    assert ran == (checks or ["artifact-hashes", "afriat-rows", "resource-rows",
-                              "gain-arithmetic", "order", "plot-data"])
+    assert ran == (checks or ["artifact-hashes", "input-panel", "afriat-rows",
+                              "resource-rows", "gain-arithmetic", "order", "plot-data"])
+
+
+def _rehash(run_dir, name):
+    """Record artifact ``name``'s current sha256 in the manifest."""
+    manifest_path = os.path.join(run_dir, "manifest.json")
+    with open(manifest_path, encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    manifest["artifacts"][name] = cli._sha256(os.path.join(run_dir, name))
+    with open(manifest_path, "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh)
 
 
 def _raise_first_output(run_dir):
     _edit_rows(os.path.join(run_dir, "panel.csv"),
                lambda rows: rows[0].update(y=repr(float(rows[0]["y"]) * 1.01)))
-    return "artifact-hashes", "hash mismatch for panel.csv"
+    return ("artifact-hashes", "input-panel"), "hash mismatch for panel.csv"
+
+
+def _double_first_output_rehashed(run_dir):
+    # its hash rewritten, the edited panel.csv passes artifact-hashes; only
+    # the panel rebuilt from the recorded input shows the edit
+    _edit_rows(os.path.join(run_dir, "panel.csv"),
+               lambda rows: rows[0].update(y=repr(float(rows[0]["y"]) * 2.0)))
+    _rehash(run_dir, "panel.csv")
+    return ("input-panel",), "panel.csv differs from the panel built from the input"
 
 
 def _lift_a_plane_rehashed(run_dir):
     fit = _lift_a_plane(run_dir)
-    manifest_path = os.path.join(run_dir, "manifest.json")
-    with open(manifest_path, encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    manifest["artifacts"]["fits.csv"] = cli._sha256(os.path.join(run_dir, "fits.csv"))
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh)
-    return "afriat-rows", f"fit {fit.year}/{fit.tau}: concavity violated by 1.00e-05"
+    _rehash(run_dir, "fits.csv")
+    return ("afriat-rows",), f"fit {fit.year}/{fit.tau}: concavity violated by 1.00e-05"
 
 
 @pytest.mark.parametrize("command, corrupt", [
     ("ingest", _raise_first_output),
+    ("ingest", _double_first_output_rehashed),
     ("estimate", _lift_a_plane_rehashed),
 ])
 def test_validate_fails_a_corrupted_partial_run(small_panel, tmp_path, capsys,
@@ -539,14 +554,33 @@ def test_validate_fails_a_corrupted_partial_run(small_panel, tmp_path, capsys,
     out = str(tmp_path / "out")
     assert cli.main([command, "--input", small_panel, "--out", out,
                      "--jobs", "1"]) == cli.EXIT_OK
-    check, message = corrupt(out)
+    checks, message = corrupt(out)
     capsys.readouterr()
     assert cli.main(["validate", "--input", out]) == cli.EXIT_VALIDATION
     report = capsys.readouterr().out
     status = dict(line.split() for line in report.splitlines() if not line.startswith(" "))
-    assert status.pop(check) == "FAIL"
+    assert [status.pop(check) for check in checks] == ["FAIL"] * len(checks)
     assert set(status.values()) <= {"PASS"}
     assert message in report
+
+
+def test_validate_ties_the_run_to_its_recorded_input(small_panel, tmp_path, capsys):
+    # an input edited after the run fails input-panel; once the input is
+    # gone the check is left out and the run validates on its artifacts
+    panel = str(tmp_path / "panel.csv")
+    shutil.copy(small_panel, panel)
+    out = str(tmp_path / "out")
+    assert cli.main(["ingest", "--input", panel, "--out", out]) == cli.EXIT_OK
+    with open(panel, "a", encoding="utf-8") as fh:
+        fh.write("\n")
+    capsys.readouterr()
+    assert cli.main(["validate", "--input", out]) == cli.EXIT_VALIDATION
+    assert f"input {panel} does not match its recorded sha256" in capsys.readouterr().out
+    os.remove(panel)
+    capsys.readouterr()
+    assert cli.main(["validate", "--input", out]) == cli.EXIT_OK
+    assert [line.split()[0] for line in capsys.readouterr().out.splitlines()] \
+        == ["artifact-hashes"]
 
 
 def test_branch_and_bound_past_its_node_cap_is_exit_3(tmp_path, monkeypatch, capsys):

@@ -84,23 +84,15 @@ def test_tiny_samples_match_dense_formulation():
             assert np.max(np.abs(fitted(fit, x) - ref_fv)) <= 1e-7
 
 
-def test_small_samples_need_one_master_solve(monkeypatch):
+def test_small_samples_need_one_master_solve():
     # up to 11 observations the neighbour seed holds every cross pair,
     # so the first master is the full program
-    solves = []
-    original = cityalloc.cqr.solve_lp
-
-    def counting(*args, **kwargs):
-        solves.append(1)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr("cityalloc.cqr.solve_lp", counting)
     rng = np.random.default_rng(163)
     for n in (3, 7, 11):
         x, y = cobb_douglas_year(rng, n)
-        solves.clear()
         fit = fit_cqr(x, y, 0.5)
-        assert len(solves) == 1
+        assert fit.work.master_solves == 1
+        assert fit.work.pivots == fit.work.cold
         assert abs(fit.objective - dense_cqr(x, y, 0.5)[0]) <= 1e-9 * (1 + fit.objective)
 
 

@@ -1,8 +1,13 @@
 """Gain pipeline and bootstrap checks."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import cityalloc.cqr
+import cityalloc.gains
+import cityalloc.planner
 import oracles
 from cityalloc import (
     BootstrapConfig,
@@ -23,6 +28,7 @@ from cityalloc import (
     SyntheticSpec,
     fit_cqr,
 )
+from cityalloc import cli
 from cityalloc.cli import gains_to_csv
 from cityalloc.gains import order_problems
 from cityalloc.planner import DecileTechnology, PlannerScenario
@@ -130,6 +136,29 @@ def test_noise_free_identical_cities_gain_one(tmp_path):
         assert abs(g.gain - 1.0) < 1e-2
 
 
+# largest relative gap |gain / true_gain - 1| of noise-free perfect runs
+# over seeds 7-16 (the sweep in CHANGES.md), rounded up: 3.4e-3 at 120
+# cities, 8.0e-4 at 284
+RECOVERY_BOUND = {120: 4e-3, 284: 1e-3}
+
+
+@pytest.mark.parametrize("cities", [120, 284])
+@pytest.mark.parametrize("seed", [7, 8])
+def test_noise_free_perfect_gain_recovers_the_truth(tmp_path, cities, seed):
+    # with no output noise every city has the one technology, so the
+    # wedges are all the misallocation and perfect reallocation reaches the
+    # closed-form efficient output (ROADMAP item 11; at noise 0 every truth
+    # of item 23 equals true_gain)
+    spec = replace(cli._FIXTURE, noise_sigma=0.0, year_count=2, city_count=cities, seed=seed)
+    rows, truth = generate(spec)
+    rows_to_csv(rows, tmp_path / "panel.csv")
+    gains = run_pipeline(load_panel(tmp_path / "panel.csv", base_year=2003),
+                         ScenarioTemplate("perfect"))
+    assert [g.year for g in gains] == truth.years.tolist()
+    gap = np.abs(np.array([g.gain for g in gains]) / truth.true_gain - 1.0)
+    assert gap.max() <= RECOVERY_BOUND[cities]
+
+
 def test_parallel_matches_serial(fixture_panel):
     panel, _ = fixture_panel
     templates = [ScenarioTemplate("perfect"), ScenarioTemplate("local")]
@@ -213,6 +242,73 @@ def test_audit_retains_artifacts(fixture_panel):
         for fa, fe in zip(a.fits + (a.median_fit,), e.fits + (e.median_fit,), strict=True):
             assert np.array_equal(fa.alpha, fe.alpha) and np.array_equal(fa.beta, fe.beta)
         assert np.array_equal(a.assignment.decile, e.assignment.decile)
+
+
+def split_pivots(results):
+    """A fit's master solves and their pivots by kind, split as
+    scripts/paper_sweep.py split them when it wrapped cqr.solve_lp: the
+    reference that cqr.FitWork must equal."""
+    work = dict(cold=0, rounds=0, reentry_dual=0, reentry_primal=0,
+                master_solves=len(results))
+    for res in results:
+        if not res.warm_started:
+            work["cold"] += res.iteration_count
+        elif res.dual_iterations:
+            work["reentry_dual"] += res.dual_iterations
+            work["reentry_primal"] += res.iteration_count - res.dual_iterations
+        else:
+            work["rounds"] += res.iteration_count
+    return work
+
+
+def test_audit_records_each_fit_and_scenario_work(tmp_path, monkeypatch):
+    # each fit's record equals the split of the solves a wrapped
+    # cqr.solve_lp sees during its fit_cqr call, and each scenario's the
+    # pivots and calls a wrapped planner.solve_lp / solve_integer sees
+    # during its solve_scenario call; the separable perfect:K solves none
+    rows, _ = generate(replace(cli._FIXTURE, city_count=40, year_count=2))
+    rows_to_csv(rows, tmp_path / "panel.csv")
+    year = load_panel(tmp_path / "panel.csv", base_year=2003)
+    panel = Panel(year.city_id, year.years[:1], year.y[:, :1],
+                  {f: v[:, :1] for f, v in year.inputs.items()})
+    results, per_fit, per_scenario = [], {}, []
+
+    def recording(solve):
+        def recorded(*args, **kwargs):
+            results.append(solve(*args, **kwargs))
+            return results[-1]
+        return recorded
+
+    def delimiting(call, store):
+        def delimited(*args, **kwargs):
+            results.clear()
+            out = call(*args, **kwargs)
+            store(out, list(results))
+            return out
+        return delimited
+
+    monkeypatch.setattr(cityalloc.cqr, "solve_lp", recording(cityalloc.cqr.solve_lp))
+    monkeypatch.setattr(cityalloc.planner, "solve_lp", recording(cityalloc.planner.solve_lp))
+    monkeypatch.setattr(cityalloc.planner, "solve_integer",
+                        recording(cityalloc.planner.solve_integer))
+    monkeypatch.setattr(cityalloc.cqr, "fit_cqr", delimiting(
+        cityalloc.cqr.fit_cqr, lambda fit, res: per_fit.__setitem__(fit.tau, res)))
+    monkeypatch.setattr(cityalloc.gains, "solve_scenario", delimiting(
+        cityalloc.gains.solve_scenario, lambda _, res: per_scenario.append(res)))
+    templates = cli.scenario_templates(cli.RunConfig(
+        scenarios=("perfect", "imperfect", "entry_exit", "local", "perfect:K")))
+    audit = []
+    run_pipeline(panel, templates, audit=audit)
+    (unit,) = audit
+    fits = unit.fits + (unit.median_fit,)
+    assert sorted(f.tau for f in fits) == sorted(per_fit)
+    for fit in fits:
+        assert fit.work._asdict() == split_pivots(per_fit[fit.tau])
+    total = [sum(col) for col in zip(*(f.work for f in fits))]
+    assert min(total) > 0 and total[-1] > len(fits)  # every kind of pivot, and rounds
+    got = [(s.iteration_count, s.solve_count) for s in unit.solutions.values()]
+    assert got == [(sum(r.iteration_count for r in res), len(res)) for res in per_scenario]
+    assert got[-1] == (0, 0) and all(pivots > 0 for pivots, _ in got[:-1])
 
 
 def test_repeated_cities_fit_as_expanded_rows(fixture_panel):
