@@ -267,6 +267,16 @@ def _edit_rows(path, edit):
         writer.writerows(rows)
 
 
+def _rehash(run_dir, name):
+    """Record artifact ``name``'s current sha256 in the manifest."""
+    manifest_path = os.path.join(run_dir, "manifest.json")
+    with open(manifest_path, encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    manifest["artifacts"][name] = cli._sha256(os.path.join(run_dir, name))
+    with open(manifest_path, "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh)
+
+
 def _over_budget(rows):
     # one city takes the whole year's capital on top of its own
     year = [r for r in rows if r["year"] == rows[0]["year"]]
@@ -386,12 +396,7 @@ def test_validate_checks_the_derived_plots(run_dir, tmp_path, capsys, artifact, 
         text = edit(text)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
-    manifest_path = os.path.join(copy, "manifest.json")
-    with open(manifest_path, encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    manifest["artifacts"][artifact] = cli._sha256(path)
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh)
+    _rehash(copy, artifact)
     capsys.readouterr()
     assert cli.main(["validate", "--input", copy]) == cli.EXIT_VALIDATION
     report = capsys.readouterr().out
@@ -511,16 +516,6 @@ def test_command_paths_complete_and_validate(small_panel, tmp_path, capsys, argv
     ran = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
     assert ran == (checks or ["artifact-hashes", "input-panel", "afriat-rows",
                               "resource-rows", "gain-arithmetic", "order", "plot-data"])
-
-
-def _rehash(run_dir, name):
-    """Record artifact ``name``'s current sha256 in the manifest."""
-    manifest_path = os.path.join(run_dir, "manifest.json")
-    with open(manifest_path, encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    manifest["artifacts"][name] = cli._sha256(os.path.join(run_dir, name))
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh)
 
 
 def _raise_first_output(run_dir):
@@ -710,16 +705,11 @@ def test_validate_reads_crlf_tables(run_dir, tmp_path):
     # the lines of gains.csv and panel.csv in CRLF
     copy = str(tmp_path / "run")
     shutil.copytree(run_dir, copy)
-    manifest_path = os.path.join(copy, "manifest.json")
-    with open(manifest_path, encoding="utf-8") as fh:
-        manifest = json.load(fh)
     for name in ("gains.csv", "panel.csv"):
         path = os.path.join(copy, name)
         with open(path, "rb") as fh:
             text = fh.read()
         with open(path, "wb") as fh:
             fh.write(text.replace(b"\n", b"\r\n"))
-        manifest["artifacts"][name] = cli._sha256(path)
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh)
+        _rehash(copy, name)
     assert cli.main(["validate", "--input", copy]) == cli.EXIT_OK
