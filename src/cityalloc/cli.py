@@ -66,9 +66,8 @@ EXIT_SOLVER = 3
 EXIT_IO = 4
 
 _REFERENCE_REPLICATES = 1000
-_SYNTHETIC_PANEL = "synthetic_panel.csv"
 
-# --synthetic default and the synth command defaults are the same economy
+# the synth command's defaults: a stand-in for the paper's 284 cities x 17 years
 _FIXTURE = SyntheticSpec(city_count=284, year_count=17, scale=1.0,
                          exponents=(0.35, 0.45), wedge_sigma=0.5,
                          noise_sigma=0.1, seed=7)
@@ -82,7 +81,6 @@ class RunConfig:
 
     input: str | None = None
     out: str | None = None
-    synthetic: str | None = None
     base_year: int = 2003
     capital_rule: str = "baseline"
     crs: bool = False
@@ -172,7 +170,7 @@ def _parse_tuple(text):
 
 
 _FIELD_PARSERS = {
-    "input": str, "out": str, "synthetic": str, "capital_rule": str,
+    "input": str, "out": str, "capital_rule": str,
     "base_year": int, "bootstrap": int, "seed": int, "jobs": int,
     "iceberg": float, "depletion": float,
     "crs": _parse_bool, "fixed_effects": _parse_bool,
@@ -209,8 +207,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="key = value config file")
 
     pipeline = argparse.ArgumentParser(add_help=False)
-    pipeline.add_argument("--synthetic", metavar="PRESET",
-                          help="generate the input panel ('default' = synth defaults)")
     pipeline.add_argument("--base-year", type=int)
     pipeline.add_argument("--capital-rule", choices=sorted(CAPITAL_VARIANTS))
     pipeline.add_argument("--crs", action=argparse.BooleanOptionalAction,
@@ -290,19 +286,6 @@ def _staged_outputs(out_dir):
             os.replace(os.path.join(staging, name), os.path.join(out_dir, name))
     finally:
         shutil.rmtree(staging, ignore_errors=True)
-
-
-def _resolve_input(config):
-    """The --input path, or None when the panel is the synthetic preset."""
-    if config.synthetic is not None:
-        if config.synthetic != "default":
-            raise ValueError(f"unknown synthetic preset {config.synthetic!r}")
-        if config.input:
-            raise ValueError("--input and --synthetic are mutually exclusive")
-        return None
-    if not config.input:
-        raise ValueError("an --input panel is required (or --synthetic default)")
-    return config.input
 
 
 def _write_csv(path, header, rows):
@@ -446,12 +429,15 @@ def _config_echo(config) -> dict:
 
 def _config_from_echo(echo) -> RunConfig:
     """The RunConfig a manifest's config echo records. Older manifests
-    echo ``quantiles`` and ``tolerance`` too, which must be the fixed
-    decile grid and LP tolerance."""
+    echo options since removed, each of which must hold a value the run
+    still has: ``quantiles`` and ``tolerance`` the fixed decile grid and
+    LP tolerance, and ``synthetic`` null or ``"default"``, whose
+    generated panel the manifest records as its input."""
     echo = dict(echo)
-    for key, fixed in (("quantiles", DEFAULT_QUANTILES.tolist()), ("tolerance", LP_TOLERANCE)):
-        if key in echo and echo.pop(key) != fixed:
-            raise ValueError(f"manifest config: {key} is not the fixed {fixed!r}")
+    for key, kept in (("quantiles", (DEFAULT_QUANTILES.tolist(),)),
+                      ("tolerance", (LP_TOLERANCE,)), ("synthetic", (None, "default"))):
+        if echo.pop(key, kept[0]) not in kept:
+            raise ValueError(f"manifest config: {key} is not {' or '.join(map(repr, kept))}")
     unknown = sorted(set(echo) - set(_FIELD_PARSERS))
     if unknown:
         raise ValueError(f"manifest config: unknown key {unknown[0]!r}")
@@ -471,18 +457,13 @@ def _build_panel(config: RunConfig, input_path) -> Panel:
 
 def cmd_pipeline(config: RunConfig, command: str) -> int:
     out_dir = _require_out(config)
+    if not config.input:
+        raise ValueError("an --input panel is required")
     jobs = config.effective_jobs
-    input_path = _resolve_input(config)
     settings = config.estimation
     templates = scenario_templates(config)
     with _staged_outputs(out_dir) as staging:
-        recorded = input_path
-        if input_path is None:
-            # staged like any artifact: the manifest names its home in --out
-            input_path = os.path.join(staging, _SYNTHETIC_PANEL)
-            recorded = os.path.join(out_dir, _SYNTHETIC_PANEL)
-            rows_to_csv(generate(_FIXTURE)[0], input_path)
-        panel = _build_panel(config, input_path)
+        panel = _build_panel(config, config.input)
         panel_to_csv(panel, os.path.join(staging, "panel.csv"))
 
         if command == "ingest":
@@ -515,8 +496,7 @@ def cmd_pipeline(config: RunConfig, command: str) -> int:
             "version": __version__,
             "config": _config_echo(config),
             "seed": config.seed,
-            "input": {"path": os.fspath(recorded),
-                      "sha256": _sha256(input_path)},
+            "input": {"path": config.input, "sha256": _sha256(config.input)},
             "artifacts": {name: _sha256(os.path.join(staging, name))
                           for name in sorted(os.listdir(staging))},
         })

@@ -344,9 +344,8 @@ def fit_all_quantiles(x, y, crs=False, year=0, weights=None):
 def assign_deciles(x, y, median_fit: QuantileFit, city_id=None) -> DecileAssignment:
     """Rank cities by residual efficiency and cut into ten deciles.
 
-    Score is y_i minus the median-frontier envelope at x_i; ranking is
-    ascending with ties broken by city_id ascending. Decile sizes differ
-    by at most one, the leftover observations going to the low deciles.
+    Score is y_i minus the median-frontier envelope at x_i, cut by
+    ``decile_cut``.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -357,16 +356,23 @@ def assign_deciles(x, y, median_fit: QuantileFit, city_id=None) -> DecileAssignm
     if len(city_id) != n:
         raise ValueError("city_id length does not match observations")
     score = y - median_fit.frontier(x)
-    order = np.lexsort((city_id, score))
-    decile = np.empty(n, dtype=np.int64)
-    for d, chunk in enumerate(np.array_split(order, N_DECILES), start=1):
-        decile[chunk] = d
     return DecileAssignment(
         year=median_fit.year,
         city_id=city_id,
-        decile=decile,
+        decile=decile_cut(score, city_id),
         score=score,
     )
+
+
+def decile_cut(score, city_id):
+    """Decile labels 1..10 by ascending score, ties broken by city_id
+    ascending; sizes differ by at most one, the leftover observations
+    going to the low deciles."""
+    order = np.lexsort((city_id, score))
+    decile = np.empty(len(order), dtype=np.int64)
+    for d, chunk in enumerate(np.array_split(order, N_DECILES), start=1):
+        decile[chunk] = d
+    return decile
 
 
 def dedup_hyperplanes(alpha, beta):

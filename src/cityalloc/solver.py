@@ -431,8 +431,12 @@ class Master:
         resid = self.b - A @ x
 
         # Columns touching exactly one row can absorb that row's residual
-        # directly; quantile-regression deviation variables and plain slacks
-        # both land here, so those problems start primal feasible.
+        # directly. Mostly these are logicals: a frontier master's u and w
+        # columns carry d+1 and 2(d+1) nonzeros, so the pass places its beta
+        # rows' slacks and leaves its alpha rows, whose logicals are fixed,
+        # to the triangular pass; a counts LP's only structural singletons
+        # are its totals t_r, fixed, and its slacks s_r, fixed at 0 under
+        # perfect and imperfect.
         nnz_per_col = np.diff(A.indptr)
         singleton_rows: dict[int, list[tuple[int, float]]] = {}
         for j in np.nonzero(nnz_per_col == 1)[0]:

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cqr import DEFAULT_QUANTILES, decile_cut
 from .panel import CapitalRule, REQUIRED_COLUMNS
 
 _MAX_REDRAWS = 100
@@ -57,18 +58,30 @@ class SyntheticSpec:
 
 @dataclass(frozen=True, eq=False)
 class GroundTruth:
-    """What the generator knows that the pipeline must recover."""
+    """What the generator knows that the pipeline must recover.
+
+    ``true_gain`` is the noise-free technology's efficient output over
+    each year's actual output. The other two gains read city i's output
+    noise draw e_i as its efficiency, e_i * scale * prod(x ** exponents):
+    ``efficiency_gain`` reallocates across those technologies, and
+    ``decile_quantile_gain`` across the ones a perfect decile frontier
+    would give, where each city of decile d (cut by e as
+    ``cqr.decile_cut`` cuts scores) holds the e quantile at
+    ``DEFAULT_QUANTILES[d - 1]``.
+    """
 
     years: np.ndarray
     endowments: dict
     actual_output: np.ndarray
     efficient_output: float
     true_gain: np.ndarray
+    efficiency_gain: np.ndarray
+    decile_quantile_gain: np.ndarray
 
     def __post_init__(self):
-        self.years.setflags(write=False)
-        self.actual_output.setflags(write=False)
-        self.true_gain.setflags(write=False)
+        for name in ("years", "actual_output", "true_gain", "efficiency_gain",
+                     "decile_quantile_gain"):
+            getattr(self, name).setflags(write=False)
 
 
 def analytic_efficient_output(spec: SyntheticSpec, aggregates) -> float:
@@ -90,6 +103,20 @@ def analytic_efficient_output(spec: SyntheticSpec, aggregates) -> float:
     return float(spec.scale * spec.city_count ** (1.0 - s) * np.prod(x ** a))
 
 
+def _efficient_output(spec: SyntheticSpec, aggregates, efficiency) -> float:
+    """Efficient aggregate output when city i's technology is
+    efficiency_i * scale * prod(x ** exponents): shares proportional to
+    efficiency ** (1 / (1 - s)), so output scales with the efficiencies'
+    1/(1 - s)-norm, taken scaled by its largest entry; under constant
+    returns everything goes to the most efficient city."""
+    a = np.asarray(spec.exponents)
+    s = a.sum()
+    top = float(efficiency.max())
+    norm = top if s >= 1.0 else \
+        top * float(np.sum((efficiency / top) ** (1.0 / (1.0 - s)))) ** (1.0 - s)
+    return float(spec.scale * norm * np.prod(aggregates ** a))
+
+
 def _wedge_shares(rng, sigma, n):
     # inverse-wedge draw: factor price w, allocation share 1/w normalized
     w = rng.lognormal(0.0, sigma, n) if sigma > 0 else np.ones(n)
@@ -107,7 +134,9 @@ def generate(spec: SyntheticSpec):
     (delta * K under the baseline depreciation) reconstructs the
     intended stock to machine precision through the perpetual-inventory
     rule.  Labor wedges and output noise are redrawn every year, so
-    yearly true gains differ.  A draw whose implied investment series
+    yearly true gains differ; the year's noise draws set its efficiency
+    and decile-quantile truths (``GroundTruth``) and take no draw of
+    their own.  A draw whose implied investment series
     is not strictly positive is redrawn, with an error after 100
     attempts.
     """
@@ -131,17 +160,22 @@ def generate(spec: SyntheticSpec):
 
     years = np.arange(2003, 2003 + t)
     a_k, a_l = spec.exponents
+    city_id = np.array([f"C{i + 1:03d}" for i in range(n)], dtype=object)
     rows = []
     actual = np.zeros(t)
+    pooled = np.zeros((2, t))  # efficiency and decile-quantile Y_e per year
     for j in range(t):
         labor = totals[1] * _wedge_shares(rng, spec.wedge_sigma, n)
         noise = (np.exp(rng.normal(0.0, spec.noise_sigma, n))
                  if spec.noise_sigma > 0 else np.ones(n))
         y = spec.scale * k_path[:, j] ** a_k * labor ** a_l * noise
         actual[j] = y.sum()
+        at_quantile = np.quantile(noise, DEFAULT_QUANTILES)[decile_cut(noise, city_id) - 1]
+        pooled[:, j] = (_efficient_output(spec, totals, noise),
+                        _efficient_output(spec, totals, at_quantile))
         for i in range(n):
             rows.append({
-                "city_id": f"C{i + 1:03d}",
+                "city_id": city_id[i],
                 "year": int(years[j]),
                 "grdp": float(y[i]),
                 "grdp_index": 100.0,
@@ -153,7 +187,8 @@ def generate(spec: SyntheticSpec):
     efficient = analytic_efficient_output(spec, totals)
     truth = GroundTruth(years=years, endowments={"K": totals[0], "L": totals[1]},
                         actual_output=actual, efficient_output=efficient,
-                        true_gain=efficient / actual)
+                        true_gain=efficient / actual, efficiency_gain=pooled[0] / actual,
+                        decile_quantile_gain=pooled[1] / actual)
     return rows, truth
 
 
@@ -176,6 +211,8 @@ def truth_to_json(truth: GroundTruth, path) -> None:
         "actual_output": [float(v) for v in truth.actual_output],
         "efficient_output": float(truth.efficient_output),
         "true_gain": [float(v) for v in truth.true_gain],
+        "efficiency_gain": [float(v) for v in truth.efficiency_gain],
+        "decile_quantile_gain": [float(v) for v in truth.decile_quantile_gain],
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

@@ -14,6 +14,7 @@ from cityalloc.cli import fits_from_csv, fits_to_csv
 from cityalloc.gains import ScenarioTemplate
 from cityalloc.planner import DecileTechnology, PlannerScenario, solve_scenario
 from cityalloc.solver import SolverError
+from cityalloc.synth import generate, rows_to_csv
 
 
 def _rows(path):
@@ -35,9 +36,15 @@ def run_dir(tmp_path_factory):
     return run_out
 
 
-def test_ingest_synthetic_default(tmp_path):
+def test_synth_defaults_write_the_fixture(tmp_path):
+    # synth with no spec flags is the fixture's one route into a run
+    fx = tmp_path / "fx"
+    assert cli.main(["synth", "--out", str(fx)]) == cli.EXIT_OK
+    rows_to_csv(generate(cli._FIXTURE)[0], tmp_path / "want.csv")
+    assert (fx / "synthetic_panel.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
     out = str(tmp_path / "out")
-    assert cli.main(["ingest", "--synthetic", "default", "--out", out]) == cli.EXIT_OK
+    assert cli.main(["ingest", "--input", str(fx / "synthetic_panel.csv"),
+                     "--out", out]) == cli.EXIT_OK
     rows = _rows(os.path.join(out, "panel.csv"))
     assert len({r["city_id"] for r in rows}) == 284
     assert len({r["year"] for r in rows}) == 17
@@ -126,7 +133,7 @@ def test_missing_input_is_io_error_with_no_outputs(tmp_path):
 def test_unknown_config_key_is_validation_error(tmp_path):
     config = tmp_path / "run.conf"
     config.write_text("seed = 3\nno_such_key = 1\n", encoding="utf-8")
-    code = cli.main(["ingest", "--synthetic", "default",
+    code = cli.main(["ingest", "--input", str(tmp_path / "absent.csv"),
                      "--out", str(tmp_path / "out"), "--config", str(config)])
     assert code == cli.EXIT_VALIDATION
 
@@ -143,19 +150,15 @@ def test_config_precedence_flag_over_file_over_default(tmp_path):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["run", "--synthetic", "default"], "an --out directory is required"),
-    (["run", "--synthetic", "other", "--out", "out"], "unknown synthetic preset 'other'"),
-    (["run", "--synthetic", "default", "--input", "panel.csv", "--out", "out"],
-     "--input and --synthetic are mutually exclusive"),
+    (["run", "--input", "panel.csv"], "an --out directory is required"),
     (["run", "--out", "out"], "an --input panel is required"),
-    (["validate", "--out", "out"], "validate needs --input"),
-], ids=["no_out", "unknown_preset", "input_and_synthetic", "no_input",
-        "validate_without_input"])
+    (["validate", "--out", "out"], "validate needs --input pointing at a run directory"),
+], ids=["no_out", "no_input", "validate_without_input"])
 def test_input_errors_exit_2_with_no_outputs(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)
     capsys.readouterr()
     assert cli.main(argv + ["--jobs", "1"]) == cli.EXIT_VALIDATION
-    assert message in capsys.readouterr().err
+    assert capsys.readouterr().err == f"cityalloc {argv[0]}: validation error: {message}\n"
     assert os.listdir(tmp_path) == []
 
 
@@ -177,7 +180,7 @@ def test_config_bad_boolean_names_its_line(tmp_path, capsys):
     config.write_text("seed = 3\ncrs = maybe\n", encoding="utf-8")
     out = tmp_path / "out"
     capsys.readouterr()
-    assert cli.main(["ingest", "--synthetic", "default", "--out", str(out),
+    assert cli.main(["ingest", "--input", str(tmp_path / "absent.csv"), "--out", str(out),
                      "--config", str(config)]) == cli.EXIT_VALIDATION
     assert f"{config}:2: expected a boolean, got 'maybe'" in capsys.readouterr().err
     assert not out.exists()
@@ -234,11 +237,17 @@ def test_validate_rejects_a_manifest_with_no_scenarios(run_dir, tmp_path, capsys
     ("quantiles", [0.05, 0.15, 0.25, 0.35, 0.5, 0.55, 0.65, 0.75, 0.85, 0.95],
      cli.EXIT_VALIDATION),
     ("tolerance", 1e-8, cli.EXIT_VALIDATION),
-], ids=["fixed_values", "other_grid", "other_tolerance"])
+    ("synthetic", None, cli.EXIT_OK),
+    ("synthetic", "default", cli.EXIT_OK),
+    ("synthetic", "other", cli.EXIT_VALIDATION),
+], ids=["fixed_values", "other_grid", "other_tolerance", "synthetic_null",
+        "synthetic_default", "other_synthetic"])
 def test_validate_reads_an_echoed_grid_and_tolerance(run_dir, tmp_path, capsys,
                                                       key, value, code):
-    # a manifest written when the grid and the LP tolerance were options
-    # echoes both; it validates only when they hold the values now fixed
+    # a manifest written when the grid, the LP tolerance and the synthetic
+    # preset were options echoes all three; it validates only when the
+    # grid and tolerance hold the values now fixed and the preset is null
+    # or "default", whose generated panel the manifest records as its input
     copy = str(tmp_path / "run")
     shutil.copytree(run_dir, copy)
     path = os.path.join(copy, "manifest.json")
@@ -253,7 +262,7 @@ def test_validate_reads_an_echoed_grid_and_tolerance(run_dir, tmp_path, capsys,
         json.dump(manifest, fh)
     capsys.readouterr()
     assert cli.main(["validate", "--input", copy]) == code
-    if key is not None:
+    if code != cli.EXIT_OK:
         assert f"manifest config: {key}" in capsys.readouterr().err
 
 
@@ -629,6 +638,7 @@ def test_config_errors_exit_2_before_any_fit(small_panel, tmp_path, monkeypatch,
     ("--local", "local = true"),
     ("--tolerance=1e-8", "tolerance = 1e-8"),
     ("--quantiles=0.1,0.3,0.5,0.7,0.9", "quantiles = 0.1,0.3,0.5,0.7,0.9"),
+    ("--synthetic=default", "synthetic = default"),
 ])
 def test_scenario_knobs_besides_scenarios_are_gone(tmp_path, capsys, flag, line):
     with pytest.raises(SystemExit) as err:
@@ -637,8 +647,8 @@ def test_scenario_knobs_besides_scenarios_are_gone(tmp_path, capsys, flag, line)
     config = tmp_path / "run.conf"
     config.write_text(line + "\n", encoding="utf-8")
     capsys.readouterr()
-    assert cli.main(["ingest", "--synthetic", "default", "--out", str(tmp_path / "out"),
-                     "--config", str(config)]) == cli.EXIT_VALIDATION
+    assert cli.main(["ingest", "--input", str(tmp_path / "absent.csv"), "--out",
+                     str(tmp_path / "out"), "--config", str(config)]) == cli.EXIT_VALIDATION
     assert f"unknown key {line.split()[0]!r}" in capsys.readouterr().err
 
 

@@ -1,9 +1,11 @@
 """Synthetic generator and grid-oracle checks."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 import oracles
 from cityalloc import (
@@ -12,6 +14,7 @@ from cityalloc import (
     PlannerScenario,
     SyntheticSpec,
     analytic_efficient_output,
+    cli,
     generate,
     load_panel,
     rows_to_csv,
@@ -132,12 +135,56 @@ def test_truth_json_round_trip(tmp_path):
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
     assert set(payload) == {"years", "endowments", "actual_output",
-                            "efficient_output", "true_gain"}
+                            "efficient_output", "true_gain", "efficiency_gain",
+                            "decile_quantile_gain"}
     assert payload["years"] == [int(v) for v in truth.years]
     assert payload["endowments"] == truth.endowments
     assert payload["actual_output"] == list(truth.actual_output)
     assert payload["efficient_output"] == truth.efficient_output
     assert payload["true_gain"] == list(truth.true_gain)
+    assert payload["efficiency_gain"] == list(truth.efficiency_gain)
+    assert payload["decile_quantile_gain"] == list(truth.decile_quantile_gain)
+
+
+@pytest.mark.parametrize("exponents", [(0.35, 0.45), (0.45, 0.55)], ids=["drs", "crs"])
+def test_noise_free_truths_equal_true_gain(exponents):
+    # with every city's efficiency 1 all three truths are one technology's
+    _, truth = generate(SyntheticSpec(12, 3, 1.3, exponents, 0.6, 0.0, 5))
+    for gain in (truth.efficiency_gain, truth.decile_quantile_gain):
+        np.testing.assert_allclose(gain, truth.true_gain, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("noise_sigma, efficiency, decile_quantile", [
+    (0.1, (1.07438, 1.08379), (1.07089, 1.07789)),
+    (0.05, (1.05814, 1.06316), (1.05731, 1.06139)),
+])
+def test_fixture_truths(noise_sigma, efficiency, decile_quantile):
+    # the fixture's first two years, as paper_sweep.py draws them
+    _, truth = generate(replace(cli._FIXTURE, year_count=2, noise_sigma=noise_sigma))
+    assert np.round(truth.efficiency_gain, 5).tolist() == list(efficiency)
+    assert np.round(truth.decile_quantile_gain, 5).tolist() == list(decile_quantile)
+
+
+def test_efficiency_truth_is_the_numerical_optimum():
+    spec = SyntheticSpec(5, 2, 1.4, (0.3, 0.5), 0.5, 0.2, 13)
+    rows, truth = generate(spec)
+    delta = CapitalRule().delta
+    first = [r for r in rows if r["year"] == 2003]
+    k = np.array([r["investment"] / delta for r in first])
+    l_ = np.array([r["employment"] for r in first])
+    eff = np.array([r["grdp"] for r in first]) / (1.4 * k ** 0.3 * l_ ** 0.5)
+
+    def lost(shares):  # each factor's 5 city shares of its total of 5
+        sk, sl = 5.0 * shares[:5], 5.0 * shares[5:]
+        return -float(np.sum(eff * 1.4 * sk ** 0.3 * sl ** 0.5))
+
+    best = minimize(lost, np.full(10, 0.2), method="SLSQP", bounds=[(1e-9, 1.0)] * 10,
+                    constraints=[{"type": "eq", "fun": lambda v: v[:5].sum() - 1.0},
+                                 {"type": "eq", "fun": lambda v: v[5:].sum() - 1.0}],
+                    options={"ftol": 1e-15, "maxiter": 1000})
+    assert best.success
+    want = -best.fun / truth.actual_output[0]
+    assert truth.efficiency_gain[0] == pytest.approx(want, rel=1e-6)
 
 
 def test_grid_single_city_is_direct_evaluation():
